@@ -60,13 +60,13 @@ from .nonsignalling import (
 )
 from .systems import (
     AttackedSystem,
+    BoxProductSystem,
     Partition,
     PartitionReport,
     ProductSystem,
     SystemEvaluator,
     alice_output_distribution,
     build_product_system,
-    flip_pivotal_bit,
     verify_partition,
 )
 

@@ -158,12 +158,6 @@ class PivotalProfile:
         """(pivotal index, bias direction) for the string with this code."""
         return self._index_by_x[x_code], self._sigma_by_x[x_code]
 
-    def delta(self, x_code: int) -> Fraction:
-        index = self._index_by_x[x_code]
-        prefix = x_code >> (self.n - index + 1)
-        tree = self.function.tree
-        return tree.influence(index, prefix)
-
     def histogram(self) -> dict[int, int]:
         """Count of input strings per pivotal index."""
         out: dict[int, int] = {}

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
 
 Prob = Union[Fraction, float]
@@ -125,18 +124,7 @@ class SinglePairBox:
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.cells)
-
-    @cached_property
-    def _numden(self) -> tuple[tuple[int, int], ...] | None:
-        """Cells as (numerator, denominator) pairs, or None if not exact.
-
-        Lets n-fold evaluators take products in plain integer arithmetic
-        and normalize once, instead of n Fraction multiplications.
-        """
-        if not self.exact:
-            return None
-        return tuple((c.numerator, c.denominator) for c in self.cells)
+        return all(isinstance(c, (int, Fraction)) for c in self.cells)
 
     def validate(self) -> None:
         """Check nonnegativity, per-square normalization, Bob-marginal

@@ -2,7 +2,9 @@
 
 All checks share one strategy: materialize the full joint table of a
 system (refusing outright if it exceeds the evaluation cap -- never
-sampling), then compare marginal sums across input assignments.
+sampling), then compare marginal sums across input assignments.  Box
+products are materialized from their boxes, other systems point by point
+through ``evaluate``.
 
 Three conditions are covered:
 
@@ -14,8 +16,8 @@ Three conditions are covered:
 - ``check_subset``: generic probe -- outputs outside an index subset
   must not depend on inputs inside it.
 
-Exact tables (all Fractions) are normalized to integer numerators over
-a common denominator, so every marginal comparison is exact integer
+Exact tables (all ints or Fractions) are normalized to integer numerators
+over a common denominator, so every marginal comparison is exact integer
 arithmetic.  Float tables are compared to ``FLOAT_ATOL``, far above
 double rounding at desk scale and far below any structural violation.
 
@@ -129,17 +131,29 @@ class JointTable:
 
 
 def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP) -> JointTable:
-    """Evaluate a system at every (x, y, u, v) point.
+    """The full joint table of a system.
 
-    Raises InfeasibleSizeError when the table would need more than
-    ``max_evals`` evaluator calls.
+    A ``BoxProductSystem`` that keeps the shared ``evaluate`` is built from
+    its boxes (``_box_product_table``); every other system, including a
+    subclass that overrides ``evaluate``, is evaluated at every
+    (x, y, u, v) point.  Both paths give the same table: same ``den``,
+    same values, same float bits.  The table is exact when every value
+    is an int or a Fraction.
+
+    Raises InfeasibleSizeError, before any work, when the table has more
+    than ``max_evals`` entries -- on either path.
     """
+    from .systems import BoxProductSystem  # deferred: systems imports this module
+
     n, N = system.n, system.n_settings
     total = (4 * N * N) ** n
     if total > max_evals:
         raise InfeasibleSizeError(
             f"joint table needs {total} evaluations, cap is {max_evals}"
         )
+    if (isinstance(system, BoxProductSystem)
+            and type(system).evaluate is BoxProductSystem.evaluate):
+        return _box_product_table(system)
     settings = list(product(range(N), repeat=n))
     outcomes = list(product((0, 1), repeat=n))
     raw = []
@@ -149,7 +163,7 @@ def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP)
             for x in outcomes:
                 for y in outcomes:
                     val = system.evaluate(x, y, u, v)
-                    exact = exact and isinstance(val, Fraction)
+                    exact = exact and isinstance(val, (int, Fraction))
                     raw.append(val)
     if not exact:
         return JointTable(n, N, [float(v) for v in raw], None)
@@ -157,6 +171,59 @@ def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP)
     for d in {v.denominator for v in raw}:
         den = math.lcm(den, d)
     return JointTable(n, N, [v.numerator * (den // v.denominator) for v in raw], den)
+
+
+def _box_product_table(system) -> JointTable:
+    """Joint table of a box product, built from its boxes.
+
+    For fixed x the row over Bob's y at (u, v) is the Kronecker product of
+    each position's two cells box_j[u_j, v_j][x_j, :].  The rows of one x
+    are built position by position for all (u_j, v_j) at once, so each
+    entry costs about one multiplication.  Exact cells are scaled to integers over one common
+    denominator D; the table's ``den`` is D^n over the gcd of D^n and every
+    numerator, the lcm of the entries' reduced denominators, as on the
+    per-point path.  Float entries are products taken in position order
+    starting from 1, exactly as ``evaluate`` takes them.
+    """
+    n, N = system.n, system.n_settings
+    X, NN = 2**n, N * N
+    boxes_by_x = [system.pair_boxes(x) for x in range(X)]
+    distinct = {id(box): box for boxes in boxes_by_x for box in boxes}
+    exact = all(box.exact for box in distinct.values())
+    if exact:
+        D = math.lcm(*(c.denominator for box in distinct.values() for c in box.cells))
+        cells = {key: [c.numerator * (D // c.denominator) for c in box.cells]
+                 for key, box in distinct.items()}
+    else:
+        cells = {key: box.cells for key, box in distinct.items()}
+
+    # Rows are built in (u_1, v_1, u_2, v_2, ...) order; offsets[k] is where
+    # the k-th row's (u, v) block starts in the table's (u, v, x, y) layout.
+    offsets = [0]
+    for j in range(n):
+        step = N ** (n - 1 - j)
+        offsets = [o + (a * N**n + b) * step * X * X
+                   for o in offsets for a in range(N) for b in range(N)]
+
+    values = [0] * (NN**n * X * X)
+    for x, boxes in enumerate(boxes_by_x):
+        rows = [[1]]
+        for j, box in enumerate(boxes):
+            t = cells[id(box)]
+            bit = (x >> (n - 1 - j)) & 1
+            pairs = [(t[(ab * 2 + bit) * 2], t[(ab * 2 + bit) * 2 + 1]) for ab in range(NN)]
+            rows = [[p * c for p in row for c in pair] for row in rows for pair in pairs]
+        start = x * X
+        for offset, row in zip(offsets, rows):
+            values[offset + start:offset + start + X] = row
+
+    if not exact:
+        return JointTable(n, N, [float(v) for v in values], None)
+    full = D**n
+    g = math.gcd(full, *values)
+    if g > 1:
+        values = [v // g for v in values]
+    return JointTable(n, N, values, full // g)
 
 
 def _scaled(value, den: int | None) -> Prob:

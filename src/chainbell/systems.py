@@ -1,9 +1,14 @@
 """Lazy n-fold box systems and convex partitions of them.
 
 A system is a conditional distribution P(x, y | u, v) over n-bit output
-strings and length-n setting vectors, exposed only through ``evaluate``
--- the full table has (4N^2)^n entries, so nothing is materialized here.
+strings and length-n setting vectors, exposed through ``evaluate`` --
+the full table has (4N^2)^n entries, so nothing is materialized here.
 Verifiers materialize what they enumerate, under an evaluation cap.
+
+``BoxProductSystem`` systems also expose ``pair_boxes``: for each output
+string x the single-pair boxes whose product the system is.  Verifiers
+build such a system's joint table from those boxes rather than point by
+point; every other system is materialized through ``evaluate`` alone.
 
 ``ProductSystem`` multiplies independent single-pair boxes.
 ``AttackedSystem`` is one part of the adversary's decomposition: it
@@ -19,7 +24,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
@@ -76,8 +80,32 @@ class SystemEvaluator(ABC):
                 raise ValueError(f"outcome vectors must hold bits, got {b}")
 
 
+class BoxProductSystem(SystemEvaluator):
+    """A system that is a product of single-pair boxes once Alice's output
+    string is fixed: P(x, y | u, v) = prod_j box_j(x)(x_j, y_j | u_j, v_j).
+
+    The box at each position may depend on x, but never on y, u or v.
+    ``materialize`` builds the joint table of such a system from its boxes
+    instead of calling ``evaluate`` per entry, unless a subclass
+    overrides ``evaluate``.
+    """
+
+    @abstractmethod
+    def pair_boxes(self, x_code: int) -> tuple[SinglePairBox, ...]:
+        """The n boxes, first position first, behind output string x
+        (encoded first bit most significant)."""
+
+    def evaluate(self, x, y, u, v) -> Prob:
+        self._check_point(x, y, u, v)
+        N = self.n_settings
+        val: Prob = 1
+        for j, box in enumerate(self.pair_boxes(bits_to_int(x))):
+            val *= box.cells[((u[j] * N + v[j]) * 2 + x[j]) * 2 + y[j]]
+        return val
+
+
 @dataclass(frozen=True)
-class ProductSystem(SystemEvaluator):
+class ProductSystem(BoxProductSystem):
     """Independent boxes: P(x, y | u, v) = prod_j box_j(x_j, y_j | u_j, v_j)."""
 
     boxes: tuple[SinglePairBox, ...]
@@ -96,26 +124,8 @@ class ProductSystem(SystemEvaluator):
     def n_settings(self) -> int:
         return self.boxes[0].n_settings
 
-    @cached_property
-    def _numden_tables(self) -> tuple | None:
-        tables = tuple(box._numden for box in self.boxes)
-        return tables if all(t is not None for t in tables) else None
-
-    def evaluate(self, x, y, u, v) -> Prob:
-        self._check_point(x, y, u, v)
-        N = self.n_settings
-        tables = self._numden_tables
-        if tables is not None:
-            num = den = 1
-            for j, t in enumerate(tables):
-                cn, cd = t[((u[j] * N + v[j]) * 2 + x[j]) * 2 + y[j]]
-                num *= cn
-                den *= cd
-            return Fraction(num, den)
-        val: Prob = 1
-        for j, box in enumerate(self.boxes):
-            val *= box.cells[((u[j] * N + v[j]) * 2 + x[j]) * 2 + y[j]]
-        return val
+    def pair_boxes(self, x_code: int) -> tuple[SinglePairBox, ...]:
+        return self.boxes
 
 
 def build_product_system(box: SinglePairBox, n: int) -> ProductSystem:
@@ -126,7 +136,7 @@ def build_product_system(box: SinglePairBox, n: int) -> ProductSystem:
 
 
 @dataclass(frozen=True)
-class AttackedSystem(SystemEvaluator):
+class AttackedSystem(BoxProductSystem):
     """One part of the adversary's two-part decomposition.
 
     For output string x with pivotal position i and direction sigma
@@ -160,39 +170,11 @@ class AttackedSystem(SystemEvaluator):
         index, sigma = self.profile.pivot(bits_to_int(x))
         return index, sigma ^ self.z
 
-    @cached_property
-    def _numden_tables(self) -> tuple | None:
-        tables = (self.base._numden, self.biased[0]._numden, self.biased[1]._numden)
-        return tables if all(t is not None for t in tables) else None
-
-    def evaluate(self, x, y, u, v) -> Prob:
-        self._check_point(x, y, u, v)
-        index, direction = self.pivot(x)
-        N = self.n_settings
-        tables = self._numden_tables
-        if tables is not None:
-            base_t, *biased_t = tables
-            num = den = 1
-            for j in range(self.n):
-                t = biased_t[direction] if j == index - 1 else base_t
-                cn, cd = t[((u[j] * N + v[j]) * 2 + x[j]) * 2 + y[j]]
-                num *= cn
-                den *= cd
-            return Fraction(num, den)
-        val: Prob = 1
-        for j in range(self.n):
-            box = self.biased[direction] if j == index - 1 else self.base
-            val *= box.cells[((u[j] * N + v[j]) * 2 + x[j]) * 2 + y[j]]
-        return val
-
-    def x_marginal(self, x: Sequence[int]) -> Prob:
-        """P(x) -- setting-independent because every box's Alice marginal is."""
-        index, direction = self.pivot(x)
-        val: Prob = 1
-        for j in range(self.n):
-            box = self.biased[direction] if j == index - 1 else self.base
-            val *= box.alice_marginal(0, 0, x[j])
-        return val
+    def pair_boxes(self, x_code: int) -> tuple[SinglePairBox, ...]:
+        index, sigma = self.profile.pivot(x_code)
+        before = (self.base,) * (index - 1)
+        after = (self.base,) * (self.n - index)
+        return before + (self.biased[sigma ^ self.z],) + after
 
 
 def alice_output_distribution(system: SystemEvaluator,
@@ -215,14 +197,6 @@ def alice_output_distribution(system: SystemEvaluator,
             total += system.evaluate(x, y, u, v)
         out[x] = total
     return out
-
-
-def flip_pivotal_bit(system: AttackedSystem, x: Sequence[int]) -> tuple[int, ...]:
-    """x with its pivotal bit flipped; pairs that cancel in normalization."""
-    index, _ = system.pivot(x)
-    flipped = list(x)
-    flipped[index - 1] ^= 1
-    return tuple(flipped)
 
 
 @dataclass(frozen=True)
@@ -332,7 +306,7 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
         )
 
     weights = partition.weights
-    exact_weights = all(isinstance(w, Fraction) for w in weights)
+    exact_weights = all(isinstance(w, (int, Fraction)) for w in weights)
     weight_sum = sum(weights)
     weights_ok = all(w >= 0 for w in weights) and (
         weight_sum == 1 if exact_weights else abs(weight_sum - 1) <= FLOAT_ATOL

@@ -10,12 +10,15 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from chainbell import (
+    AttackedSystem,
     BoxParams,
     HashFunction,
+    PivotalProfile,
     SinglePairBox,
     bias_box,
     build_unbiased_box,
     is_almost_balanced,
+    pivotal_index,
     random_function,
 )
 from chainbell.systems import Partition, SystemEvaluator
@@ -56,6 +59,28 @@ class NegatedPointSystem(SystemEvaluator):
         return val
 
 
+class PerPointSystem(SystemEvaluator):
+    """Delegates ``evaluate`` to a wrapped system.  Not a box product, so
+    ``materialize`` takes the per-point path: the oracle for tables built
+    from boxes."""
+
+    def __init__(self, inner: SystemEvaluator):
+        self.inner = inner
+        self.n = inner.n
+        self.n_settings = inner.n_settings
+
+    def evaluate(self, x, y, u, v):
+        return self.inner.evaluate(x, y, u, v)
+
+
+class IntZeroSystem(PerPointSystem):
+    """Exact wrapper that returns the int 0 wherever the wrapped system's
+    value is zero."""
+
+    def evaluate(self, x, y, u, v):
+        return self.inner.evaluate(x, y, u, v) or 0
+
+
 def perturbed_bob_marginal_box(params: BoxParams, amount=Fraction(1, 64)) -> SinglePairBox:
     """Unbiased box with one square's Bob marginal knocked off 1/2.
 
@@ -67,6 +92,34 @@ def perturbed_bob_marginal_box(params: BoxParams, amount=Fraction(1, 64)) -> Sin
     cells[0] += amount  # (a=0, b=0, x=0, y=0)
     cells[1] -= amount  # (a=0, b=0, x=0, y=1)
     return SinglePairBox(box.n_settings, tuple(cells))
+
+
+def x_marginal(system: AttackedSystem, x):
+    """P(x) of an attacked part from the box marginals alone, with the
+    pivot found by walking the function's prefixes (``pivotal_index``)."""
+    index, sigma, _ = pivotal_index(system.profile.function, x)
+    val = 1
+    for j, bit in enumerate(x):
+        box = system.biased[sigma ^ system.z] if j == index - 1 else system.base
+        val *= box.alice_marginal(0, 0, bit)
+    return val
+
+
+def flip_pivotal_bit(system: AttackedSystem, x) -> tuple[int, ...]:
+    """x with its pivotal bit flipped; pairs that cancel in normalization."""
+    index, _, _ = pivotal_index(system.profile.function, x)
+    flipped = list(x)
+    flipped[index - 1] ^= 1
+    return tuple(flipped)
+
+
+def profile_delta(profile: PivotalProfile, x_code: int) -> Fraction:
+    """The influence stored in the pivot record whose prefix covers x."""
+    index, _ = profile.pivot(x_code)
+    prefix = x_code >> (profile.n - index + 1)
+    (record,) = [r for r in profile.records
+                 if (r.prefix_len, r.prefix_code) == (index - 1, prefix)]
+    return record.delta
 
 
 def joint_key_zero_prob(f: HashFunction, system: SystemEvaluator, u, v):

@@ -28,7 +28,7 @@ from chainbell import (
     xor_function,
 )
 
-from helpers import exhaustive_almost_balanced
+from helpers import exhaustive_almost_balanced, profile_delta
 
 # The worked three-bit example: truth table 00111001 (hex 39).
 WORKED_BITS = (0, 0, 1, 1, 1, 0, 0, 1)
@@ -230,7 +230,7 @@ def test_profile_agrees_with_pointwise_walk(f):
     for code, x in enumerate(product((0, 1), repeat=f.n)):
         index, sigma, delta = pivotal_index(f, x)
         assert profile.pivot(code) == (index, sigma)
-        assert profile.delta(code) == delta
+        assert profile_delta(profile, code) == delta
         assert delta >= pivotal_threshold(f.n)
 
 

@@ -14,13 +14,12 @@ from chainbell import (
     build_attack_partition,
     build_product_system,
     build_unbiased_box,
-    flip_pivotal_bit,
     function_from_hex,
     verify_partition,
     xor_function,
 )
 
-from helpers import NegatedPointSystem
+from helpers import NegatedPointSystem, flip_pivotal_bit, x_marginal
 
 EIGHTH = Fraction(1, 8)
 
@@ -135,7 +134,7 @@ def test_x_marginal_matches_joint_marginalization(fig_partition):
     for part in partition.systems:
         dist = alice_output_distribution(part, (1, 0, 1), (0, 1, 1))
         for x in product((0, 1), repeat=3):
-            assert part.x_marginal(x) == dist[x]
+            assert x_marginal(part, x) == dist[x]
 
 
 def test_uniform_marginal_of_product_system():
