@@ -31,7 +31,7 @@ from .adversary import (
     parse_function_spec,
     trivial_strategy,
 )
-from .boxes import FLOAT_ATOL, BoxParams, Prob
+from .boxes import FLOAT_ATOL, BoxParams, Prob, close
 from .nonsignalling import InfeasibleSizeError
 from .systems import AttackedSystem, Partition, SystemEvaluator, alice_output_distribution
 
@@ -76,10 +76,9 @@ def _part_key_zero_probability(f: HashFunction, part: SystemEvaluator) -> Prob:
     n, N = part.n, part.n_settings
     dist = alice_output_distribution(part, (0,) * n, (0,) * n)
     alt = alice_output_distribution(part, (N - 1,) * n, (N - 1,) * n)
-    exact = all(isinstance(p, Fraction) for p in dist.values())
+    exact = all(isinstance(p, (int, Fraction)) for p in dist.values())
     for x, p in dist.items():
-        diff = p - alt[x]
-        if diff != 0 if exact else abs(diff) > FLOAT_ATOL:
+        if not close(p, alt[x], 0 if exact else FLOAT_ATOL):
             raise ValueError(
                 f"part has an input-dependent X-marginal at x={x}: {p} vs {alt[x]}"
             )

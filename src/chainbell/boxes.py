@@ -35,6 +35,13 @@ Prob = Union[Fraction, float]
 #: Comparison tolerance for float-valued (quantum-mode) boxes and systems.
 FLOAT_ATOL = 1e-12
 
+
+def close(lhs: Prob, rhs: Prob, atol: Prob) -> bool:
+    """Whether two values are equal: exactly when ``atol`` is 0, else to
+    within ``atol`` (FLOAT_ATOL for float values)."""
+    return lhs == rhs if atol == 0 else abs(lhs - rhs) <= atol
+
+
 MODE_RATIONAL = "rational"
 MODE_QUANTUM = "quantum"
 
@@ -135,19 +142,15 @@ class SinglePairBox:
         """
         n = self.n_settings
         atol = 0 if self.exact else FLOAT_ATOL
-
-        def close(lhs, rhs):
-            return lhs == rhs if atol == 0 else abs(lhs - rhs) <= atol
-
         for a in range(n):
             for b in range(n):
                 square = [self.prob(a, b, x, y) for x in (0, 1) for y in (0, 1)]
-                if any(c < -atol if atol else c < 0 for c in square):
+                if any(c < -atol for c in square):
                     raise ValueError(f"negative cell in square (a={a}, b={b})")
-                if not close(sum(square), 1):
+                if not close(sum(square), 1, atol):
                     raise ValueError(f"square (a={a}, b={b}) does not sum to 1")
                 for y in (0, 1):
-                    if not close(self.bob_marginal(a, b, y), HALF):
+                    if not close(self.bob_marginal(a, b, y), HALF, atol):
                         raise ValueError(
                             f"Bob marginal not 1/2 at (a={a}, b={b}, y={y})"
                         )
@@ -155,7 +158,7 @@ class SinglePairBox:
             for x in (0, 1):
                 ref = self.alice_marginal(a, 0, x)
                 for b in range(1, n):
-                    if not close(self.alice_marginal(a, b, x), ref):
+                    if not close(self.alice_marginal(a, b, x), ref, atol):
                         raise ValueError(
                             f"Alice marginal depends on Bob's setting at (a={a}, x={x})"
                         )
@@ -211,6 +214,8 @@ def bias_box(box: SinglePairBox, sigma: int, eps: Prob) -> SinglePairBox:
     if sigma not in (0, 1):
         raise ValueError(f"sigma must be a bit, got {sigma}")
     n = box.n_settings
+    if isinstance(eps, int):
+        eps = Fraction(eps)
     half_eps = eps / 2
     atol = 0 if (box.exact and isinstance(eps, Fraction)) else FLOAT_ATOL
     cells = list(box.cells)

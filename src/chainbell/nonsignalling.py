@@ -6,15 +6,21 @@ sampling), then compare marginal sums across input assignments.  Box
 products are materialized from their boxes, other systems point by point
 through ``evaluate``.
 
-Three conditions are covered:
+All three conditions are one marginal-independence equation over an
+index subset S of one side: that side's outputs outside S, together
+with all of the other side's outputs, must not depend on that side's
+inputs inside S.  One kernel checks it:
 
-- ``check_ab``: neither party's full output marginal depends on the
-  other party's inputs;
-- ``check_time_ordered``: for every cut i, the marginal of outputs
-  before the cut (together with the whole other side) does not depend
-  on inputs from the cut onwards, on either side;
-- ``check_subset``: generic probe -- outputs outside an index subset
-  must not depend on inputs inside it.
+- ``check_ab``: S = {1..n} on each side -- neither party's full output
+  marginal depends on the other party's inputs;
+- ``check_time_ordered``: S = {i..n} for every cut i on each side --
+  outputs before the cut (together with the whole other side) do not
+  depend on inputs from the cut onwards;
+- ``check_subset``: S given by the caller, on one side.
+
+Every violation is counted.  A report keeps as witnesses the
+``MAX_WITNESSES`` smallest violations by ``_witness_key``: side, cut,
+then the settings and outputs of the two compared marginals.
 
 Exact tables (all ints or Fractions) are normalized to integer numerators
 over a common denominator, so every marginal comparison is exact integer
@@ -30,11 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, count, product
+from operator import add, itemgetter, ne
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._coding import int_to_bits, int_to_digits
-from .boxes import FLOAT_ATOL, Prob
+from .boxes import FLOAT_ATOL, Prob, close
 
 if TYPE_CHECKING:  # pragma: no cover
     from .systems import SystemEvaluator
@@ -42,7 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Default bound on evaluator calls per verification.
 DEFAULT_EVAL_CAP = 2**26
 
-#: Violation witnesses retained per report (all are counted).
+#: Violation witnesses retained per report: the smallest by
+#: ``_witness_key``.  All violations are counted.
 MAX_WITNESSES = 10
 
 CONDITION_AB = "ab"
@@ -114,20 +122,6 @@ class JointTable:
         if self.den is None:
             return self.values[index]
         return Fraction(self.values[index], self.den)
-
-    def transposed_values(self) -> list:
-        """Value list with the roles of (u, x) and (v, y) swapped."""
-        n, N = self.n, self.n_settings
-        NS, X = N**n, 2**n
-        out = [0] * len(self.values)
-        idx = 0
-        for u in range(NS):
-            for v in range(NS):
-                for x in range(X):
-                    for y in range(X):
-                        out[((v * NS + u) * X + y) * X + x] = self.values[idx]
-                        idx += 1
-        return out
 
 
 def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP) -> JointTable:
@@ -243,78 +237,9 @@ def _witness_key(v: NsViolation):
     )
 
 
-def _suffix_cut_violations(
-    values: list,
-    n: int,
-    N: int,
-    cut: int,
-    den: int | None,
-    side: str,
-    condition: str,
-) -> tuple[list[NsViolation], int, int]:
-    """Check one time-ordered cut on the Alice side of ``values``.
-
-    ``values`` must be laid out alice-major; pass the transposed table
-    with side="bob" for the symmetric condition.  Returns (violations,
-    total violation count, comparisons performed).
-    """
-    NV = N**n
-    NL = N ** (n - cut + 1)  # varied setting suffix
-    NH = NV // NL
-    Y = 2**n
-    XL = 2 ** (n - cut + 1)  # summed outcome suffix
-    XH = (2**n) // XL
-    XY = (2**n) * Y
-    atol = 0 if den is not None else FLOAT_ATOL
-
-    summed = tuple(range(cut, n + 1))
-    found: list[tuple] = []
-    total = 0
-    checks = 0
-    for u_hi in range(NH):
-        for v in range(NV):
-            ref = None
-            ref_lo = 0
-            for u_lo in range(NL):
-                base = ((u_hi * NL + u_lo) * NV + v) * XY
-                grid = [
-                    sum(values[base + x_hi * XL * Y + y : base + (x_hi + 1) * XL * Y : Y])
-                    for x_hi in range(XH)
-                    for y in range(Y)
-                ]
-                if u_lo == 0:
-                    ref = grid
-                    continue
-                checks += len(grid)
-                for k, (lhs, rhs) in enumerate(zip(ref, grid)):
-                    if (lhs != rhs) if atol == 0 else (abs(lhs - rhs) > atol):
-                        total += 1
-                        if len(found) < 4 * MAX_WITNESSES:
-                            found.append((u_hi, v, ref_lo, u_lo, k, lhs, rhs))
-    violations = []
-    for u_hi, v, lo_a, lo_b, k, lhs, rhs in found:
-        x_hi, y = divmod(k, Y)
-        x_bits = int_to_bits(x_hi, cut - 1) + (None,) * (n - cut + 1)
-        y_bits = int_to_bits(y, n)
-        u_a = int_to_digits(u_hi * NL + lo_a, n, N)
-        u_b = int_to_digits(u_hi * NL + lo_b, n, N)
-        v_d = int_to_digits(v, n, N)
-        if side == "alice":
-            violations.append(
-                NsViolation(condition, side, cut, summed, x_bits, y_bits,
-                            u_a, v_d, u_b, v_d, _scaled(lhs, den), _scaled(rhs, den))
-            )
-        else:  # table was transposed: swap roles back
-            violations.append(
-                NsViolation(condition, side, cut, summed, y_bits, x_bits,
-                            v_d, u_a, v_d, u_b, _scaled(lhs, den), _scaled(rhs, den))
-            )
-    violations.sort(key=_witness_key)
-    return violations[:MAX_WITNESSES], total, checks
-
-
 def _scatter_codes(positions: Sequence[int], n: int, base: int) -> list[int]:
-    """Codes of all assignments over `positions`, embedded in an n-digit word."""
+    """Codes of all assignments over `positions`, embedded in an n-digit word,
+    in ascending order."""
     weights = [base ** (n - p) for p in positions]
     codes = [0]
     for w in weights:
@@ -322,77 +247,98 @@ def _scatter_codes(positions: Sequence[int], n: int, base: int) -> list[int]:
     return codes
 
 
-def _subset_violations(
-    values: list,
-    n: int,
-    N: int,
-    subset: tuple[int, ...],
-    den: int | None,
+def _independence_violations(
+    table: JointTable,
     side: str,
+    subset: tuple[int, ...],
+    condition: str,
+    cut: int | None,
 ) -> tuple[list[NsViolation], int, int]:
-    """Generic (non-contiguous) subset independence check, Alice side."""
-    NV = N**n
-    Y = 2**n
-    XY = (2**n) * Y
-    atol = 0 if den is not None else FLOAT_ATOL
-    kept_pos = tuple(p for p in range(1, n + 1) if p not in subset)
+    """Check that ``side``'s outputs outside ``subset``, together with all
+    of the other side's outputs, do not depend on ``side``'s inputs inside
+    ``subset``.
 
-    u_var = _scatter_codes(subset, n, N)
-    u_keep = _scatter_codes(kept_pos, n, N)
-    x_var = _scatter_codes(subset, n, 2)
-    x_keep = _scatter_codes(kept_pos, n, 2)
+    For each (u, v) the marginal grid sums ``side``'s outcomes over the
+    subset positions; grids whose ``side`` settings differ only inside the
+    subset are compared with the one that has zeros there.  Both sides are
+    read in place, through the strides of the table layout.  Comparisons
+    run in ``_witness_key`` order, so the first MAX_WITNESSES violations
+    found are the smallest.  Returns (witnesses, total violation count,
+    comparisons performed).
+    """
+    n, N, den = table.n, table.n_settings, table.den
+    NS, X = N**n, 2**n
+    kept = tuple(p for p in range(1, n + 1) if p not in subset)
+    setting_keep = _scatter_codes(kept, n, N)
+    setting_var = _scatter_codes(subset, n, N)
+    outcome_keep = _scatter_codes(kept, n, 2)
+    outcome_var = _scatter_codes(subset, n, 2)
+    atol = 0 if table.exact else FLOAT_ATOL
+
+    # Offsets into one (u, v) block of X*X entries (x major, y minor),
+    # summand-major; within a summand in grid order, Alice's x before Bob's y.
+    if side == "alice":
+        summands = [[(xk + xs) * X + y for xk in outcome_keep for y in range(X)]
+                    for xs in outcome_var]
+        refs = [uk * NS + v for uk in setting_keep for v in range(NS)]
+        var_stride = NS
+    else:
+        summands = [[x * X + yk + ys for x in range(X) for yk in outcome_keep]
+                    for ys in outcome_var]
+        refs = [u * NS + vk for u in range(NS) for vk in setting_keep]
+        var_stride = 1
+    G = len(summands[0])
+    gather = itemgetter(*(i for offsets in summands for i in offsets))
+    block = X * X
+    values = table.values
+
+    def marginal(index: int) -> list:
+        """The grid of (u, v) block ``index``, summands added left to right."""
+        cells = gather(values[index * block:(index + 1) * block])
+        grid = cells[:G]
+        for s in range(G, block, G):
+            grid = map(add, grid, cells[s:s + G])
+        return list(grid)
 
     found: list[tuple] = []
     total = 0
-    checks = 0
-    for uk in u_keep:
-        for v in range(NV):
-            ref = None
-            ref_var = u_var[0]
-            for uv in u_var:
-                base = ((uk + uv) * NV + v) * XY
-                grid = [
-                    sum(values[base + (xk + xv) * Y + y] for xv in x_var)
-                    for xk in x_keep
-                    for y in range(Y)
-                ]
-                if uv == ref_var:
-                    ref = grid
-                    continue
-                checks += len(grid)
-                for k, (lhs, rhs) in enumerate(zip(ref, grid)):
-                    if (lhs != rhs) if atol == 0 else (abs(lhs - rhs) > atol):
-                        total += 1
-                        if len(found) < 4 * MAX_WITNESSES:
-                            found.append((uk, v, ref_var, uv, k, lhs, rhs))
+    for ref_index in refs:
+        ref = marginal(ref_index)
+        for d in setting_var[1:]:
+            index = ref_index + d * var_stride
+            grid = marginal(index)
+            if grid == ref:
+                continue
+            for k in compress(count(), map(ne, ref, grid)):
+                if not close(ref[k], grid[k], atol):
+                    total += 1
+                    if len(found) < MAX_WITNESSES:
+                        found.append((ref_index, index, k, ref[k], grid[k]))
+    checks = len(refs) * (len(setting_var) - 1) * G
+
+    def masked(code: int) -> tuple[int | None, ...]:
+        return tuple(b if p in kept else None for p, b in enumerate(int_to_bits(code, n), 1))
+
     violations = []
-    for uk, v, uva, uvb, k, lhs, rhs in found:
-        ki, y = divmod(k, Y)
-        xk = x_keep[ki]
-        kept_bits = int_to_bits(xk, n)  # summed positions hold zeros here
-        x_bits = tuple(
-            kept_bits[p - 1] if p in kept_pos else None for p in range(1, n + 1)
-        )
-        y_bits = int_to_bits(y, n)
-        u_a = int_to_digits(uk + uva, n, N)
-        u_b = int_to_digits(uk + uvb, n, N)
-        v_d = int_to_digits(v, n, N)
+    for left, right, k, lhs, rhs in found:
+        x, y = divmod(summands[0][k], X)
         if side == "alice":
-            violations.append(
-                NsViolation(CONDITION_SUBSET, side, None, subset, x_bits, y_bits,
-                            u_a, v_d, u_b, v_d, _scaled(lhs, den), _scaled(rhs, den))
-            )
+            x_bits, y_bits = masked(x), int_to_bits(y, n)
         else:
-            violations.append(
-                NsViolation(CONDITION_SUBSET, side, None, subset, y_bits, x_bits,
-                            v_d, u_a, v_d, u_b, _scaled(lhs, den), _scaled(rhs, den))
-            )
-    violations.sort(key=_witness_key)
-    return violations[:MAX_WITNESSES], total, checks
+            x_bits, y_bits = int_to_bits(x, n), masked(y)
+        u_left, v_left = divmod(left, NS)
+        u_right, v_right = divmod(right, NS)
+        violations.append(NsViolation(
+            condition, side, cut, subset, x_bits, y_bits,
+            int_to_digits(u_left, n, N), int_to_digits(v_left, n, N),
+            int_to_digits(u_right, n, N), int_to_digits(v_right, n, N),
+            _scaled(lhs, den), _scaled(rhs, den)))
+    return violations, total, checks
 
 
 def _merge(condition: str, parts: Iterable[tuple[list[NsViolation], int, int]],
            den: int | None) -> NsReport:
+    """One report from kernel results given in ``_witness_key`` order."""
     violations: list[NsViolation] = []
     total = 0
     checks = 0
@@ -400,7 +346,6 @@ def _merge(condition: str, parts: Iterable[tuple[list[NsViolation], int, int]],
         violations.extend(viols)
         total += t
         checks += c
-    violations.sort(key=_witness_key)
     return NsReport(
         condition=condition,
         passed=total == 0,
@@ -415,11 +360,9 @@ def check_ab(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP,
              table: JointTable | None = None) -> NsReport:
     """Neither full output marginal may depend on the other side's inputs."""
     t = table if table is not None else materialize(system, max_evals=max_evals)
-    parts = [
-        _suffix_cut_violations(t.values, t.n, t.n_settings, 1, t.den, "alice", CONDITION_AB),
-        _suffix_cut_violations(t.transposed_values(), t.n, t.n_settings, 1, t.den, "bob",
-                               CONDITION_AB),
-    ]
+    everything = tuple(range(1, t.n + 1))
+    parts = [_independence_violations(t, side, everything, CONDITION_AB, 1)
+             for side in ("alice", "bob")]
     return _merge(CONDITION_AB, parts, t.den)
 
 
@@ -427,18 +370,12 @@ def check_time_ordered(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EV
                        table: JointTable | None = None) -> NsReport:
     """Future inputs may not influence past outputs, on either side."""
     t = table if table is not None else materialize(system, max_evals=max_evals)
-    parts = []
-    for cut in range(1, t.n + 1):
-        parts.append(
-            _suffix_cut_violations(t.values, t.n, t.n_settings, cut, t.den, "alice",
-                                   f"{CONDITION_TIME_ORDERED}-alice")
-        )
-    transposed = t.transposed_values()
-    for cut in range(1, t.n + 1):
-        parts.append(
-            _suffix_cut_violations(transposed, t.n, t.n_settings, cut, t.den, "bob",
-                                   f"{CONDITION_TIME_ORDERED}-bob")
-        )
+    parts = [
+        _independence_violations(t, side, tuple(range(cut, t.n + 1)),
+                                 f"{CONDITION_TIME_ORDERED}-{side}", cut)
+        for side in ("alice", "bob")
+        for cut in range(1, t.n + 1)
+    ]
     return _merge(CONDITION_TIME_ORDERED, parts, t.den)
 
 
@@ -453,8 +390,7 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
     t = table if table is not None else materialize(system, max_evals=max_evals)
     if not sub or sub[0] < 1 or sub[-1] > t.n:
         raise ValueError(f"subset must be a nonempty subset of 1..{t.n}, got {sub}")
-    values = t.values if side == "alice" else t.transposed_values()
-    part = _subset_violations(values, t.n, t.n_settings, sub, t.den, side)
+    part = _independence_violations(t, side, sub, CONDITION_SUBSET, None)
     return _merge(CONDITION_SUBSET, [part], t.den)
 
 

@@ -24,11 +24,12 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import mul, truediv
 from typing import TYPE_CHECKING, Sequence
 
 from ._coding import bits_to_int, int_to_bits, int_to_digits
-from .boxes import FLOAT_ATOL, Prob, SinglePairBox
+from .boxes import FLOAT_ATOL, Prob, SinglePairBox, close
 from .nonsignalling import (
     DEFAULT_EVAL_CAP,
     InfeasibleSizeError,
@@ -308,9 +309,8 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
     weights = partition.weights
     exact_weights = all(isinstance(w, (int, Fraction)) for w in weights)
     weight_sum = sum(weights)
-    weights_ok = all(w >= 0 for w in weights) and (
-        weight_sum == 1 if exact_weights else abs(weight_sum - 1) <= FLOAT_ATOL
-    )
+    weights_ok = all(w >= 0 for w in weights) and close(
+        weight_sum, 1, 0 if exact_weights else FLOAT_ATOL)
 
     base_table = materialize(base, max_evals=max_evals)
     part_tables = [materialize(s, max_evals=max_evals) for s in partition.systems]
@@ -319,15 +319,11 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
     part_reports = []
     for system, table in zip(partition.systems, part_tables):
         atol = 0 if table.exact else FLOAT_ATOL
-        nonneg = all(v >= -atol if atol else v >= 0 for v in table.values)
+        nonneg = all(v >= -atol for v in table.values)
         per_input = 4**table.n
         one = table.den if table.exact else 1.0
-        normalized = True
-        for start in range(0, len(table.values), per_input):
-            s = sum(table.values[start:start + per_input])
-            if (s != one) if atol == 0 else (abs(s - one) > atol):
-                normalized = False
-                break
+        normalized = all(close(sum(table.values[start:start + per_input]), one, atol)
+                         for start in range(0, len(table.values), per_input))
         if constraint == "none":
             ns = None
         elif constraint == "ab":
@@ -338,40 +334,36 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
             checks += ns.checks_performed
         part_reports.append(PartConstraintReport(nonneg, normalized, ns))
 
-    # Pointwise convex combination, on a common denominator in exact mode.
-    mismatches = []
-    mismatch_total = 0
-    exact = base_table.exact and all(t.exact for t in part_tables) and exact_weights
-    if exact:
+    # Pointwise convex combination: on a common integer denominator in
+    # exact mode, else in floats (exact tables converted as they are read).
+    if base_table.exact and all(t.exact for t in part_tables) and exact_weights:
         den = base_table.den
         for w, t in zip(weights, part_tables):
             den = math.lcm(den, t.den * w.denominator)
-        base_scale = den // base_table.den
-        scaled_parts = []
-        for w, t in zip(weights, part_tables):
-            num = w.numerator * (den // (t.den * w.denominator))
-            scaled_parts.append((num, t.values))
-        for idx in range(table_size):
-            combo = sum(num * vals[idx] for num, vals in scaled_parts)
-            want = base_table.values[idx] * base_scale
-            if combo != want:
-                mismatch_total += 1
-                if len(mismatches) < 10:
-                    x, y, u, v = _decode_point(base_table, idx)
-                    mismatches.append((x, y, u, v,
-                                       Fraction(want, den), Fraction(combo, den)))
+        scales = [w.numerator * (den // (t.den * w.denominator))
+                  for w, t in zip(weights, part_tables)]
+        wants = map(mul, base_table.values, repeat(den // base_table.den))
+        columns = zip(*(t.values for t in part_tables))
+        atol = 0
     else:
-        def as_float(t: JointTable, idx: int) -> float:
-            return t.values[idx] / t.den if t.exact else t.values[idx]
+        def as_floats(t: JointTable):
+            return map(truediv, t.values, repeat(t.den)) if t.exact else t.values
 
-        for idx in range(table_size):
-            combo = sum(float(w) * as_float(t, idx) for w, t in zip(weights, part_tables))
-            want = as_float(base_table, idx)
-            if abs(combo - want) > FLOAT_ATOL:
-                mismatch_total += 1
-                if len(mismatches) < 10:
-                    x, y, u, v = _decode_point(base_table, idx)
-                    mismatches.append((x, y, u, v, want, combo))
+        den = None
+        scales = [float(w) for w in weights]
+        wants = as_floats(base_table)
+        columns = zip(*map(as_floats, part_tables))
+        atol = FLOAT_ATOL
+    mismatches = []
+    mismatch_total = 0
+    for idx, (want, column) in enumerate(zip(wants, columns)):
+        combo = sum(map(mul, scales, column))
+        if combo != want and not close(combo, want, atol):
+            mismatch_total += 1
+            if len(mismatches) < 10:
+                if den is not None:
+                    want, combo = Fraction(want, den), Fraction(combo, den)
+                mismatches.append((*_decode_point(base_table, idx), want, combo))
     checks += table_size
 
     return PartitionReport(

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from chainbell import (
+    FLOAT_ATOL,
     AttackedSystem,
     BoxParams,
     HashFunction,
@@ -21,6 +22,7 @@ from chainbell import (
     pivotal_index,
     random_function,
 )
+from chainbell.nonsignalling import CONDITION_SUBSET, NsViolation
 from chainbell.systems import Partition, SystemEvaluator
 
 
@@ -41,6 +43,18 @@ class FuturePeekingSystem(SystemEvaluator):
     def evaluate(self, x, y, u, v):
         first = self.biased[x[1]]
         return first.prob(u[0], v[0], x[0], y[0]) * self.base.prob(u[1], v[1], x[1], y[1])
+
+
+class MirroredSystem(SystemEvaluator):
+    """Alice and Bob swapped: P'(x, y | u, v) = P(y, x | v, u)."""
+
+    def __init__(self, inner: SystemEvaluator):
+        self.inner = inner
+        self.n = inner.n
+        self.n_settings = inner.n_settings
+
+    def evaluate(self, x, y, u, v):
+        return self.inner.evaluate(y, x, v, u)
 
 
 class NegatedPointSystem(SystemEvaluator):
@@ -92,6 +106,84 @@ def perturbed_bob_marginal_box(params: BoxParams, amount=Fraction(1, 64)) -> Sin
     cells[0] += amount  # (a=0, b=0, x=0, y=0)
     cells[1] -= amount  # (a=0, b=0, x=0, y=1)
     return SinglePairBox(box.n_settings, tuple(cells))
+
+
+def perturbed_alice_marginal_box(params: BoxParams, amount=Fraction(1, 64)) -> SinglePairBox:
+    """Unbiased box whose Alice marginal in square (a=0, b=0) is knocked
+    off 1/2, so it depends on Bob's setting.
+
+    Moves mass between the two x-cells of one Bob outcome, so square
+    normalization and Bob's marginal survive.
+    """
+    box = build_unbiased_box(params)
+    cells = list(box.cells)
+    cells[0] += amount  # (a=0, b=0, x=0, y=0)
+    cells[2] -= amount  # (a=0, b=0, x=1, y=0)
+    return SinglePairBox(box.n_settings, tuple(cells))
+
+
+def brute_force_violations(system: SystemEvaluator, side: str, subset, *,
+                           condition: str = CONDITION_SUBSET, cut=None):
+    """Every violated marginal equality of one (side, subset), and the
+    number of comparisons, by direct summation of ``evaluate``.
+
+    For each setting of ``side`` outside ``subset``, each setting of the
+    other side, each output of ``side`` outside ``subset`` and each output
+    of the other side, the sum over ``side``'s outputs inside ``subset``
+    at every nonzero assignment of ``side``'s settings inside ``subset``
+    is compared with the sum at the all-zeros assignment.  The comparison
+    is exact when every sum is an int or a Fraction, else to FLOAT_ATOL.
+    Violations come in no particular order.
+    """
+    n, N = system.n, system.n_settings
+    subset = tuple(sorted(subset))
+    inside = [p - 1 for p in subset]
+    outside = [p - 1 for p in range(1, n + 1) if p not in subset]
+
+    def merge(outer, inner):
+        full = [None] * n
+        for pos, value in zip(outside, outer):
+            full[pos] = value
+        for pos, value in zip(inside, inner):
+            full[pos] = value
+        return tuple(full)
+
+    def point(own_out, other_out, own_set, other_set):
+        if side == "alice":
+            return system.evaluate(own_out, other_out, own_set, other_set)
+        return system.evaluate(other_out, own_out, other_set, own_set)
+
+    zeros = (0,) * len(inside)
+    comparisons = []
+    for own_kept in product(range(N), repeat=len(outside)):
+        for other_set in product(range(N), repeat=n):
+            for out_kept in product((0, 1), repeat=len(outside)):
+                for other_out in product((0, 1), repeat=n):
+                    sums = {}
+                    for assignment in product(range(N), repeat=len(inside)):
+                        total = 0
+                        for summed in product((0, 1), repeat=len(inside)):
+                            total += point(merge(out_kept, summed), other_out,
+                                           merge(own_kept, assignment), other_set)
+                        sums[assignment] = total
+                    comparisons.extend(
+                        (own_kept, other_set, varied, out_kept, other_out, sums[zeros], total)
+                        for varied, total in sums.items() if varied != zeros)
+
+    exact = all(isinstance(c[-1], (int, Fraction)) and isinstance(c[-2], (int, Fraction))
+                for c in comparisons)
+    violations = []
+    for own_kept, other_set, varied, out_kept, other_out, left, right in comparisons:
+        if left == right if exact else abs(left - right) <= FLOAT_ATOL:
+            continue
+        own_left, own_right = merge(own_kept, zeros), merge(own_kept, varied)
+        own_out = merge(out_kept, (None,) * len(inside))
+        if side == "alice":
+            fields = (own_out, other_out, own_left, other_set, own_right, other_set)
+        else:
+            fields = (other_out, own_out, other_set, own_left, other_set, own_right)
+        violations.append(NsViolation(condition, side, cut, subset, *fields, left, right))
+    return violations, len(comparisons)
 
 
 def x_marginal(system: AttackedSystem, x):

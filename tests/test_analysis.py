@@ -9,6 +9,7 @@ from chainbell import (
     BoxParams,
     HashFunction,
     Partition,
+    SystemEvaluator,
     and_function,
     build_attack_partition,
     constant_function,
@@ -220,6 +221,33 @@ def test_distance_rejects_input_dependent_marginal():
     partition = Partition(((Fraction(1, 2), bad), (Fraction(1, 2), bad)))
     with pytest.raises(ValueError, match="input-dependent"):
         distance_from_uniform(f, partition)
+
+
+class ShiftedMarginalSystem(SystemEvaluator):
+    """Exact two-pair system: x = 00 has probability 0, returned as the
+    int 0, and 4e-14 of mass moves from x = 10 to x = 01 when u_1 = 1, so
+    the x = 01 marginal moves by 1e-14 with u."""
+
+    n = 2
+    n_settings = 2
+
+    def evaluate(self, x, y, u, v):
+        if tuple(x) == (0, 0):
+            return 0
+        shift = Fraction(1, 4 * 10**14) if u[0] == 1 else Fraction(0)
+        if tuple(x) == (0, 1):
+            return Fraction(1, 12) + shift
+        if tuple(x) == (1, 0):
+            return Fraction(1, 12) - shift
+        return Fraction(1, 12)
+
+
+def test_distance_rejects_input_dependence_below_float_tolerance():
+    """Int 0 values count as exact: a shift far below FLOAT_ATOL is caught."""
+    system = ShiftedMarginalSystem()
+    partition = Partition(((Fraction(1, 2), system), (Fraction(1, 2), system)))
+    with pytest.raises(ValueError, match="input-dependent X-marginal"):
+        distance_details(xor_function(2), partition)
 
 
 # ---------------------------------------------------------------------------

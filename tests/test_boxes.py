@@ -181,6 +181,14 @@ def test_bias_alice_marginal_example_n3():
             assert biased.alice_marginal(a, b, 1) == Fraction(3, 5)
 
 
+def test_bias_with_int_eps_stays_exact():
+    box = build_unbiased_box(BoxParams.rational(2, EIGHTH))
+    biased = bias_box(box, 0, 0)
+    assert biased.exact
+    assert biased.cells == box.cells
+    assert all(isinstance(c, Fraction) for c in biased.cells)
+
+
 def test_bias_underflow_rejected():
     box = build_unbiased_box(BoxParams.rational(2, EIGHTH))
     # smallest cell is 1/16 < (1/2)/2: shifting 1/2 must fail

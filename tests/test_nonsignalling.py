@@ -1,11 +1,17 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainbell import (
+    FLOAT_ATOL,
     BoxParams,
     InfeasibleSizeError,
+    ProductSystem,
+    bias_box,
     build_attack_partition,
     build_product_system,
     build_unbiased_box,
@@ -16,8 +22,15 @@ from chainbell import (
     materialize,
     replay_violation,
 )
+from chainbell.nonsignalling import MAX_WITNESSES, _witness_key
 
-from helpers import FuturePeekingSystem, perturbed_bob_marginal_box
+from helpers import (
+    FuturePeekingSystem,
+    MirroredSystem,
+    brute_force_violations,
+    perturbed_alice_marginal_box,
+    perturbed_bob_marginal_box,
+)
 
 EIGHTH = Fraction(1, 8)
 
@@ -102,17 +115,32 @@ def test_future_peeking_bias_fails_time_ordered():
         assert left != right
 
 
+@pytest.mark.parametrize("params", [_params(), BoxParams.quantum(2)], ids=["exact", "quantum"])
+def test_mirrored_future_peeking_fails_bob_side_cut_2(params):
+    """The mirror P'(x, y | u, v) = P(y, x | v, u) moves the peek to Bob's
+    side: his first output depends on his second input."""
+    system = MirroredSystem(FuturePeekingSystem(params))
+    report = check_time_ordered(system)
+    assert not report.passed
+    assert {(v.side, v.cut) for v in report.violations} == {("bob", 2)}
+    for witness in report.violations:
+        assert witness.u_left == witness.u_right
+        assert witness.v_left[0] == witness.v_right[0]
+        assert witness.v_left[1] != witness.v_right[1]
+        left, right = replay_violation(system, witness)
+        if params.exact:
+            assert (left, right) == (witness.left, witness.right)
+        else:
+            assert left == pytest.approx(witness.left, abs=FLOAT_ATOL)
+            assert right == pytest.approx(witness.right, abs=FLOAT_ATOL)
+        assert abs(left - right) > FLOAT_ATOL
+
+
 def test_perturbed_alice_marginal_fails_on_bob_side():
     """Mass moved within a row's x-cells makes Alice's marginal depend on
     Bob's setting: the Bob-to-Alice direction must fail, and the witness
-    (built through the transposed table) must replay."""
-    box = build_unbiased_box(_params())
-    cells = list(box.cells)
-    cells[0] += Fraction(1, 64)  # (a=0, b=0, x=0, y=0)
-    cells[2] -= Fraction(1, 64)  # (a=0, b=0, x=1, y=0)
-    from chainbell import SinglePairBox
-
-    system = build_product_system(SinglePairBox(2, tuple(cells)), 2)
+    must replay."""
+    system = build_product_system(perturbed_alice_marginal_box(_params()), 2)
     report = check_ab(system)
     assert not report.passed
     bob_witnesses = [v for v in report.violations if v.side == "bob"]
@@ -186,31 +214,10 @@ def test_subset_validation(fig_parts):
         check_subset(base, "eve", (1,))
 
 
-def _marginal_mismatch_count(system, side):
-    """Oracle: compare each full-input marginal against the all-zeros one."""
-    n, N = system.n, system.n_settings
-    count = 0
-    for kept in product((0, 1), repeat=n):
-        for fixed in product(range(N), repeat=n):
-            reference = None
-            for varied in product(range(N), repeat=n):
-                total = 0
-                for summed in product((0, 1), repeat=n):
-                    if side == "alice":
-                        total += system.evaluate(summed, kept, varied, fixed)
-                    else:
-                        total += system.evaluate(kept, summed, fixed, varied)
-                if reference is None:
-                    reference = total
-                elif total != reference:
-                    count += 1
-    return count
-
-
 def test_subset_of_everything_equals_ab_direction():
     system = build_product_system(perturbed_bob_marginal_box(_params()), 2)
-    alice_oracle = _marginal_mismatch_count(system, "alice")
-    bob_oracle = _marginal_mismatch_count(system, "bob")
+    alice_oracle = len(brute_force_violations(system, "alice", (1, 2))[0])
+    bob_oracle = len(brute_force_violations(system, "bob", (1, 2))[0])
     assert alice_oracle > 0  # the perturbation lets Alice's input show on Bob's side
     full_alice = check_subset(system, "alice", (1, 2))
     full_bob = check_subset(system, "bob", (1, 2))
@@ -221,41 +228,93 @@ def test_subset_of_everything_equals_ab_direction():
 
 
 # ---------------------------------------------------------------------------
+# the one kernel against the evaluate oracle
+
+@st.composite
+def ns_systems(draw):
+    """Small systems, exact or quantum, with violations on either side:
+    products of unbiased, biased and marginal-perturbed boxes, or (n = 2)
+    the future-peeking system, each possibly mirrored."""
+    n_settings = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 3))
+    quantum = draw(st.booleans())
+    params = BoxParams.quantum(n_settings) if quantum else _params(n_settings=n_settings)
+    amount = 1 / 64 if quantum else Fraction(1, 64)
+    if n == 2 and draw(st.booleans()):
+        system = FuturePeekingSystem(params)
+    else:
+        makers = {
+            "unbiased": lambda: build_unbiased_box(params),
+            "biased": lambda: bias_box(build_unbiased_box(params), 1, params.eps),
+            "bob-perturbed": lambda: perturbed_bob_marginal_box(params, amount),
+            "alice-perturbed": lambda: perturbed_alice_marginal_box(params, amount),
+        }
+        kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=n, max_size=n))
+        system = ProductSystem(tuple(makers[kind]() for kind in kinds))
+    return MirroredSystem(system) if draw(st.booleans()) else system
+
+
+@st.composite
+def subset_cases(draw):
+    """(system, side, subset), the subset possibly non-contiguous."""
+    system = draw(ns_systems())
+    side = draw(st.sampled_from(("alice", "bob")))
+    subset = draw(st.sets(st.integers(1, system.n), min_size=1))
+    return system, side, tuple(sorted(subset))
+
+
+@given(subset_cases())
+@settings(max_examples=40, deadline=None)
+# a few violations per marginal grid, in several grids: the witnesses
+# kept depend on the order in which the grids are compared
+@example((ProductSystem((build_unbiased_box(_params()),
+                         perturbed_alice_marginal_box(_params()))), "bob", (2,)))
+@example((ProductSystem((build_unbiased_box(_params()),
+                         perturbed_bob_marginal_box(_params()))), "alice", (2,)))
+def test_subset_kernel_matches_evaluate_oracle(case):
+    """Counts equal the oracle's, and the witnesses are the oracle's
+    MAX_WITNESSES smallest violations by witness key: equal in exact
+    mode, within FLOAT_ATOL in float mode."""
+    system, side, subset = case
+    report = check_subset(system, side, subset)
+    oracle, checks = brute_force_violations(system, side, subset)
+    assert report.violations_total == len(oracle)
+    assert report.checks_performed == checks
+    expected = sorted(oracle, key=_witness_key)[:MAX_WITNESSES]
+    if report.tolerance == 0:
+        assert report.violations == expected
+        return
+    assert len(report.violations) == len(expected)
+    for got, want in zip(report.violations, expected):
+        assert replace(got, left=0, right=0) == replace(want, left=0, right=0)
+        assert abs(got.left - want.left) <= FLOAT_ATOL
+        assert abs(got.right - want.right) <= FLOAT_ATOL
+
+
+@given(ns_systems())
+@settings(max_examples=20, deadline=None)
+def test_time_ordered_cuts_are_subsets(system):
+    """A time-ordered cut i on either side is the subset check over
+    {i..n}: same totals, and the witnesses are the first MAX_WITNESSES of
+    the cuts' witnesses, alice before bob, cut by cut."""
+    table = materialize(system)
+    report = check_time_ordered(system, table=table)
+    n = system.n
+    parts = [(side, cut, check_subset(system, side, range(cut, n + 1), table=table))
+             for side in ("alice", "bob") for cut in range(1, n + 1)]
+    assert report.violations_total == sum(r.violations_total for _, _, r in parts)
+    assert report.checks_performed == sum(r.checks_performed for _, _, r in parts)
+    relabeled = [replace(v, condition=f"time-ordered-{side}", cut=cut)
+                 for side, cut, r in parts for v in r.violations]
+    assert report.violations == relabeled[:MAX_WITNESSES]
+
+
+# ---------------------------------------------------------------------------
 # determinism, caps, materialization
 
 def test_reports_are_deterministic():
     system = FuturePeekingSystem(_params())
     assert check_time_ordered(system) == check_time_ordered(system)
-
-
-def test_suffix_and_generic_paths_agree():
-    """A time-ordered cut at i is the subset check over {i..n}.  The fast
-    contiguous-suffix routine and the generic scatter-based one use
-    different index arithmetic; their violation counts and witness values
-    must match exactly."""
-    from chainbell.nonsignalling import _suffix_cut_violations, materialize
-
-    systems = [
-        FuturePeekingSystem(_params()),
-        build_product_system(perturbed_bob_marginal_box(_params()), 2),
-        build_product_system(build_unbiased_box(_params()), 2),
-    ]
-    for system in systems:
-        n = system.n
-        table = materialize(system)
-        transposed = table.transposed_values()
-        for side in ("alice", "bob"):
-            values = table.values if side == "alice" else transposed
-            for cut in range(1, n + 1):
-                generic = check_subset(system, side, tuple(range(cut, n + 1)))
-                witnesses, total, checks = _suffix_cut_violations(
-                    values, n, table.n_settings, cut, table.den, side, "probe")
-                assert generic.violations_total == total
-                assert generic.checks_performed == checks
-                assert [(v.u_left, v.v_left, v.u_right, v.v_right, v.left, v.right)
-                        for v in generic.violations] == \
-                       [(v.u_left, v.v_left, v.u_right, v.v_right, v.left, v.right)
-                        for v in witnesses]
 
 
 def test_eval_cap_refuses_instead_of_sampling():

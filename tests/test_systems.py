@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbell import (
+    AttackedSystem,
     BoxParams,
     HashFunction,
     InfeasibleSizeError,
@@ -19,7 +20,7 @@ from chainbell import (
     xor_function,
 )
 
-from helpers import NegatedPointSystem, flip_pivotal_bit, x_marginal
+from helpers import NegatedPointSystem, flip_pivotal_bit, perturbed_bob_marginal_box, x_marginal
 
 EIGHTH = Fraction(1, 8)
 
@@ -198,6 +199,34 @@ def test_verify_partition_flags_convex_mismatch(fig_partition):
     x, y, u, v, want, got = report.convex_mismatches[0]
     lhs = sum(Fraction(1, 2) * s.evaluate(x, y, u, v) for _, s in lopsided.parts)
     assert lhs == got != want
+
+
+@pytest.mark.parametrize("params, amount, weight, total, first", [
+    # float tables throughout
+    (BoxParams.quantum(2), 1 / 64, None, 720,
+     ("0x1.3e6454cd7aa29p-4", "0x1.4c4c7c671a718p-4")),
+    # exact tables under float weights: compared as floats
+    (_params(), Fraction(1, 64), 0.5, 720,
+     ("0x1.5700000000000p-4", "0x1.6540000000000p-4")),
+])
+def test_verify_partition_float_convex_mismatches_are_stable(params, amount, weight,
+                                                             total, first):
+    """Characterization of the float convex check: a part whose base box
+    has a perturbed Bob marginal gives the same mismatch count and first
+    mismatch, down to the float bits."""
+    partition = build_attack_partition(function_from_hex("39"), params)
+    part = partition.systems[0]
+    broken = AttackedSystem(perturbed_bob_marginal_box(params, amount),
+                            part.biased, part.profile, part.z)
+    weights = partition.weights if weight is None else (weight, weight)
+    perturbed = Partition(((weights[0], broken), (weights[1], partition.systems[1])))
+    base = build_product_system(build_unbiased_box(params), 3)
+    report = verify_partition(perturbed, base, constraint="none")
+    assert report.weights_ok
+    assert report.convex_mismatch_total == total
+    x, y, u, v, want, got = report.convex_mismatches[0]
+    assert (x, y, u, v) == ((0, 0, 0),) * 4
+    assert (want.hex(), got.hex()) == first
 
 
 def test_verify_partition_respects_eval_cap(fig_partition):
