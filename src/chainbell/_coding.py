@@ -25,14 +25,6 @@ def int_to_bits(code: int, n: int) -> tuple[int, ...]:
     return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def digits_to_int(digits: Sequence[int], base: int) -> int:
-    """Encode a digit sequence in the given base, first digit most significant."""
-    code = 0
-    for d in digits:
-        code = code * base + d
-    return code
-
-
 def int_to_digits(code: int, n: int, base: int) -> tuple[int, ...]:
     """Decode an integer into n base-`base` digits, first digit most significant."""
     out = [0] * n

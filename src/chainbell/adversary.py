@@ -15,6 +15,8 @@ The adversary machinery, for a hash f:
 - ``pivotal_index(f, x)`` finds the first position where that gap
   reaches 2/(3n); for almost balanced f one always exists, and the
   direction sigma points at the more-zeros branch.
+- ``build_pivotal_profile(f)`` records the pivotal prefixes only; a
+  string's pivot is found by walking its own prefix down the tree.
 - ``build_attack_partition(f, params)`` assembles the two half-weight
   parts that bias each string's pivotal pair towards (or away from) a
   zero of f, which is the whole attack.
@@ -26,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._coding import bits_to_int
 from .boxes import BoxParams, bias_box, build_unbiased_box
@@ -56,9 +58,6 @@ class HashFunction:
 
     def value(self, x: Sequence[int]) -> int:
         return self.bits[bits_to_int(x)]
-
-    def value_at(self, index: int) -> int:
-        return self.bits[index]
 
     @property
     def zeros_total(self) -> int:
@@ -105,6 +104,16 @@ class ZeroCountTree:
         z1 = self.zeros(i, (prefix_code << 1) | 1)
         return Fraction(abs(z0 - z1), 2 ** (self.n - i))
 
+    def pivot_direction(self, prefix_len: int, prefix_code: int) -> int | None:
+        """Direction of the more-zeros branch if the next bit's influence
+        reaches 2/(3n), else None: 3n*|z0 - z1| >= 2^(n - prefix_len)."""
+        below = self.levels[prefix_len + 1]
+        z0 = below[prefix_code << 1]
+        z1 = below[(prefix_code << 1) | 1]
+        if 3 * self.n * abs(z0 - z1) >= 1 << (self.n - prefix_len):
+            return 0 if z0 > z1 else 1
+        return None
+
 
 def is_almost_balanced(f: HashFunction) -> bool:
     """|Pr[f=0] - Pr[f=1]| <= 1/3, compared exactly."""
@@ -124,39 +133,42 @@ def pivotal_threshold(n: int) -> Fraction:
     return Fraction(2, 3 * n)
 
 
-@dataclass(frozen=True)
-class PivotRecord:
+class PivotRecord(NamedTuple):
     """One pivotal prefix: all strings sharing it pivot at ``index``."""
 
     prefix_len: int
     prefix_code: int
     index: int  # 1-based, = prefix_len + 1
     sigma: int
-    delta: Fraction
     zeros0: int  # completions of prefix.0 mapping to 0
     zeros1: int
 
 
 class PivotalProfile:
-    """Pivotal index, direction and influence for every input string.
+    """The pivotal prefixes of an almost balanced function.
 
-    Built once per function in O(2^n); the per-string lookups are what
-    the attacked systems evaluate against.  The pivotal data depends on
-    the prefix before the pivot only (the prefix property).
+    ``records`` holds one ``PivotRecord`` per prefix after which the next
+    bit is pivotal, in ascending order of the strings they cover: their
+    string ranges are disjoint, contiguous and cover [0, 2^n).  They are
+    the profile's only data.  The pivotal data of a string depends on
+    the prefix before the pivot only (the prefix property), so ``pivot``
+    finds it by walking the string's prefix from the root.
     """
 
-    def __init__(self, function: HashFunction, records: tuple[PivotRecord, ...],
-                 index_by_x: bytearray, sigma_by_x: bytearray):
+    def __init__(self, function: HashFunction, records: tuple[PivotRecord, ...]):
         self.function = function
         self.n = function.n
-        self.threshold = pivotal_threshold(function.n)
         self.records = records
-        self._index_by_x = index_by_x
-        self._sigma_by_x = sigma_by_x
 
     def pivot(self, x_code: int) -> tuple[int, int]:
         """(pivotal index, bias direction) for the string with this code."""
-        return self._index_by_x[x_code], self._sigma_by_x[x_code]
+        tree = self.function.tree
+        n = self.n
+        for length in range(n):
+            sigma = tree.pivot_direction(length, x_code >> (n - length))
+            if sigma is not None:
+                return length + 1, sigma
+        raise AssertionError("no pivotal index on a path of an almost balanced function")
 
     def histogram(self) -> dict[int, int]:
         """Count of input strings per pivotal index."""
@@ -168,7 +180,8 @@ class PivotalProfile:
 
 
 def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
-    """Locate the pivotal prefix above every string of an almost balanced f."""
+    """Locate the pivotal prefix above every string of an almost balanced f,
+    depth first with the 0 branch first: records ascend by string."""
     if not is_almost_balanced(f):
         raise ValueError(
             f"{f.name or 'function'} is not almost balanced; "
@@ -176,8 +189,6 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
         )
     n = f.n
     tree = f.tree
-    index_by_x = bytearray(2**n)
-    sigma_by_x = bytearray(2**n)
     records = []
     stack = [(0, 0)]
     while stack:
@@ -186,26 +197,15 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
             raise AssertionError(
                 "no pivotal index on a path of an almost balanced function"
             )
-        z0 = tree.zeros(length + 1, code << 1)
-        z1 = tree.zeros(length + 1, (code << 1) | 1)
-        dz = abs(z0 - z1)
-        # delta >= 2/(3n)  <=>  3n*dz >= 2^(n-length), in integers
-        if 3 * n * dz >= 1 << (n - length):
-            index = length + 1
-            sigma = 0 if z0 > z1 else 1
-            records.append(PivotRecord(
-                length, code, index, sigma,
-                Fraction(dz, 2 ** (n - index)), z0, z1,
-            ))
-            lo = code << (n - length)
-            hi = (code + 1) << (n - length)
-            index_by_x[lo:hi] = bytes([index]) * (hi - lo)
-            sigma_by_x[lo:hi] = bytes([sigma]) * (hi - lo)
+        sigma = tree.pivot_direction(length, code)
+        if sigma is not None:
+            below = tree.levels[length + 1]
+            records.append(PivotRecord(length, code, length + 1, sigma,
+                                       below[code << 1], below[(code << 1) | 1]))
         else:
             stack.append((length + 1, (code << 1) | 1))
             stack.append((length + 1, code << 1))
-    records.sort(key=lambda r: (r.prefix_len, r.prefix_code))
-    return PivotalProfile(f, tuple(records), index_by_x, sigma_by_x)
+    return PivotalProfile(f, tuple(records))
 
 
 def pivotal_index(f: HashFunction, x: Sequence[int]) -> tuple[int, int, Fraction]:

@@ -31,8 +31,9 @@ from .adversary import (
     parse_function_spec,
     trivial_strategy,
 )
+from ._coding import int_to_bits
 from .boxes import FLOAT_ATOL, BoxParams, Prob, close
-from .nonsignalling import InfeasibleSizeError
+from .nonsignalling import InfeasibleSizeError, materialize
 from .systems import AttackedSystem, Partition, SystemEvaluator, alice_output_distribution
 
 STRATEGY_PARTITION = "partition"
@@ -71,22 +72,26 @@ def _part_key_zero_probability(f: HashFunction, part: SystemEvaluator) -> Prob:
         m_lo = part.biased[0].alice_marginal(0, 0, 1)  # 1/2 - eps
         return (m_hi * match_zeros + m_lo * other_zeros) / 2 ** (n - 1)
 
-    # Generic systems: marginalize explicitly and insist the result does
-    # not depend on the inputs (a malformed partition otherwise).
-    n, N = part.n, part.n_settings
-    dist = alice_output_distribution(part, (0,) * n, (0,) * n)
-    alt = alice_output_distribution(part, (N - 1,) * n, (N - 1,) * n)
-    exact = all(isinstance(p, (int, Fraction)) for p in dist.values())
-    for x, p in dist.items():
-        if not close(p, alt[x], 0 if exact else FLOAT_ATOL):
-            raise ValueError(
-                f"part has an input-dependent X-marginal at x={x}: {p} vs {alt[x]}"
-            )
-    total: Prob = 0
-    for x, p in dist.items():
-        if f.value(x) == 0:
-            total += p
-    return total
+    # Generic systems: marginalize the joint table at every input (u, v)
+    # and insist the result does not depend on the inputs (a malformed
+    # partition otherwise).
+    table = materialize(part)  # raises InfeasibleSizeError above the cap
+    X = 2**part.n
+    values = table.values
+    marginals = [sum(values[start:start + X]) for start in range(0, len(values), X)]
+    first = marginals[:X]
+    atol = 0 if table.exact else FLOAT_ATOL
+    for start in range(X, len(marginals), X):
+        for x, (p, q) in enumerate(zip(first, marginals[start:start + X])):
+            if not close(p, q, atol):
+                if table.exact:
+                    p, q = Fraction(p, table.den), Fraction(q, table.den)
+                raise ValueError(
+                    f"part has an input-dependent X-marginal at "
+                    f"x={int_to_bits(x, part.n)}: {p} vs {q}"
+                )
+    total = sum(p for x, p in enumerate(first) if f.bits[x] == 0)
+    return Fraction(total, table.den) if table.exact else total
 
 
 def _part_key_zero_at_input(f: HashFunction, part: SystemEvaluator,

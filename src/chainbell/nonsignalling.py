@@ -387,9 +387,9 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
     sub = tuple(sorted(set(subset)))
+    if not sub or sub[0] < 1 or sub[-1] > system.n:
+        raise ValueError(f"subset must be a nonempty subset of 1..{system.n}, got {sub}")
     t = table if table is not None else materialize(system, max_evals=max_evals)
-    if not sub or sub[0] < 1 or sub[-1] > t.n:
-        raise ValueError(f"subset must be a nonempty subset of 1..{t.n}, got {sub}")
     part = _independence_violations(t, side, sub, CONDITION_SUBSET, None)
     return _merge(CONDITION_SUBSET, [part], t.den)
 

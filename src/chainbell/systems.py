@@ -166,11 +166,6 @@ class AttackedSystem(BoxProductSystem):
     def n_settings(self) -> int:
         return self.base.n_settings
 
-    def pivot(self, x: Sequence[int]) -> tuple[int, int]:
-        """(pivotal index, effective bias direction) for output string x."""
-        index, sigma = self.profile.pivot(bits_to_int(x))
-        return index, sigma ^ self.z
-
     def pair_boxes(self, x_code: int) -> tuple[SinglePairBox, ...]:
         index, sigma = self.profile.pivot(x_code)
         before = (self.base,) * (index - 1)

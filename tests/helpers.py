@@ -206,12 +206,13 @@ def flip_pivotal_bit(system: AttackedSystem, x) -> tuple[int, ...]:
 
 
 def profile_delta(profile: PivotalProfile, x_code: int) -> Fraction:
-    """The influence stored in the pivot record whose prefix covers x."""
+    """The influence at the pivot record whose prefix covers x, read off
+    the function's zero-count tree."""
     index, _ = profile.pivot(x_code)
     prefix = x_code >> (profile.n - index + 1)
     (record,) = [r for r in profile.records
                  if (r.prefix_len, r.prefix_code) == (index - 1, prefix)]
-    return record.delta
+    return profile.function.tree.influence(record.index, record.prefix_code)
 
 
 def joint_key_zero_prob(f: HashFunction, system: SystemEvaluator, u, v):

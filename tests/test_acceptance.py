@@ -200,7 +200,7 @@ def test_criterion_8_pivotal_existence():
             covered = sum(2 ** (n - rec.prefix_len) for rec in profile.records)
             assert covered == 2**n
             for rec in profile.records:
-                assert rec.delta >= threshold
+                assert f.tree.influence(rec.index, rec.prefix_code) >= threshold
             total += 1
     fig = function_from_hex("39")
     by_prefix = {}

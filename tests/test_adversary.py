@@ -53,7 +53,7 @@ def test_msb_first_index_convention(worked_example):
     # x_1 is the most significant bit of the table index
     assert worked_example.value((0, 1, 0)) == WORKED_BITS[2] == 1
     assert worked_example.value((1, 0, 1)) == WORKED_BITS[5] == 0
-    assert worked_example.value_at(0) == 0
+    assert worked_example.bits[0] == 0
 
 
 def test_hash_function_validation():
@@ -221,17 +221,49 @@ def test_pivotal_requires_almost_balanced():
         build_pivotal_profile(and_function(3))
 
 
-@given(hash_functions(min_n=2, max_n=5))
-@settings(max_examples=60)
-def test_profile_agrees_with_pointwise_walk(f):
-    if not is_almost_balanced(f):
-        return
+def assert_profile_matches_pointwise_walk(f):
+    """The profile's prefix walk agrees with ``pivotal_index`` on every
+    string, and its records tile [0, 2^n) in ascending order, each with
+    an influence that reaches the threshold and matches its zero counts."""
     profile = build_pivotal_profile(f)
     for code, x in enumerate(product((0, 1), repeat=f.n)):
         index, sigma, delta = pivotal_index(f, x)
         assert profile.pivot(code) == (index, sigma)
         assert profile_delta(profile, code) == delta
         assert delta >= pivotal_threshold(f.n)
+    end = 0
+    for rec in profile.records:
+        span = f.n - rec.prefix_len
+        assert rec.prefix_code << span == end
+        end = (rec.prefix_code + 1) << span
+        delta = f.tree.influence(rec.index, rec.prefix_code)
+        assert delta >= pivotal_threshold(f.n)
+        assert delta == Fraction(abs(rec.zeros0 - rec.zeros1), 2 ** (f.n - rec.index))
+    assert end == 2**f.n
+
+
+@given(hash_functions(min_n=2, max_n=5))
+@settings(max_examples=60)
+def test_profile_agrees_with_pointwise_walk(f):
+    if not is_almost_balanced(f):
+        return
+    assert_profile_matches_pointwise_walk(f)
+
+
+def test_profile_agrees_with_pointwise_walk_every_3bit_function():
+    functions = exhaustive_almost_balanced(3)
+    assert len(functions) == 182  # 3, 4 or 5 zeros among 8 entries
+    for f in functions:
+        assert_profile_matches_pointwise_walk(f)
+
+
+@given(st.integers(1, 10), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_profile_agrees_with_pointwise_walk_random_functions(n, seed):
+    f = random_function(n, seed)
+    if not is_almost_balanced(f):
+        return
+    assert_profile_matches_pointwise_walk(f)
 
 
 @given(hash_functions(min_n=2, max_n=5))
@@ -268,7 +300,8 @@ def test_pivotal_exists_for_random_large_n(n, seed):
         f = random_function(n, seed + seed_offset)
     profile = build_pivotal_profile(f)
     assert sum(2 ** (n - r.prefix_len) for r in profile.records) == 2**n
-    assert all(r.delta >= pivotal_threshold(n) for r in profile.records)
+    assert all(f.tree.influence(r.index, r.prefix_code) >= pivotal_threshold(n)
+               for r in profile.records)
 
 
 @given(hash_functions(min_n=2, max_n=5))

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from chainbell import (
     BoxParams,
     HashFunction,
+    InfeasibleSizeError,
     Partition,
     SystemEvaluator,
     and_function,
     build_attack_partition,
+    build_product_system,
+    build_unbiased_box,
     constant_function,
     distance_details,
     distance_from_uniform,
@@ -25,7 +28,7 @@ from chainbell import (
     xor_function,
 )
 
-from helpers import lemma_distance_oracle, seeded_almost_balanced
+from helpers import PerPointSystem, lemma_distance_oracle, seeded_almost_balanced
 
 EIGHTH = Fraction(1, 8)
 
@@ -123,7 +126,8 @@ def test_distance_decomposes_over_pivotal_influences(seed):
     partition = build_attack_partition(f, _params())
     profile = partition.systems[0].profile
     recombined = EIGHTH * sum(
-        Fraction(1, 2**rec.prefix_len) * rec.delta for rec in profile.records
+        Fraction(1, 2**rec.prefix_len) * f.tree.influence(rec.index, rec.prefix_code)
+        for rec in profile.records
     )
     assert distance_from_uniform(f, partition) == recombined
 
@@ -248,6 +252,42 @@ def test_distance_rejects_input_dependence_below_float_tolerance():
     partition = Partition(((Fraction(1, 2), system), (Fraction(1, 2), system)))
     with pytest.raises(ValueError, match="input-dependent X-marginal"):
         distance_details(xor_function(2), partition)
+
+
+class MixedInputShiftSystem(PerPointSystem):
+    """An exact 2-pair product of unbiased boxes whose x = 01 and x = 10
+    marginals move by +-1/25 at u = (1, 0) only, to 29/100 and 21/100."""
+
+    def evaluate(self, x, y, u, v):
+        val = self.inner.evaluate(x, y, u, v)
+        if tuple(u) == (1, 0) and tuple(x) in ((0, 1), (1, 0)):
+            return val * (Fraction(29, 25) if tuple(x) == (0, 1) else Fraction(21, 25))
+        return val
+
+
+def test_distance_rejects_input_dependence_at_mixed_inputs():
+    """The X-marginal is compared at every (u, v), not only at the
+    all-zeros and all-(N-1) inputs."""
+    system = MixedInputShiftSystem(build_product_system(build_unbiased_box(_params()), 2))
+    partition = Partition(((Fraction(1, 2), system), (Fraction(1, 2), system)))
+    with pytest.raises(ValueError, match=r"input-dependent X-marginal at x=\(0, 1\): 1/4 vs 29/100"):
+        distance_details(xor_function(2), partition)
+
+
+def test_distance_refuses_generic_part_above_the_evaluation_cap():
+    calls = []
+
+    class CountingSystem(PerPointSystem):
+        def evaluate(self, x, y, u, v):
+            calls.append(x)
+            return super().evaluate(x, y, u, v)
+
+    # (4 * 2^2)^7 = 2^28 joint-table entries, above the 2^26 default cap
+    system = CountingSystem(build_product_system(build_unbiased_box(_params()), 7))
+    partition = Partition(((Fraction(1, 2), system), (Fraction(1, 2), system)))
+    with pytest.raises(InfeasibleSizeError):
+        distance_details(xor_function(7), partition)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

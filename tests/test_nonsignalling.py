@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainbell import (
+    DEFAULT_EVAL_CAP,
     FLOAT_ATOL,
     BoxParams,
     InfeasibleSizeError,
@@ -27,6 +28,7 @@ from chainbell.nonsignalling import MAX_WITNESSES, _witness_key
 from helpers import (
     FuturePeekingSystem,
     MirroredSystem,
+    PerPointSystem,
     brute_force_violations,
     perturbed_alice_marginal_box,
     perturbed_bob_marginal_box,
@@ -212,6 +214,21 @@ def test_subset_validation(fig_parts):
         check_subset(base, "alice", (4,))
     with pytest.raises(ValueError):
         check_subset(base, "eve", (1,))
+
+
+def test_subset_validated_before_materializing():
+    calls = []
+
+    class CountingSystem(PerPointSystem):
+        def evaluate(self, x, y, u, v):
+            calls.append(x)
+            return super().evaluate(x, y, u, v)
+
+    system = CountingSystem(build_product_system(build_unbiased_box(_params()), 3))
+    for max_evals in (DEFAULT_EVAL_CAP, 1):
+        with pytest.raises(ValueError, match="nonempty subset of 1..3"):
+            check_subset(system, "alice", [4], max_evals=max_evals)
+    assert calls == []
 
 
 def test_subset_of_everything_equals_ab_direction():

@@ -19,6 +19,7 @@ from chainbell import (
     verify_partition,
     xor_function,
 )
+from chainbell._coding import bits_to_int
 
 from helpers import NegatedPointSystem, flip_pivotal_bit, perturbed_bob_marginal_box, x_marginal
 
@@ -93,7 +94,8 @@ def test_pivotal_pair_cancellation(fig_partition):
     p0 = partition.systems[0]
     for x in product((0, 1), repeat=3):
         flipped = flip_pivotal_bit(p0, x)
-        assert p0.pivot(x) == p0.pivot(flipped)  # prefix property
+        # prefix property
+        assert p0.profile.pivot(bits_to_int(x)) == p0.profile.pivot(bits_to_int(flipped))
         for y, u, v in [((0, 1, 0), (0, 0, 0), (1, 0, 1)),
                         ((1, 1, 0), (1, 0, 1), (0, 1, 1))]:
             lhs = p0.evaluate(x, y, u, v) + p0.evaluate(flipped, y, u, v)
