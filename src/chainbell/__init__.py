@@ -14,9 +14,7 @@ from .adversary import (
     and_function,
     build_attack_partition,
     build_pivotal_profile,
-    constant_function,
     function_from_hex,
-    influence,
     is_almost_balanced,
     majority_function,
     or_function,
@@ -31,7 +29,6 @@ from .analysis import (
     AttackReport,
     ScanRow,
     distance_details,
-    distance_from_uniform,
     run_attack,
     scan,
     theorem_bound,
@@ -65,7 +62,6 @@ from .systems import (
     PartitionReport,
     ProductSystem,
     SystemEvaluator,
-    alice_output_distribution,
     build_product_system,
     verify_partition,
 )

@@ -8,10 +8,10 @@ index range.
 The adversary machinery, for a hash f:
 
 - ``ZeroCountTree`` counts, for every prefix, how many completions map
-  to 0; prefix probabilities and influences are exact Fractions read off
-  those counts.
-- ``influence(f, i, prefix)`` is the gap between the probabilities of
-  f = 0 when bit i is 0 versus 1, conditioned on the prefix.
+  to 0; influences are exact Fractions read off those counts.
+- ``ZeroCountTree.influence(i, prefix_code)`` is the gap between the
+  probabilities of f = 0 when bit i is 0 versus 1, conditioned on the
+  prefix.
 - ``pivotal_index(f, x)`` finds the first position where that gap
   reaches 2/(3n); for almost balanced f one always exists, and the
   direction sigma points at the more-zeros branch.
@@ -91,13 +91,9 @@ class ZeroCountTree:
     def zeros(self, prefix_len: int, prefix_code: int) -> int:
         return self.levels[prefix_len][prefix_code]
 
-    def pi0(self, prefix_len: int, prefix_code: int) -> Fraction:
-        """Probability of f = 0 over a uniform completion of the prefix."""
-        return Fraction(self.zeros(prefix_len, prefix_code),
-                        2 ** (self.n - prefix_len))
-
     def influence(self, i: int, prefix_code: int) -> Fraction:
-        """|pi0(prefix.0) - pi0(prefix.1)| for a length-(i-1) prefix."""
+        """|Pr[f=0 | prefix.0] - Pr[f=0 | prefix.1]| for a length-(i-1)
+        prefix, over uniform completions."""
         if not 1 <= i <= self.n:
             raise ValueError(f"index must be in 1..{self.n}, got {i}")
         z0 = self.zeros(i, prefix_code << 1)
@@ -119,14 +115,6 @@ def is_almost_balanced(f: HashFunction) -> bool:
     """|Pr[f=0] - Pr[f=1]| <= 1/3, compared exactly."""
     size = 2**f.n
     return 3 * abs(2 * f.zeros_total - size) <= size
-
-
-def influence(f: HashFunction, i: int, prefix: Sequence[int]) -> Fraction:
-    """Influence of bit i on f given the length-(i-1) prefix, exact."""
-    if len(prefix) != i - 1:
-        raise ValueError(f"prefix for index {i} must have {i - 1} bits, "
-                         f"got {len(prefix)}")
-    return f.tree.influence(i, bits_to_int(prefix))
 
 
 def pivotal_threshold(n: int) -> Fraction:
@@ -280,10 +268,6 @@ def and_function(n: int) -> HashFunction:
 def or_function(n: int) -> HashFunction:
     bits = tuple(0 if i == 0 else 1 for i in range(2**n))
     return HashFunction(n, bits, "or")
-
-
-def constant_function(n: int, bit: int) -> HashFunction:
-    return HashFunction(n, (bit,) * 2**n, f"const{bit}")
 
 
 def random_function(n: int, seed: int | str) -> HashFunction:

@@ -9,12 +9,19 @@ with parts labelled so that Pr[K=0|Z=0] >= 1/2.  For the half/half
 partitions built here this reduces to Pr[K=0|Z=0] - Pr[K=0], and the
 bound to check is eps * 2/(3n).
 
-Two computation paths are kept deliberately:
+Each part's Pr[f(X) = 0] comes from one of two paths:
 
-- the closed form via each part's setting-independent X-marginal
-  (grouped by pivotal prefix, so it scales to large n), and
-- a full joint summation at an explicit input tuple (``at_input``),
-  which cross-checks the input-independence the closed form relies on.
+- the closed form, for ``AttackedSystem`` parts only.  It sums the
+  pivot records' zero counts, weighted by the biased box's Alice
+  marginal, so it scales to large n.  It rests on three premises, each
+  checked before summing: the base box's Alice marginal is 1/2 at every
+  setting, ``biased[0]``'s Alice marginal is the same at every setting,
+  and ``biased[1]``'s mirrors it.  Then the part's X-marginal does not
+  depend on the inputs.  A part that breaks a premise is refused.
+- per-point summation at an explicit input tuple (``at_input``): the
+  sum of ``evaluate`` over every y and every x with f(x) = 0, refused
+  above ``DEFAULT_EVAL_CAP`` calls per part.  It serves every other
+  part and cross-checks the closed form.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 from .adversary import (
@@ -31,10 +39,9 @@ from .adversary import (
     parse_function_spec,
     trivial_strategy,
 )
-from ._coding import int_to_bits
-from .boxes import FLOAT_ATOL, BoxParams, Prob, close
-from .nonsignalling import InfeasibleSizeError, materialize
-from .systems import AttackedSystem, Partition, SystemEvaluator, alice_output_distribution
+from .boxes import FLOAT_ATOL, HALF, BoxParams, Prob, close
+from .nonsignalling import DEFAULT_EVAL_CAP, InfeasibleSizeError
+from .systems import AttackedSystem, Partition, SystemEvaluator
 
 STRATEGY_PARTITION = "partition"
 STRATEGY_TRIVIAL = "trivial"
@@ -52,62 +59,69 @@ class DistanceBreakdown:
     q_parts: tuple[Prob, ...]
 
 
-def _part_key_zero_probability(f: HashFunction, part: SystemEvaluator) -> Prob:
-    """Pr[f(X) = 0] under one part's X-marginal."""
-    if isinstance(part, AttackedSystem):
-        if part.profile.function.bits != f.bits:
-            raise ValueError("partition was built for a different hash function")
-        n = f.n
-        match_zeros = 0
-        other_zeros = 0
-        for rec in part.profile.records:
-            direction = rec.sigma ^ part.z
-            if direction == 0:
-                match_zeros += rec.zeros0
-                other_zeros += rec.zeros1
-            else:
-                match_zeros += rec.zeros1
-                other_zeros += rec.zeros0
-        m_hi = part.biased[0].alice_marginal(0, 0, 0)  # 1/2 + eps
-        m_lo = part.biased[0].alice_marginal(0, 0, 1)  # 1/2 - eps
-        return (m_hi * match_zeros + m_lo * other_zeros) / 2 ** (n - 1)
+def _require_closed_form_premises(part: AttackedSystem) -> None:
+    """Raise ValueError unless the part's boxes meet the closed form's
+    premises, compared exactly for exact boxes, else to FLOAT_ATOL."""
+    base, (toward0, toward1) = part.base, part.biased
+    atol = 0 if all(box.exact for box in (base, toward0, toward1)) else FLOAT_ATOL
+    m_hi, m_lo = toward0.alice_marginal(0, 0, 0), toward0.alice_marginal(0, 0, 1)
+    settings = list(product(range(part.n_settings), repeat=2))
+    for box, want0, want1, premise in [
+        (base, HALF, HALF, "the base box's Alice marginal is 1/2 at every setting"),
+        (toward0, m_hi, m_lo, "biased[0]'s Alice marginal is the same at every setting"),
+        (toward1, m_lo, m_hi, "biased[1]'s Alice marginal mirrors biased[0]'s"),
+    ]:
+        if not all(close(box.alice_marginal(a, b, 0), want0, atol)
+                   and close(box.alice_marginal(a, b, 1), want1, atol)
+                   for a, b in settings):
+            raise ValueError(f"closed form premise fails: {premise}; "
+                             "pass at_input to sum evaluate at one input")
 
-    # Generic systems: marginalize the joint table at every input (u, v)
-    # and insist the result does not depend on the inputs (a malformed
-    # partition otherwise).
-    table = materialize(part)  # raises InfeasibleSizeError above the cap
-    X = 2**part.n
-    values = table.values
-    marginals = [sum(values[start:start + X]) for start in range(0, len(values), X)]
-    first = marginals[:X]
-    atol = 0 if table.exact else FLOAT_ATOL
-    for start in range(X, len(marginals), X):
-        for x, (p, q) in enumerate(zip(first, marginals[start:start + X])):
-            if not close(p, q, atol):
-                if table.exact:
-                    p, q = Fraction(p, table.den), Fraction(q, table.den)
-                raise ValueError(
-                    f"part has an input-dependent X-marginal at "
-                    f"x={int_to_bits(x, part.n)}: {p} vs {q}"
-                )
-    total = sum(p for x, p in enumerate(first) if f.bits[x] == 0)
-    return Fraction(total, table.den) if table.exact else total
+
+def _part_key_zero_probability(f: HashFunction, part: SystemEvaluator) -> Prob:
+    """Pr[f(X) = 0] of an attacked part, by the closed form."""
+    if not isinstance(part, AttackedSystem):
+        raise ValueError(
+            f"the closed form serves AttackedSystem parts only, not "
+            f"{type(part).__name__}; pass at_input to sum evaluate at one input"
+        )
+    if part.profile.function.bits != f.bits:
+        raise ValueError("partition was built for a different hash function")
+    _require_closed_form_premises(part)
+    n = f.n
+    match_zeros = 0
+    other_zeros = 0
+    for rec in part.profile.records:
+        direction = rec.sigma ^ part.z
+        if direction == 0:
+            match_zeros += rec.zeros0
+            other_zeros += rec.zeros1
+        else:
+            match_zeros += rec.zeros1
+            other_zeros += rec.zeros0
+    m_hi = part.biased[0].alice_marginal(0, 0, 0)  # 1/2 + eps
+    m_lo = part.biased[0].alice_marginal(0, 0, 1)  # 1/2 - eps
+    return (m_hi * match_zeros + m_lo * other_zeros) / 2 ** (n - 1)
 
 
 def _part_key_zero_at_input(f: HashFunction, part: SystemEvaluator,
                             u: Sequence[int], v: Sequence[int]) -> Prob:
-    dist = alice_output_distribution(part, u, v)
-    total: Prob = 0
-    for x, p in dist.items():
-        if f.value(x) == 0:
-            total += p
-    return total
+    """Pr[f(X) = 0] of any part at one input, by summing ``evaluate``."""
+    ys = list(product((0, 1), repeat=f.n))
+    return sum(sum(part.evaluate(x, y, u, v) for y in ys)
+               for x in product((0, 1), repeat=f.n) if f.value(x) == 0)
 
 
 def distance_details(f: HashFunction, partition: Partition, *,
                      at_input: tuple[Sequence[int], Sequence[int]] | None = None,
                      ) -> DistanceBreakdown:
     """Evaluate the distance formula, choosing the labelling.
+
+    Without ``at_input`` every part must be an ``AttackedSystem`` that
+    meets the closed form's premises; otherwise ValueError.  With it,
+    each part is summed at that input, or InfeasibleSizeError is raised
+    before any evaluation when that takes more than DEFAULT_EVAL_CAP
+    calls per part.
 
     The part with the larger Pr[K=0|Z] plays z = 0.  If even that falls
     below 1/2 the key labels are swapped as well, which leaves the
@@ -119,6 +133,12 @@ def distance_details(f: HashFunction, partition: Partition, *,
     if at_input is None:
         q = [_part_key_zero_probability(f, part) for part in partition.systems]
     else:
+        calls = f.zeros_total * 2**f.n
+        if calls > DEFAULT_EVAL_CAP:
+            raise InfeasibleSizeError(
+                f"distance at one input needs {calls} evaluations per part, "
+                f"cap is {DEFAULT_EVAL_CAP}"
+            )
         u, v = at_input
         q = [_part_key_zero_at_input(f, part, u, v) for part in partition.systems]
     pr0 = Fraction(f.zeros_total, 2**f.n)
@@ -142,13 +162,6 @@ def distance_details(f: HashFunction, partition: Partition, *,
         key_relabeled=key_relabeled,
         q_parts=tuple(q),
     )
-
-
-def distance_from_uniform(f: HashFunction, partition: Partition, *,
-                          at_input: tuple[Sequence[int], Sequence[int]] | None = None,
-                          ) -> Prob:
-    """Distance of f(X) from uniform given the partition outcome."""
-    return distance_details(f, partition, at_input=at_input).distance
 
 
 def theorem_bound(n: int, params: BoxParams) -> Prob:

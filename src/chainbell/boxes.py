@@ -101,10 +101,6 @@ class BoxParams:
     def exact(self) -> bool:
         return self.mode == MODE_RATIONAL
 
-    def bell_target(self) -> Prob:
-        """The chained Bell value 2N*eps reached by the unbiased box."""
-        return 2 * self.n_settings * self.eps
-
 
 @dataclass(frozen=True)
 class SinglePairBox:

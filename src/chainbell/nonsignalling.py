@@ -118,11 +118,6 @@ class JointTable:
     def exact(self) -> bool:
         return self.den is not None
 
-    def prob(self, index: int) -> Prob:
-        if self.den is None:
-            return self.values[index]
-        return Fraction(self.values[index], self.den)
-
 
 def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP) -> JointTable:
     """The full joint table of a system.

@@ -24,7 +24,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import repeat
 from operator import mul, truediv
 from typing import TYPE_CHECKING, Sequence
 
@@ -35,7 +35,7 @@ from .nonsignalling import (
     InfeasibleSizeError,
     JointTable,
     NsReport,
-    check_ab,
+    check_ab,  # noqa: F401 -- unused here; bench/harness.py swaps it for a traced one
     check_time_ordered,
     materialize,
 )
@@ -173,28 +173,6 @@ class AttackedSystem(BoxProductSystem):
         return before + (self.biased[sigma ^ self.z],) + after
 
 
-def alice_output_distribution(system: SystemEvaluator,
-                              u: Sequence[int] | None = None,
-                              v: Sequence[int] | None = None) -> dict[tuple[int, ...], Prob]:
-    """Alice's output distribution sum_y P(x, y | u, v) for each x.
-
-    Settings default to all-zeros; for the systems built here the result
-    is independent of (u, v).
-    """
-    n = system.n
-    if u is None:
-        u = (0,) * n
-    if v is None:
-        v = (0,) * n
-    out = {}
-    for x in product((0, 1), repeat=n):
-        total: Prob = 0
-        for y in product((0, 1), repeat=n):
-            total += system.evaluate(x, y, u, v)
-        out[x] = total
-    return out
-
-
 @dataclass(frozen=True)
 class Partition:
     """The adversary's strategy: weighted systems averaging to the base."""
@@ -285,10 +263,10 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
     """Exhaustively check partition legality against a base system.
 
     ``constraint`` selects the non-signalling condition set every part
-    must fulfil: "time-ordered", "ab", or "none" (distribution checks
-    only).  Exact systems are compared with zero tolerance.
+    must fulfil: "time-ordered" or "none" (distribution checks only).
+    Exact systems are compared with zero tolerance.
     """
-    if constraint not in ("time-ordered", "ab", "none"):
+    if constraint not in ("time-ordered", "none"):
         raise ValueError(f"unknown constraint set {constraint!r}")
     for system in partition.systems:
         if (system.n, system.n_settings) != (base.n, base.n_settings):
@@ -319,12 +297,7 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
         one = table.den if table.exact else 1.0
         normalized = all(close(sum(table.values[start:start + per_input]), one, atol)
                          for start in range(0, len(table.values), per_input))
-        if constraint == "none":
-            ns = None
-        elif constraint == "ab":
-            ns = check_ab(system, table=table)
-        else:
-            ns = check_time_ordered(system, table=table)
+        ns = None if constraint == "none" else check_time_ordered(system, table=table)
         if ns is not None:
             checks += ns.checks_performed
         part_reports.append(PartConstraintReport(nonneg, normalized, ns))

@@ -215,6 +215,16 @@ def profile_delta(profile: PivotalProfile, x_code: int) -> Fraction:
     return profile.function.tree.influence(record.index, record.prefix_code)
 
 
+def alice_output_distribution(system: SystemEvaluator, u=None, v=None):
+    """Alice's output distribution sum_y P(x, y | u, v) for each x, by
+    direct summation of ``evaluate``.  Settings default to all zeros."""
+    n = system.n
+    u = (0,) * n if u is None else u
+    v = (0,) * n if v is None else v
+    return {x: sum(system.evaluate(x, y, u, v) for y in product((0, 1), repeat=n))
+            for x in product((0, 1), repeat=n)}
+
+
 def joint_key_zero_prob(f: HashFunction, system: SystemEvaluator, u, v):
     """Pr[f(X) = 0] by raw double summation at a fixed input tuple."""
     total = 0
@@ -241,6 +251,10 @@ def lemma_distance_oracle(f: HashFunction, partition: Partition, u, v):
         q_top, pr_top = 1 - q[z0], 1 - pr0
     weight = partition.weights[z0]
     return weight * (q_top - (1 - q_top)) - Fraction(1, 2) * (pr_top - (1 - pr_top))
+
+
+def constant_function(n: int, bit: int) -> HashFunction:
+    return HashFunction(n, (bit,) * 2**n, f"const{bit}")
 
 
 def exhaustive_almost_balanced(n: int) -> list[HashFunction]:

@@ -19,7 +19,7 @@ from chainbell import (
     build_product_system,
     build_unbiased_box,
     check_time_ordered,
-    distance_from_uniform,
+    distance_details,
     function_from_hex,
     is_almost_balanced,
     pivotal_index,
@@ -178,7 +178,7 @@ def test_criterion_6_xor_constant_bias():
     for n in range(2, 17):
         f = xor_function(n)
         partition = build_attack_partition(f, params)
-        assert distance_from_uniform(f, partition) == EIGHTH
+        assert distance_details(f, partition).distance == EIGHTH
     _announce(6, "xor constant bias, exact", "distance == eps for n = 2..16")
 
 
@@ -226,13 +226,13 @@ def test_criterion_9_path_consistency():
     for f in functions:
         n = f.n
         partition = build_attack_partition(f, params)
-        closed = distance_from_uniform(f, partition)
-        fixed = distance_from_uniform(
-            f, partition, at_input=((0,) * n, (0,) * n))
-        other = distance_from_uniform(
+        closed = distance_details(f, partition).distance
+        fixed = distance_details(
+            f, partition, at_input=((0,) * n, (0,) * n)).distance
+        other = distance_details(
             f, partition,
             at_input=(tuple(j % 2 for j in range(n)), tuple(1 - j % 2 for j in range(n))),
-        )
+        ).distance
         assert closed == fixed == other
     _announce(9, "path consistency, exact",
               f"closed form == joint summation for {len(functions)} functions, n<=4")

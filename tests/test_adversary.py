@@ -14,9 +14,7 @@ from chainbell import (
     build_attack_partition,
     build_pivotal_profile,
     build_unbiased_box,
-    constant_function,
     function_from_hex,
-    influence,
     is_almost_balanced,
     majority_function,
     or_function,
@@ -28,7 +26,9 @@ from chainbell import (
     xor_function,
 )
 
-from helpers import exhaustive_almost_balanced, profile_delta
+from chainbell._coding import bits_to_int
+
+from helpers import constant_function, exhaustive_almost_balanced, profile_delta
 
 # The worked three-bit example: truth table 00111001 (hex 39).
 WORKED_BITS = (0, 0, 1, 1, 1, 0, 0, 1)
@@ -84,7 +84,6 @@ def test_builders_small():
     assert xor_function(2).bits == (0, 1, 1, 0)
     assert and_function(2).bits == (0, 0, 0, 1)
     assert or_function(2).bits == (0, 1, 1, 1)
-    assert constant_function(2, 1).bits == (1, 1, 1, 1)
     # even-n majority breaks ties towards 1
     assert majority_function(2).bits == (0, 1, 1, 1)
     assert majority_function(3).bits == (0, 0, 0, 1, 0, 1, 1, 1)
@@ -106,12 +105,19 @@ def test_parse_function_spec():
     assert parse_function_spec("hex:39").n == 3
     with pytest.raises(ValueError):
         parse_function_spec("xor")  # needs n
+    with pytest.raises(ValueError, match="random functions need an explicit n"):
+        parse_function_spec("random:5")
     with pytest.raises(ValueError):
         parse_function_spec("nope", 3)
 
 
 # ---------------------------------------------------------------------------
 # zero-count tree
+
+def _pi0(tree: ZeroCountTree, length: int, code: int) -> Fraction:
+    """Pr[f = 0] over a uniform completion of the prefix."""
+    return Fraction(tree.zeros(length, code), 2 ** (tree.n - length))
+
 
 @given(hash_functions())
 @settings(max_examples=60)
@@ -125,7 +131,7 @@ def test_tree_counts_are_consistent(f):
                 + tree.zeros(length + 1, (code << 1) | 1)
             )
     for code in range(2**f.n):
-        assert tree.pi0(f.n, code) in (Fraction(0), Fraction(1))
+        assert _pi0(tree, f.n, code) in (Fraction(0), Fraction(1))
 
 
 @given(hash_functions())
@@ -134,8 +140,8 @@ def test_pi0_averaging_identity(f):
     tree = f.tree
     for length in range(f.n):
         for code in range(2**length):
-            assert tree.pi0(length, code) == Fraction(1, 2) * (
-                tree.pi0(length + 1, code << 1) + tree.pi0(length + 1, (code << 1) | 1)
+            assert _pi0(tree, length, code) == Fraction(1, 2) * (
+                _pi0(tree, length + 1, code << 1) + _pi0(tree, length + 1, (code << 1) | 1)
             )
 
 
@@ -148,12 +154,16 @@ def test_tree_type_direct():
 # ---------------------------------------------------------------------------
 # influence
 
+def _influence(f, i, prefix):
+    return f.tree.influence(i, bits_to_int(prefix))
+
+
 def test_influence_worked_values(worked_example):
-    assert influence(worked_example, 1, ()) == 0
-    assert influence(worked_example, 2, (0,)) == 1
-    assert influence(worked_example, 2, (1,)) == 0
-    assert influence(worked_example, 3, (1, 0)) == 1
-    assert influence(worked_example, 3, (1, 1)) == 1
+    assert _influence(worked_example, 1, ()) == 0
+    assert _influence(worked_example, 2, (0,)) == 1
+    assert _influence(worked_example, 2, (1,)) == 0
+    assert _influence(worked_example, 3, (1, 0)) == 1
+    assert _influence(worked_example, 3, (1, 1)) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -161,14 +171,17 @@ def test_influence_xor(n):
     f = xor_function(n)
     for i in range(1, n):
         for prefix in product((0, 1), repeat=i - 1):
-            assert influence(f, i, prefix) == 0
+            assert _influence(f, i, prefix) == 0
     for prefix in product((0, 1), repeat=n - 1):
-        assert influence(f, n, prefix) == 1
+        assert _influence(f, n, prefix) == 1
 
 
 def test_influence_prefix_length_checked(worked_example):
-    with pytest.raises(ValueError):
-        influence(worked_example, 2, (0, 1))
+    """The bit index, one past the prefix length, must lie in 1..n."""
+    tree = worked_example.tree
+    for i in (0, 4):
+        with pytest.raises(ValueError, match="index must be in 1..3"):
+            tree.influence(i, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +225,12 @@ def test_pivotal_xor_always_last():
         assert index == 4 and delta == 1
         # direction points at the parity-completing bit
         assert sigma == (x[0] ^ x[1] ^ x[2])
+
+
+def test_pivotal_checks_string_length(worked_example):
+    for x in [(0, 1), (0, 1, 0, 0)]:
+        with pytest.raises(ValueError, match=f"x must have 3 bits, got {len(x)}"):
+            pivotal_index(worked_example, x)
 
 
 def test_pivotal_requires_almost_balanced():
@@ -311,15 +330,15 @@ def test_influence_chain_argument(f):
     passes a 1/(3n) step, which doubles into a 2/(3n) influence."""
     tree = f.tree
     n = f.n
-    root = tree.pi0(0, 0)
+    root = _pi0(tree, 0, 0)
     for code in range(2**n):
-        leaf = tree.pi0(n, code)
+        leaf = _pi0(tree, n, code)
         if abs(root - leaf) < Fraction(1, 3):
             continue
         steps = []
         for j in range(1, n + 1):
             prefix_j = code >> (n - j)
-            steps.append(abs(tree.pi0(j, prefix_j) - tree.pi0(j - 1, prefix_j >> 1)))
+            steps.append(abs(_pi0(tree, j, prefix_j) - _pi0(tree, j - 1, prefix_j >> 1)))
         assert max(steps) >= Fraction(1, 3 * n)
         j = max(range(n), key=lambda k: steps[k]) + 1
         # averaging identity: the step is half the influence at that node

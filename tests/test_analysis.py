@@ -6,21 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbell import (
+    DEFAULT_EVAL_CAP,
+    FLOAT_ATOL,
+    AttackedSystem,
     BoxParams,
     HashFunction,
     InfeasibleSizeError,
     Partition,
+    SinglePairBox,
     SystemEvaluator,
     and_function,
+    bias_box,
     build_attack_partition,
+    build_pivotal_profile,
     build_product_system,
     build_unbiased_box,
-    constant_function,
     distance_details,
-    distance_from_uniform,
     function_from_hex,
     is_almost_balanced,
     majority_function,
+    or_function,
     random_function,
     run_attack,
     scan,
@@ -28,7 +33,12 @@ from chainbell import (
     xor_function,
 )
 
-from helpers import PerPointSystem, lemma_distance_oracle, seeded_almost_balanced
+from helpers import (
+    PerPointSystem,
+    constant_function,
+    lemma_distance_oracle,
+    seeded_almost_balanced,
+)
 
 EIGHTH = Fraction(1, 8)
 
@@ -44,20 +54,20 @@ def _params(eps=EIGHTH, n_settings=2):
 def test_xor_distance_is_exactly_eps(n):
     f = xor_function(n)
     partition = build_attack_partition(f, _params())
-    assert distance_from_uniform(f, partition) == EIGHTH
+    assert distance_details(f, partition).distance == EIGHTH
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 8), Fraction(1, 3)])
 def test_xor_distance_tracks_eps(eps):
     f = xor_function(3)
     partition = build_attack_partition(f, _params(eps))
-    assert distance_from_uniform(f, partition) == eps
+    assert distance_details(f, partition).distance == eps
 
 
 def test_fig_function_distance_frozen_and_oracle_checked():
     f = function_from_hex("39")
     partition = build_attack_partition(f, _params())
-    d = distance_from_uniform(f, partition)
+    d = distance_details(f, partition).distance
     # frozen: every pivotal node of this function has influence 1, so the
     # advantage is the full eps; the oracle recomputes from raw joints
     assert d == EIGHTH
@@ -68,7 +78,7 @@ def test_fig_function_distance_frozen_and_oracle_checked():
 def test_distance_zero_at_degenerate_eps():
     f = xor_function(2)
     partition = build_attack_partition(f, BoxParams.rational(2, 0))
-    assert distance_from_uniform(f, partition) == 0
+    assert distance_details(f, partition).distance == 0
 
 
 def test_distance_detail_relabels_key_when_needed():
@@ -107,12 +117,12 @@ def test_closed_form_equals_joint_summation(seed, n):
     if not is_almost_balanced(f):
         return
     partition = build_attack_partition(f, _params())
-    closed = distance_from_uniform(f, partition)
-    at_zero = distance_from_uniform(f, partition, at_input=((0,) * n, (0,) * n))
-    at_mixed = distance_from_uniform(
+    closed = distance_details(f, partition).distance
+    at_zero = distance_details(f, partition, at_input=((0,) * n, (0,) * n)).distance
+    at_mixed = distance_details(
         f, partition,
         at_input=(tuple(j % 2 for j in range(n)), tuple((j + 1) % 2 for j in range(n))),
-    )
+    ).distance
     assert closed == at_zero == at_mixed
 
 
@@ -129,7 +139,7 @@ def test_distance_decomposes_over_pivotal_influences(seed):
         Fraction(1, 2**rec.prefix_len) * f.tree.influence(rec.index, rec.prefix_code)
         for rec in profile.records
     )
-    assert distance_from_uniform(f, partition) == recombined
+    assert distance_details(f, partition).distance == recombined
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +204,27 @@ def test_distance_needs_two_parts():
     f = xor_function(2)
     partition = build_attack_partition(f, _params())
     with pytest.raises(ValueError, match="two-part"):
-        distance_from_uniform(f, Partition(partition.parts[:1]))
+        distance_details(f, Partition(partition.parts[:1]))
 
 
 def test_distance_rejects_foreign_partition():
     partition = build_attack_partition(xor_function(3), _params())
     with pytest.raises(ValueError, match="different hash function"):
-        distance_from_uniform(majority_function(3), partition)
+        distance_details(majority_function(3), partition)
 
 
 def test_distance_rejects_input_dependent_marginal():
+    """A part that is not an AttackedSystem has no closed form: it is
+    refused before any evaluate call, and summed at one input instead."""
     from helpers import FuturePeekingSystem
+
+    calls = []
 
     class InputLeaky(FuturePeekingSystem):
         """X-marginal varies with u: not a legal part for the formula."""
 
         def evaluate(self, x, y, u, v):
+            calls.append(x)
             val = super().evaluate(x, y, u, v)
             if u[0] == 1:
                 # move mass between x-strings in a y-preserving way
@@ -220,11 +235,17 @@ def test_distance_rejects_input_dependent_marginal():
                     return val - shift * val
             return val
 
-    f = xor_function(2)
+    f = or_function(2)  # f(x) = 0 at x = 00 only
     bad = InputLeaky(_params())
     partition = Partition(((Fraction(1, 2), bad), (Fraction(1, 2), bad)))
-    with pytest.raises(ValueError, match="input-dependent"):
-        distance_from_uniform(f, partition)
+    with pytest.raises(ValueError, match="at_input"):
+        distance_details(f, partition)
+    assert calls == []
+    # P(x = 00) = (1/2 + eps) / 2 = 5/16, moved by 1% when u_1 = 1
+    for u, q in [((0, 0), Fraction(5, 16)), ((1, 0), Fraction(101, 320))]:
+        detail = distance_details(f, partition, at_input=(u, (0, 0)))
+        assert detail.q_parts == (q, q)
+        assert detail.distance == lemma_distance_oracle(f, partition, u, (0, 0))
 
 
 class ShiftedMarginalSystem(SystemEvaluator):
@@ -247,11 +268,18 @@ class ShiftedMarginalSystem(SystemEvaluator):
 
 
 def test_distance_rejects_input_dependence_below_float_tolerance():
-    """Int 0 values count as exact: a shift far below FLOAT_ATOL is caught."""
+    """Sums at one input stay exact when some values are the int 0, so a
+    shift far below FLOAT_ATOL shows between two inputs."""
     system = ShiftedMarginalSystem()
     partition = Partition(((Fraction(1, 2), system), (Fraction(1, 2), system)))
-    with pytest.raises(ValueError, match="input-dependent X-marginal"):
-        distance_details(xor_function(2), partition)
+    f = HashFunction(2, (0, 0, 1, 1))  # f(x) = 0 at x = 00 and 01
+    with pytest.raises(ValueError, match="at_input"):
+        distance_details(f, partition)
+    still = distance_details(f, partition, at_input=((0, 0), (0, 0))).q_parts
+    moved = distance_details(f, partition, at_input=((1, 0), (0, 0))).q_parts
+    assert still == (Fraction(1, 3),) * 2
+    assert moved == (Fraction(1, 3) + Fraction(1, 10**14),) * 2
+    assert all(isinstance(q, Fraction) for q in still + moved)
 
 
 class MixedInputShiftSystem(PerPointSystem):
@@ -266,28 +294,108 @@ class MixedInputShiftSystem(PerPointSystem):
 
 
 def test_distance_rejects_input_dependence_at_mixed_inputs():
-    """The X-marginal is compared at every (u, v), not only at the
-    all-zeros and all-(N-1) inputs."""
+    """A shift at a mixed input only is refused by the closed form and
+    seen by summation at that input."""
     system = MixedInputShiftSystem(build_product_system(build_unbiased_box(_params()), 2))
     partition = Partition(((Fraction(1, 2), system), (Fraction(1, 2), system)))
-    with pytest.raises(ValueError, match=r"input-dependent X-marginal at x=\(0, 1\): 1/4 vs 29/100"):
-        distance_details(xor_function(2), partition)
+    f = HashFunction(2, (1, 0, 1, 1))  # f(x) = 0 at x = 01 only
+    with pytest.raises(ValueError, match="at_input"):
+        distance_details(f, partition)
+    for u, q in [((0, 0), Fraction(1, 4)), ((0, 1), Fraction(1, 4)),
+                 ((1, 1), Fraction(1, 4)), ((1, 0), Fraction(29, 100))]:
+        assert distance_details(f, partition, at_input=(u, (1, 0))).q_parts == (q, q)
 
 
 def test_distance_refuses_generic_part_above_the_evaluation_cap():
+    """Summation at one input needs zeros(f) * 2^n evaluate calls per part
+    and is refused above DEFAULT_EVAL_CAP before the first call."""
     calls = []
 
     class CountingSystem(PerPointSystem):
         def evaluate(self, x, y, u, v):
             calls.append(x)
-            return super().evaluate(x, y, u, v)
+            raise AssertionError("evaluate called")  # fail fast, not after 2^27 calls
 
-    # (4 * 2^2)^7 = 2^28 joint-table entries, above the 2^26 default cap
-    system = CountingSystem(build_product_system(build_unbiased_box(_params()), 7))
+    # xor on 14 bits: 2^13 zeros * 2^14 outputs y = 2^27 calls, above 2^26
+    system = CountingSystem(build_product_system(build_unbiased_box(_params()), 14))
     partition = Partition(((Fraction(1, 2), system), (Fraction(1, 2), system)))
-    with pytest.raises(InfeasibleSizeError):
-        distance_details(xor_function(7), partition)
+    f = xor_function(14)
+    assert f.zeros_total * 2**f.n > DEFAULT_EVAL_CAP
+    with pytest.raises(InfeasibleSizeError, match=str(2**27)):
+        distance_details(f, partition, at_input=((0,) * 14, (0,) * 14))
+    with pytest.raises(ValueError, match="at_input"):
+        distance_details(f, partition)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# closed-form premises
+
+def _attacked_partition(f, base, biased):
+    profile = build_pivotal_profile(f)
+    return Partition(tuple((Fraction(1, 2), AttackedSystem(base, biased, profile, z))
+                           for z in (0, 1)))
+
+
+def _distance_at(f, partition, u):
+    detail = distance_details(f, partition, at_input=(u, (1,) * f.n))
+    assert detail.distance == lemma_distance_oracle(f, partition, u, (1,) * f.n)
+    return detail.distance
+
+
+def test_closed_form_refuses_base_box_with_biased_alice_marginal():
+    """The closed form assumes a base Alice marginal of 1/2; here it is
+    11/20, and the closed form had returned 1/10."""
+    unbiased = build_unbiased_box(_params(Fraction(1, 4)))
+    base = bias_box(unbiased, 0, Fraction(1, 20))
+    biased = (bias_box(base, 0, Fraction(1, 20)), bias_box(base, 1, Fraction(1, 20)))
+    f = xor_function(3)
+    partition = _attacked_partition(f, base, biased)
+    with pytest.raises(ValueError, match="base box's Alice marginal is 1/2 at every setting; pass at_input"):
+        distance_details(f, partition)
+    for u in [(0, 0, 0), (1, 0, 1)]:
+        assert _distance_at(f, partition, u) == Fraction(101, 2000)
+
+
+def test_closed_form_refuses_biased_boxes_that_do_not_mirror():
+    """biased[1] shifts eps/2 = 1/16 instead of 1/8; the closed form read
+    biased[0] alone and had returned 1/4."""
+    unbiased = build_unbiased_box(_params(Fraction(1, 4)))
+    biased = (bias_box(unbiased, 0, Fraction(1, 4)), bias_box(unbiased, 1, Fraction(1, 8)))
+    f = xor_function(3)
+    partition = _attacked_partition(f, unbiased, biased)
+    with pytest.raises(ValueError, match=r"biased\[1\]'s Alice marginal mirrors biased\[0\]'s; pass at_input"):
+        distance_details(f, partition)
+    for u in [(0, 0, 0), (1, 0, 1)]:
+        assert _distance_at(f, partition, u) == Fraction(3, 16)
+
+
+def test_closed_form_refuses_setting_dependent_biased_marginal():
+    """A legal box whose Alice marginal depends on her own setting: the
+    attack's distance then depends on the input at the pivot."""
+    unbiased = build_unbiased_box(_params(Fraction(1, 4)))
+
+    def split_box(sigma):  # bias eps at a = 0, eps/2 at a = 1
+        wide, narrow = (bias_box(unbiased, sigma, e) for e in (Fraction(1, 4), Fraction(1, 8)))
+        box = SinglePairBox(2, wide.cells[:8] + narrow.cells[8:])
+        box.validate()
+        return box
+
+    f = xor_function(3)
+    partition = _attacked_partition(f, unbiased, (split_box(0), split_box(1)))
+    with pytest.raises(ValueError, match=r"biased\[0\]'s Alice marginal is the same at every setting; pass at_input"):
+        distance_details(f, partition)
+    assert _distance_at(f, partition, (0, 0, 0)) == Fraction(1, 4)
+    assert _distance_at(f, partition, (1, 1, 1)) == Fraction(1, 8)
+
+
+def test_closed_form_premises_hold_for_the_paper_construction():
+    f = function_from_hex("39")
+    for params in [_params(), _params(Fraction(1, 2), 3), BoxParams.quantum(2), BoxParams.quantum(4)]:
+        partition = build_attack_partition(f, params)
+        closed = distance_details(f, partition).distance
+        summed = distance_details(f, partition, at_input=((1, 0, 1), (0, 1, 1))).distance
+        assert closed == summed if params.exact else abs(closed - summed) <= FLOAT_ATOL
 
 
 # ---------------------------------------------------------------------------

@@ -269,3 +269,25 @@ def test_prob_rejects_out_of_range_settings():
 
 def test_quantum_eps_value():
     assert quantum_eps(2) == pytest.approx(0.14644660940672624, abs=1e-16)
+
+
+def test_validate_catches_unnormalized_square():
+    box = build_unbiased_box(BoxParams.rational(2, EIGHTH))
+    cells = list(box.cells)
+    cells[0] += Fraction(1, 64)
+    with pytest.raises(ValueError, match=r"square \(a=0, b=0\) does not sum to 1"):
+        SinglePairBox(2, tuple(cells)).validate()
+
+
+def test_validate_catches_alice_marginal_moved_by_bob():
+    from helpers import perturbed_alice_marginal_box
+
+    box = perturbed_alice_marginal_box(BoxParams.rational(2, EIGHTH))
+    with pytest.raises(ValueError, match=r"Alice marginal depends on Bob's setting at \(a=0, x=0\)"):
+        box.validate()
+
+
+@pytest.mark.parametrize("delta", [0, 2, 5])
+def test_cross_probability_rejects_bad_setting_distance(delta):
+    with pytest.raises(ValueError, match="setting distance must be odd"):
+        cross_probability(BoxParams.rational(2, EIGHTH), delta)

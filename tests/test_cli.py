@@ -172,6 +172,25 @@ def test_bad_eps_exits_2(capsys):
     assert "eps" in err
 
 
+@pytest.mark.parametrize("eps", ["abc", "1/0"])
+def test_unparsable_eps_exits_2(capsys, eps):
+    code, _, err = run_cli(capsys, "box", "--eps", eps)
+    assert code == 2
+    assert f"eps must be a fraction like 1/8, got {eps!r}" in err
+
+
+def test_verify_attack_part_needs_function(capsys):
+    code, _, err = run_cli(capsys, "verify", "--system", "attack-z0", "--n", "3")
+    assert code == 2
+    assert "--function is required for system 'attack-z0'" in err
+
+
+def test_verify_subset_check_needs_subset(capsys):
+    code, _, err = run_cli(capsys, "verify", "--n", "2", "--check", "subset")
+    assert code == 2
+    assert "--subset is required" in err
+
+
 def test_usage_error_exits_2(capsys):
     assert run_cli(capsys, "attack")[0] == 2  # missing --function
     assert run_cli(capsys, "nonsense")[0] == 2

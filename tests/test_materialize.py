@@ -136,7 +136,8 @@ def test_negated_point_over_product_system_fails_nonnegative():
     base = build_product_system(build_unbiased_box(params), 2)
     point = ((0, 1), (1, 1), (0, 1), (1, 0))
     negated = NegatedPointSystem(base, point)
-    assert materialize(negated).prob(_index(point, 2, 2)) == -base.evaluate(*point) < 0
+    table = materialize(negated)
+    assert Fraction(table.values[_index(point, 2, 2)], table.den) == -base.evaluate(*point) < 0
     partition = Partition(((Fraction(1, 2), negated), (Fraction(1, 2), base)))
     report = verify_partition(partition, base, constraint="none")
     assert not report.part_reports[0].nonnegative
@@ -165,7 +166,8 @@ def test_subclass_overriding_evaluate_is_evaluated_per_point():
     for index in range(len(table.values)):
         x_first = (index >> 3) & 1  # index = ((u * 4 + v) * 4 + x) * 4 + y
         scale = 2 if x_first == 0 else 1
-        assert table.prob(index) == scale * plain.prob(index)
+        assert (Fraction(table.values[index], table.den)
+                == scale * Fraction(plain.values[index], plain.den))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 8), "quantum"])

@@ -359,7 +359,7 @@ def test_materialized_table_matches_evaluate():
             tuple((u // N**(n - 1 - j)) % N for j in range(n)),
             tuple((v // N**(n - 1 - j)) % N for j in range(n)),
         )
-        assert table.prob(idx) == point
+        assert Fraction(table.values[idx], table.den) == point
 
 
 def test_checks_performed_counts_are_stable(fig_parts):
@@ -373,3 +373,11 @@ def test_checks_performed_counts_are_stable(fig_parts):
         varied = N ** (n - cut + 1)
         expected += kept * (varied - 1)
     assert report.checks_performed == 2 * expected
+
+
+def test_replay_rejects_tampered_witness():
+    system = FuturePeekingSystem(_params())
+    witness = check_time_ordered(system).violations[0]
+    tampered = replace(witness, summed_positions=witness.summed_positions + (1,))
+    with pytest.raises(ValueError, match="summed positions do not match its kept outputs"):
+        replay_violation(system, tampered)

@@ -11,7 +11,6 @@ from chainbell import (
     HashFunction,
     InfeasibleSizeError,
     Partition,
-    alice_output_distribution,
     build_attack_partition,
     build_product_system,
     build_unbiased_box,
@@ -21,7 +20,13 @@ from chainbell import (
 )
 from chainbell._coding import bits_to_int
 
-from helpers import NegatedPointSystem, flip_pivotal_bit, perturbed_bob_marginal_box, x_marginal
+from helpers import (
+    NegatedPointSystem,
+    alice_output_distribution,
+    flip_pivotal_bit,
+    perturbed_bob_marginal_box,
+    x_marginal,
+)
 
 EIGHTH = Fraction(1, 8)
 
@@ -53,6 +58,10 @@ def test_evaluate_validates_dimensions_and_ranges():
         system.evaluate((0, 0), (0, 0), (0, 2), (0, 0))
     with pytest.raises(ValueError):
         system.evaluate((0, 2), (0, 0), (0, 0), (0, 0))
+    with pytest.raises(ValueError, match="Bob setting 2 out of range"):
+        system.evaluate((0, 0), (0, 0), (0, 0), (0, 2))
+    with pytest.raises(ValueError, match="outcome vectors must hold bits, got 2"):
+        system.evaluate((0, 0), (0, 2), (0, 0), (0, 0))
 
 
 @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
@@ -268,3 +277,54 @@ def test_product_system_requires_matching_settings():
     three = build_unbiased_box(_params(n_settings=3))
     with pytest.raises(ValueError):
         ProductSystem((two, three))
+
+
+def test_product_system_rejects_no_boxes():
+    from chainbell import ProductSystem
+
+    with pytest.raises(ValueError, match="at least one box"):
+        ProductSystem(())
+
+
+def test_attacked_system_checks_its_fields(fig_partition):
+    _, partition = fig_partition
+    part = partition.systems[0]
+    with pytest.raises(ValueError, match="z must be a bit, got 2"):
+        AttackedSystem(part.base, part.biased, part.profile, 2)
+    three = build_unbiased_box(_params(n_settings=3))
+    with pytest.raises(ValueError, match="base and biased boxes must share n_settings"):
+        AttackedSystem(three, part.biased, part.profile, 0)
+
+
+def test_partition_rejects_no_parts():
+    with pytest.raises(ValueError, match="at least one part"):
+        Partition(())
+
+
+@pytest.mark.parametrize("constraint", ["ab", "subset"])
+def test_verify_partition_rejects_unknown_constraint(fig_partition, constraint):
+    _, partition = fig_partition
+    base = build_product_system(build_unbiased_box(_params()), 3)
+    with pytest.raises(ValueError, match=f"unknown constraint set '{constraint}'"):
+        verify_partition(partition, base, constraint=constraint)
+
+
+def test_partition_report_text(fig_partition):
+    _, partition = fig_partition
+    base = build_product_system(build_unbiased_box(_params()), 3)
+    assert str(verify_partition(partition, base)).splitlines() == [
+        "weights: ok (sum 1)",
+        "part 0: nonnegative=ok normalized=ok ns=time-ordered: pass [4480 checks]",
+        "part 1: nonnegative=ok normalized=ok ns=time-ordered: pass [4480 checks]",
+        "convex combination: ok (0 mismatches)",
+        "overall: pass [25344 checks]",
+    ]
+    skewed = Partition(((Fraction(3, 4), partition.systems[0]),
+                        (Fraction(1, 2), partition.systems[1])))
+    assert str(verify_partition(skewed, base, constraint="none")).splitlines() == [
+        "weights: FAIL (sum 5/4)",
+        "part 0: nonnegative=ok normalized=ok ns=skipped",
+        "part 1: nonnegative=ok normalized=ok ns=skipped",
+        "convex combination: FAIL (3072 mismatches)",
+        "overall: FAIL [16384 checks]",
+    ]
