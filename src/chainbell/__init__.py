@@ -19,8 +19,6 @@ from .adversary import (
     majority_function,
     or_function,
     parse_function_spec,
-    pivotal_index,
-    pivotal_threshold,
     random_function,
     trivial_strategy,
     xor_function,

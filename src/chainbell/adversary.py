@@ -11,15 +11,24 @@ The adversary machinery, for a hash f:
   to 0; influences are exact Fractions read off those counts.
 - ``ZeroCountTree.influence(i, prefix_code)`` is the gap between the
   probabilities of f = 0 when bit i is 0 versus 1, conditioned on the
-  prefix.
-- ``pivotal_index(f, x)`` finds the first position where that gap
-  reaches 2/(3n); for almost balanced f one always exists, and the
+  prefix.  The first position where it reaches 2/(3n) is the string's
+  pivotal index; for almost balanced f one always exists, and the
   direction sigma points at the more-zeros branch.
 - ``build_pivotal_profile(f)`` records the pivotal prefixes only; a
   string's pivot is found by walking its own prefix down the tree.
 - ``build_attack_partition(f, params)`` assembles the two half-weight
   parts that bias each string's pivotal pair towards (or away from) a
   zero of f, which is the whole attack.
+
+The truth-table builders and the tree's levels above the leaves are
+bulk sequence operations (``bytes.translate``, tuple repetition, ``map``
+over ``islice``), not per-index Python loops; the builders give the
+same bits as the plain loops.  ``random_function`` keeps the exact
+``randrange(2)`` stream: ``randrange(2)`` is rejection sampling on
+``getrandbits(2)``, the top two bits of one 32-bit Mersenne Twister
+word, so it keeps a word whose top bit is 0 and returns its second bit.
+Reading those two bits off the top byte of every word of one
+``getrandbits(32 * m)`` call gives the same bits (see its docstring).
 """
 
 from __future__ import annotations
@@ -27,7 +36,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import islice
+from operator import add
 from typing import NamedTuple, Sequence
 
 from ._coding import bits_to_int
@@ -36,6 +47,19 @@ from .systems import AttackedSystem, Partition
 
 #: Truth-table machinery is O(2^n); refuse beyond this.
 MAX_FUNCTION_BITS = 24
+
+
+def _table_size(n: int) -> int:
+    """2^n for n in 1..MAX_FUNCTION_BITS, checked before any table is built."""
+    if not 1 <= n <= MAX_FUNCTION_BITS:
+        raise ValueError(f"n must be in 1..{MAX_FUNCTION_BITS}, got {n}")
+    return 2**n
+
+
+#: ``bytes.translate`` tables over truth-table bits and bit counts.
+_INCREMENT = bytes(range(1, 256)) + b"\0"
+_PARITY = bytes(b & 1 for b in range(256))
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -47,21 +71,18 @@ class HashFunction:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_FUNCTION_BITS:
-            raise ValueError(f"n must be in 1..{MAX_FUNCTION_BITS}, got {self.n}")
-        if len(self.bits) != 2**self.n:
-            raise ValueError(
-                f"truth table needs {2 ** self.n} bits, got {len(self.bits)}"
-            )
-        if any(b not in (0, 1) for b in self.bits):
+        size = _table_size(self.n)
+        if len(self.bits) != size:
+            raise ValueError(f"truth table needs {size} bits, got {len(self.bits)}")
+        if self.zeros_total + self.bits.count(1) != size:
             raise ValueError("truth table entries must be bits")
 
     def value(self, x: Sequence[int]) -> int:
         return self.bits[bits_to_int(x)]
 
-    @property
+    @cached_property
     def zeros_total(self) -> int:
-        return self.tree.zeros(0, 0)
+        return self.bits.count(0)
 
     @cached_property
     def tree(self) -> "ZeroCountTree":
@@ -81,10 +102,14 @@ class ZeroCountTree:
 
     @classmethod
     def from_function(cls, f: HashFunction) -> "ZeroCountTree":
+        # The leaves by comprehension: building them through bytes and
+        # translate left about 10 MB of freed heap untrimmed from one job
+        # to the next, which raised peak RSS over a run of 2^20 tables.
         levels = [[1 - b for b in f.bits]]
+        # islice, not slicing: a slice would copy each level twice more.
         while len(levels[-1]) > 1:
             prev = levels[-1]
-            levels.append([prev[k] + prev[k + 1] for k in range(0, len(prev), 2)])
+            levels.append(list(map(add, islice(prev, 0, None, 2), islice(prev, 1, None, 2))))
         levels.reverse()
         return cls(f.n, levels)
 
@@ -117,10 +142,6 @@ def is_almost_balanced(f: HashFunction) -> bool:
     return 3 * abs(2 * f.zeros_total - size) <= size
 
 
-def pivotal_threshold(n: int) -> Fraction:
-    return Fraction(2, 3 * n)
-
-
 class PivotRecord(NamedTuple):
     """One pivotal prefix: all strings sharing it pivot at ``index``."""
 
@@ -137,16 +158,23 @@ class PivotalProfile:
 
     ``records`` holds one ``PivotRecord`` per prefix after which the next
     bit is pivotal, in ascending order of the strings they cover: their
-    string ranges are disjoint, contiguous and cover [0, 2^n).  They are
-    the profile's only data.  The pivotal data of a string depends on
-    the prefix before the pivot only (the prefix property), so ``pivot``
-    finds it by walking the string's prefix from the root.
+    string ranges are disjoint, contiguous and cover [0, 2^n).  The
+    pivotal data of a string depends on the prefix before the pivot only
+    (the prefix property), so ``pivot`` finds it by walking the string's
+    prefix from the root.
+
+    ``zeros_toward`` and ``zeros_away`` sum the records' zero counts on
+    the branch sigma points at and on the other branch.
     """
 
-    def __init__(self, function: HashFunction, records: tuple[PivotRecord, ...]):
+    def __init__(self, function: HashFunction, records: tuple[PivotRecord, ...],
+                 zeros_toward: int, zeros_away: int, histogram: dict[int, int]):
         self.function = function
         self.n = function.n
         self.records = records
+        self.zeros_toward = zeros_toward
+        self.zeros_away = zeros_away
+        self._histogram = histogram
 
     def pivot(self, x_code: int) -> tuple[int, int]:
         """(pivotal index, bias direction) for the string with this code."""
@@ -160,11 +188,7 @@ class PivotalProfile:
 
     def histogram(self) -> dict[int, int]:
         """Count of input strings per pivotal index."""
-        out: dict[int, int] = {}
-        for rec in self.records:
-            size = 2 ** (self.n - rec.prefix_len)
-            out[rec.index] = out.get(rec.index, 0) + size
-        return out
+        return dict(self._histogram)
 
 
 def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
@@ -176,8 +200,12 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
             "the pivotal index is not guaranteed to exist"
         )
     n = f.n
-    tree = f.tree
+    levels = f.tree.levels
+    direction = f.tree.pivot_direction
+    record = partial(tuple.__new__, PivotRecord)
     records = []
+    toward = away = 0
+    histogram: dict[int, int] = {}
     stack = [(0, 0)]
     while stack:
         length, code = stack.pop()
@@ -185,37 +213,18 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
             raise AssertionError(
                 "no pivotal index on a path of an almost balanced function"
             )
-        sigma = tree.pivot_direction(length, code)
-        if sigma is not None:
-            below = tree.levels[length + 1]
-            records.append(PivotRecord(length, code, length + 1, sigma,
-                                       below[code << 1], below[(code << 1) | 1]))
-        else:
+        sigma = direction(length, code)
+        if sigma is None:
             stack.append((length + 1, (code << 1) | 1))
             stack.append((length + 1, code << 1))
-    return PivotalProfile(f, tuple(records))
-
-
-def pivotal_index(f: HashFunction, x: Sequence[int]) -> tuple[int, int, Fraction]:
-    """(index, sigma, delta) of the first position whose influence reaches
-    2/(3n).  Requires an almost balanced f (which guarantees existence)."""
-    if not is_almost_balanced(f):
-        raise ValueError(
-            f"{f.name or 'function'} is not almost balanced; "
-            "use the trivial guessing strategy instead"
-        )
-    if len(x) != f.n:
-        raise ValueError(f"x must have {f.n} bits, got {len(x)}")
-    threshold = pivotal_threshold(f.n)
-    tree = f.tree
-    prefix = 0
-    for i in range(1, f.n + 1):
-        delta = tree.influence(i, prefix)
-        if delta >= threshold:
-            sigma = 0 if tree.zeros(i, prefix << 1) > tree.zeros(i, (prefix << 1) | 1) else 1
-            return i, sigma, delta
-        prefix = (prefix << 1) | x[i - 1]
-    raise AssertionError("almost balanced function with no pivotal index")
+            continue
+        below = levels[length + 1]
+        z0, z1 = below[code << 1], below[(code << 1) | 1]
+        records.append(record((length, code, length + 1, sigma, z0, z1)))
+        toward += z1 if sigma else z0
+        away += z0 if sigma else z1
+        histogram[length + 1] = histogram.get(length + 1, 0) + (1 << (n - length))
+    return PivotalProfile(f, tuple(records), toward, away, histogram)
 
 
 def trivial_strategy(f: HashFunction) -> tuple[int, Fraction]:
@@ -249,32 +258,67 @@ def build_attack_partition(f: HashFunction, params: BoxParams) -> Partition:
 # ---------------------------------------------------------------------------
 # Built-in function families and the CLI spec grammar.
 
+def _popcounts(n: int) -> bytes:
+    """The bit count of every index in [0, 2^n), by doubling: the upper
+    half of each step is the lower half plus one."""
+    _table_size(n)
+    counts = b"\0"
+    for _ in range(n):
+        counts += counts.translate(_INCREMENT)
+    return counts
+
+
 def xor_function(n: int) -> HashFunction:
-    bits = tuple(bin(i).count("1") & 1 for i in range(2**n))
-    return HashFunction(n, bits, "xor")
+    return HashFunction(n, tuple(_popcounts(n).translate(_PARITY)), "xor")
 
 
 def majority_function(n: int) -> HashFunction:
     """Majority of the input bits; ties (even n) resolve to 1."""
-    bits = tuple(1 if 2 * bin(i).count("1") >= n else 0 for i in range(2**n))
-    return HashFunction(n, bits, "majority")
+    majority = bytes(1 if 2 * count >= n else 0 for count in range(256))
+    return HashFunction(n, tuple(_popcounts(n).translate(majority)), "majority")
 
 
 def and_function(n: int) -> HashFunction:
-    bits = tuple(1 if i == 2**n - 1 else 0 for i in range(2**n))
-    return HashFunction(n, bits, "and")
+    return HashFunction(n, (0,) * (_table_size(n) - 1) + (1,), "and")
 
 
 def or_function(n: int) -> HashFunction:
-    bits = tuple(0 if i == 0 else 1 for i in range(2**n))
-    return HashFunction(n, bits, "or")
+    return HashFunction(n, (0,) + (1,) * (_table_size(n) - 1), "or")
+
+
+#: Mersenne Twister words per ``getrandbits`` call in ``random_function``,
+#: which bounds the int and bytes each call makes.
+_RANDOM_CHUNK_WORDS = 1 << 16
+
+#: The top byte of a word -> the bit ``randrange(2)`` draws from it.
+_SECOND_BIT = bytes((b >> 6) & 1 for b in range(256))
+
+#: Top bytes of the words ``randrange(2)`` rejects: top bit set.
+_REJECTED = bytes(range(128, 256))
 
 
 def random_function(n: int, seed: int | str) -> HashFunction:
-    """Seeded uniform truth table, stable across platforms and runs."""
+    """Seeded uniform truth table, stable across platforms and runs.
+
+    Entry k is the k-th ``randrange(2)`` of ``random.Random`` seeded with
+    ``chainbell:random:<seed>:n=<n>``, drawn in bulk.  ``randrange(2)``
+    rejects a 32-bit Mersenne Twister word whose top bit is set and
+    otherwise returns the word's second bit.  ``getrandbits(32 * m)``
+    packs the next m words least significant first, so bytes 3, 7, 11,
+    ... of its little-endian bytes are their top bytes in draw order.
+    Deleting top bytes of 128 and more and mapping the rest to bit 6
+    gives the ``randrange(2)`` results one for one.  A chunk holds at
+    most the bits still needed, so the last word drawn is the last one
+    accepted.
+    """
+    size = _table_size(n)
     rng = random.Random(f"chainbell:random:{seed}:n={n}")
-    bits = tuple(rng.randrange(2) for _ in range(2**n))
-    return HashFunction(n, bits, f"random:{seed}")
+    bits = bytearray()
+    while len(bits) < size:
+        words = min(size - len(bits), _RANDOM_CHUNK_WORDS)
+        top_bytes = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        bits += top_bytes.translate(_SECOND_BIT, delete=_REJECTED)
+    return HashFunction(n, tuple(bits), f"random:{seed}")
 
 
 def function_from_hex(digits: str, n: int | None = None) -> HashFunction:
@@ -297,8 +341,10 @@ def function_from_hex(digits: str, n: int | None = None) -> HashFunction:
         raise ValueError(
             f"hex table encodes n={inferred}, but n={n} was requested"
         )
-    bits = tuple((value >> (total - 1 - k)) & 1 for k in range(total))
-    return HashFunction(inferred, bits, f"hex:{digits}")
+    # The mask keeps the two's-complement bits of a signed spec such as "-3".
+    binary = f"{value & ((1 << total) - 1):0{total}b}"
+    return HashFunction(inferred, tuple(binary.encode().translate(_BINARY_DIGITS)),
+                        f"hex:{digits}")
 
 
 def parse_function_spec(spec: str, n: int | None = None) -> HashFunction:

@@ -11,13 +11,14 @@ bound to check is eps * 2/(3n).
 
 Each part's Pr[f(X) = 0] comes from one of two paths:
 
-- the closed form, for ``AttackedSystem`` parts only.  It sums the
-  pivot records' zero counts, weighted by the biased box's Alice
-  marginal, so it scales to large n.  It rests on three premises, each
-  checked before summing: the base box's Alice marginal is 1/2 at every
-  setting, ``biased[0]``'s Alice marginal is the same at every setting,
-  and ``biased[1]``'s mirrors it.  Then the part's X-marginal does not
-  depend on the inputs.  A part that breaks a premise is refused.
+- the closed form, for ``AttackedSystem`` parts only.  It weights the
+  profile's zero counts, summed towards and away from sigma when the
+  profile was built, by the biased box's Alice marginal, so it scales
+  to large n.  It rests on three premises, each checked first: the
+  base box's Alice marginal is 1/2 at every setting, ``biased[0]``'s
+  Alice marginal is the same at every setting, and ``biased[1]``'s
+  mirrors it.  Then the part's X-marginal does not depend on the
+  inputs.  A part that breaks a premise is refused.
 - per-point summation at an explicit input tuple (``at_input``): the
   sum of ``evaluate`` over every y and every x with f(x) = 0, refused
   above ``DEFAULT_EVAL_CAP`` calls per part.  It serves every other
@@ -85,20 +86,14 @@ def _part_key_zero_probability(f: HashFunction, part: SystemEvaluator) -> Prob:
             f"the closed form serves AttackedSystem parts only, not "
             f"{type(part).__name__}; pass at_input to sum evaluate at one input"
         )
-    if part.profile.function.bits != f.bits:
+    if part.profile.function is not f and part.profile.function.bits != f.bits:
         raise ValueError("partition was built for a different hash function")
     _require_closed_form_premises(part)
     n = f.n
-    match_zeros = 0
-    other_zeros = 0
-    for rec in part.profile.records:
-        direction = rec.sigma ^ part.z
-        if direction == 0:
-            match_zeros += rec.zeros0
-            other_zeros += rec.zeros1
-        else:
-            match_zeros += rec.zeros1
-            other_zeros += rec.zeros0
+    # Part z biases towards sigma when z = 0 and away from it when z = 1.
+    match_zeros, other_zeros = part.profile.zeros_toward, part.profile.zeros_away
+    if part.z:
+        match_zeros, other_zeros = other_zeros, match_zeros
     m_hi = part.biased[0].alice_marginal(0, 0, 0)  # 1/2 + eps
     m_lo = part.biased[0].alice_marginal(0, 0, 1)  # 1/2 - eps
     return (m_hi * match_zeros + m_lo * other_zeros) / 2 ** (n - 1)

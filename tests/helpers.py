@@ -6,8 +6,10 @@ through the library's closed forms, so they stay valid checks of them.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 from chainbell import (
     FLOAT_ATOL,
@@ -19,11 +21,67 @@ from chainbell import (
     bias_box,
     build_unbiased_box,
     is_almost_balanced,
-    pivotal_index,
     random_function,
 )
 from chainbell.nonsignalling import CONDITION_SUBSET, NsViolation
 from chainbell.systems import Partition, SystemEvaluator
+
+
+def pivotal_threshold(n: int) -> Fraction:
+    return Fraction(2, 3 * n)
+
+
+def pivotal_index(f: HashFunction, x: Sequence[int]) -> tuple[int, int, Fraction]:
+    """(index, sigma, delta) of the first position whose influence reaches
+    2/(3n), found by walking x's prefixes and reading each influence off
+    the zero-count tree.  Requires an almost balanced f (which guarantees
+    existence)."""
+    if not is_almost_balanced(f):
+        raise ValueError(
+            f"{f.name or 'function'} is not almost balanced; "
+            "use the trivial guessing strategy instead"
+        )
+    if len(x) != f.n:
+        raise ValueError(f"x must have {f.n} bits, got {len(x)}")
+    threshold = pivotal_threshold(f.n)
+    tree = f.tree
+    prefix = 0
+    for i in range(1, f.n + 1):
+        delta = tree.influence(i, prefix)
+        if delta >= threshold:
+            sigma = 0 if tree.zeros(i, prefix << 1) > tree.zeros(i, (prefix << 1) | 1) else 1
+            return i, sigma, delta
+        prefix = (prefix << 1) | x[i - 1]
+    raise AssertionError("almost balanced function with no pivotal index")
+
+
+# Per-index truth-table builders: the oracles for the library's bulk ones.
+
+def oracle_xor_bits(n: int) -> tuple[int, ...]:
+    return tuple(bin(i).count("1") & 1 for i in range(2**n))
+
+
+def oracle_majority_bits(n: int) -> tuple[int, ...]:
+    return tuple(1 if 2 * bin(i).count("1") >= n else 0 for i in range(2**n))
+
+
+def oracle_and_bits(n: int) -> tuple[int, ...]:
+    return tuple(1 if i == 2**n - 1 else 0 for i in range(2**n))
+
+
+def oracle_or_bits(n: int) -> tuple[int, ...]:
+    return tuple(0 if i == 0 else 1 for i in range(2**n))
+
+
+def oracle_random_bits(n: int, seed) -> tuple[int, ...]:
+    rng = random.Random(f"chainbell:random:{seed}:n={n}")
+    return tuple(rng.randrange(2) for _ in range(2**n))
+
+
+def oracle_hex_bits(digits: str) -> tuple[int, ...]:
+    value = int(digits, 16)
+    total = 4 * len(digits)
+    return tuple((value >> (total - 1 - k)) & 1 for k in range(total))
 
 
 class FuturePeekingSystem(SystemEvaluator):

@@ -22,8 +22,6 @@ from chainbell import (
     distance_details,
     function_from_hex,
     is_almost_balanced,
-    pivotal_index,
-    pivotal_threshold,
     random_function,
     replay_violation,
     run_attack,
@@ -39,6 +37,8 @@ from helpers import (
     balanced_two_zero_functions_n2,
     exhaustive_almost_balanced,
     exhaustive_functions,
+    pivotal_index,
+    pivotal_threshold,
     seeded_almost_balanced,
 )
 

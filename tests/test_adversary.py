@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -19,8 +21,6 @@ from chainbell import (
     majority_function,
     or_function,
     parse_function_spec,
-    pivotal_index,
-    pivotal_threshold,
     random_function,
     trivial_strategy,
     xor_function,
@@ -28,7 +28,19 @@ from chainbell import (
 
 from chainbell._coding import bits_to_int
 
-from helpers import constant_function, exhaustive_almost_balanced, profile_delta
+from helpers import (
+    constant_function,
+    exhaustive_almost_balanced,
+    oracle_and_bits,
+    oracle_hex_bits,
+    oracle_majority_bits,
+    oracle_or_bits,
+    oracle_random_bits,
+    oracle_xor_bits,
+    pivotal_index,
+    pivotal_threshold,
+    profile_delta,
+)
 
 # The worked three-bit example: truth table 00111001 (hex 39).
 WORKED_BITS = (0, 0, 1, 1, 1, 0, 0, 1)
@@ -63,6 +75,11 @@ def test_hash_function_validation():
         HashFunction(1, (0, 2))
     with pytest.raises(ValueError):
         HashFunction(0, ())
+    with pytest.raises(ValueError, match="entries must be bits"):
+        HashFunction(1, (0, -1))
+    # the count-based check still finds a bad entry at the very end
+    with pytest.raises(ValueError, match="entries must be bits"):
+        HashFunction(17, (0, 1) * (2**16 - 1) + (0, 2))
 
 
 def test_from_hex_fig_table(worked_example):
@@ -87,6 +104,63 @@ def test_builders_small():
     # even-n majority breaks ties towards 1
     assert majority_function(2).bits == (0, 1, 1, 1)
     assert majority_function(3).bits == (0, 0, 0, 1, 0, 1, 1, 1)
+
+
+@pytest.mark.parametrize("build,oracle", [
+    (xor_function, oracle_xor_bits),
+    (majority_function, oracle_majority_bits),
+    (and_function, oracle_and_bits),
+    (or_function, oracle_or_bits),
+], ids=["xor", "majority", "and", "or"])
+def test_bulk_builders_match_per_index_oracles(build, oracle):
+    for n in range(1, 15):
+        assert build(n).bits == oracle(n), n
+
+
+def test_random_function_matches_randrange_oracle():
+    for seed in range(50):
+        for n in range(1, 13):
+            assert random_function(n, seed).bits == oracle_random_bits(n, seed), (n, seed)
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_random_function_matches_randrange_oracle_across_chunks(n):
+    """2^17 and 2^18 draws take more than one getrandbits chunk."""
+    for seed in (0, "chunk"):
+        assert random_function(n, seed).bits == oracle_random_bits(n, seed)
+
+
+def test_function_from_hex_matches_per_bit_oracle():
+    rng = random.Random("chainbell-test:hex")
+    specs = ["0", "f", "39", "0x39", "-3", "+3"]
+    specs += ["".join(rng.choice("0123456789abcdefABCDEF") for _ in range(2**k))
+              for k in range(11)]
+    for digits in specs:
+        assert function_from_hex(digits).bits == oracle_hex_bits(digits), digits
+
+
+@pytest.mark.parametrize("build,digest", [
+    (lambda: random_function(20, 0),
+     "8431ef34f387297c2daa0ddbef7924bae87c713eaa11f1364a1dd7724f0b1c83"),
+    (lambda: majority_function(20),
+     "a2beec81c89c1ca0f1a61dd84bc41217ce92e11d5a4128ef1aa4f2065476932d"),
+    (lambda: xor_function(19),
+     "6846d320838bac106f856a3b8f2bbdbffb85527bf289781472d6825d45bc74aa"),
+], ids=["random:0-n20", "majority-n20", "xor-n19"])
+def test_large_truth_tables_are_pinned(build, digest):
+    """sha256 of the tables the per-index builders gave; a change in how
+    CPython packs getrandbits words would show here on every version."""
+    assert hashlib.sha256(bytes(build().bits)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [
+    xor_function, majority_function, and_function, or_function,
+    lambda n: random_function(n, 0),
+], ids=["xor", "majority", "and", "or", "random"])
+def test_builders_refuse_out_of_range_n_before_building(build):
+    for n in (-1, 0, 25):
+        with pytest.raises(ValueError, match="n must be in 1..24"):
+            build(n)
 
 
 def test_random_function_is_seed_stable():
@@ -143,6 +217,19 @@ def test_pi0_averaging_identity(f):
             assert _pi0(tree, length, code) == Fraction(1, 2) * (
                 _pi0(tree, length + 1, code << 1) + _pi0(tree, length + 1, (code << 1) | 1)
             )
+
+
+@given(hash_functions())
+@settings(max_examples=60)
+def test_zeros_total_matches_tree_root(f):
+    assert f.zeros_total == f.tree.zeros(0, 0)
+
+
+def test_unbalanced_functions_build_no_tree():
+    for f in (and_function(12), or_function(12)):
+        assert not is_almost_balanced(f)
+        assert trivial_strategy(f)[1] == Fraction(1, 2) - Fraction(1, 2**12)
+        assert "tree" not in vars(f)
 
 
 def test_tree_type_direct():
@@ -259,6 +346,13 @@ def assert_profile_matches_pointwise_walk(f):
         assert delta >= pivotal_threshold(f.n)
         assert delta == Fraction(abs(rec.zeros0 - rec.zeros1), 2 ** (f.n - rec.index))
     assert end == 2**f.n
+    toward = sum(r.zeros1 if r.sigma else r.zeros0 for r in profile.records)
+    away = sum(r.zeros0 if r.sigma else r.zeros1 for r in profile.records)
+    assert (profile.zeros_toward, profile.zeros_away) == (toward, away)
+    histogram = {}
+    for rec in profile.records:
+        histogram[rec.index] = histogram.get(rec.index, 0) + 2 ** (f.n - rec.prefix_len)
+    assert profile.histogram() == histogram
 
 
 @given(hash_functions(min_n=2, max_n=5))
