@@ -12,9 +12,9 @@ bound to check is eps * 2/(3n).
 Each part's Pr[f(X) = 0] comes from one of two paths:
 
 - the closed form, for ``AttackedSystem`` parts only.  It weights the
-  profile's zero counts, summed towards and away from sigma when the
-  profile was built, by the biased box's Alice marginal, so it scales
-  to large n.  It rests on three premises, each checked first: the
+  profile's zero counts, summed once over its records towards and away
+  from sigma, by the biased box's Alice marginal, so it scales to
+  large n.  It rests on three premises, each checked first: the
   base box's Alice marginal is 1/2 at every setting, ``biased[0]``'s
   Alice marginal is the same at every setting, and ``biased[1]``'s
   mirrors it.  Then the part's X-marginal does not depend on the

@@ -78,12 +78,6 @@ def oracle_random_bits(n: int, seed) -> tuple[int, ...]:
     return tuple(rng.randrange(2) for _ in range(2**n))
 
 
-def oracle_hex_bits(digits: str) -> tuple[int, ...]:
-    value = int(digits, 16)
-    total = 4 * len(digits)
-    return tuple((value >> (total - 1 - k)) & 1 for k in range(total))
-
-
 class FuturePeekingSystem(SystemEvaluator):
     """Two-pair system whose first pair is biased by the *second* output
     bit -- the prefix property violated on purpose."""

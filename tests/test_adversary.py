@@ -1,5 +1,4 @@
 import hashlib
-import random
 from fractions import Fraction
 from itertools import product
 
@@ -32,7 +31,6 @@ from helpers import (
     constant_function,
     exhaustive_almost_balanced,
     oracle_and_bits,
-    oracle_hex_bits,
     oracle_majority_bits,
     oracle_or_bits,
     oracle_random_bits,
@@ -128,15 +126,6 @@ def test_random_function_matches_randrange_oracle_across_chunks(n):
     """2^17 and 2^18 draws take more than one getrandbits chunk."""
     for seed in (0, "chunk"):
         assert random_function(n, seed).bits == oracle_random_bits(n, seed)
-
-
-def test_function_from_hex_matches_per_bit_oracle():
-    rng = random.Random("chainbell-test:hex")
-    specs = ["0", "f", "39", "0x39", "-3", "+3"]
-    specs += ["".join(rng.choice("0123456789abcdefABCDEF") for _ in range(2**k))
-              for k in range(11)]
-    for digits in specs:
-        assert function_from_hex(digits).bits == oracle_hex_bits(digits), digits
 
 
 @pytest.mark.parametrize("build,digest", [
