@@ -8,14 +8,15 @@ index range.
 The adversary machinery, for a hash f:
 
 - ``ZeroCountTree`` counts, for every prefix, how many completions map
-  to 0; influences are exact Fractions read off those counts.
-- ``ZeroCountTree.influence(i, prefix_code)`` is the gap between the
-  probabilities of f = 0 when bit i is 0 versus 1, conditioned on the
-  prefix.  The first position where it reaches 2/(3n) is the string's
-  pivotal index; for almost balanced f one always exists, and the
-  direction sigma points at the more-zeros branch.
-- ``build_pivotal_profile(f)`` records the pivotal prefixes only; a
-  string's pivot is found by walking its own prefix down the tree.
+  to 0.  It is the only store of zero counts.  The influence of bit i
+  given a prefix is the gap between the probabilities of f = 0 when
+  bit i is 0 versus 1; the first position where it reaches 2/(3n) is
+  the string's pivotal index.  For almost balanced f one always
+  exists, and the direction sigma points at the more-zeros branch.
+- ``build_pivotal_profile(f)`` records the pivotal prefixes only, each
+  as a prefix and a direction; the profile's zero sums are read off
+  the tree, and a string's pivot is found by walking its own prefix
+  down the tree.
 - ``build_attack_partition(f, params)`` assembles the two half-weight
   parts that bias each string's pivotal pair towards (or away from) a
   zero of f, which is the whole attack.
@@ -35,12 +36,13 @@ Reading those two bits off the top byte of every word of one
 from __future__ import annotations
 
 import random
+import string
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import islice
-from operator import add, attrgetter
+from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
 from ._coding import bits_to_int
@@ -114,18 +116,6 @@ class ZeroCountTree:
         levels.reverse()
         return cls(f.n, levels)
 
-    def zeros(self, prefix_len: int, prefix_code: int) -> int:
-        return self.levels[prefix_len][prefix_code]
-
-    def influence(self, i: int, prefix_code: int) -> Fraction:
-        """|Pr[f=0 | prefix.0] - Pr[f=0 | prefix.1]| for a length-(i-1)
-        prefix, over uniform completions."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"index must be in 1..{self.n}, got {i}")
-        z0 = self.zeros(i, prefix_code << 1)
-        z1 = self.zeros(i, (prefix_code << 1) | 1)
-        return Fraction(abs(z0 - z1), 2 ** (self.n - i))
-
     def pivot_direction(self, prefix_len: int, prefix_code: int) -> int | None:
         """Direction of the more-zeros branch if the next bit's influence
         reaches 2/(3n), else None: 3n*|z0 - z1| >= 2^(n - prefix_len)."""
@@ -144,14 +134,12 @@ def is_almost_balanced(f: HashFunction) -> bool:
 
 
 class PivotRecord(NamedTuple):
-    """One pivotal prefix: all strings sharing it pivot at ``index``."""
+    """One pivotal prefix: all strings sharing it pivot at the 1-based
+    index ``prefix_len + 1``, biased towards branch ``sigma``."""
 
     prefix_len: int
     prefix_code: int
-    index: int  # 1-based, = prefix_len + 1
     sigma: int
-    zeros0: int  # completions of prefix.0 mapping to 0
-    zeros1: int
 
 
 class PivotalProfile:
@@ -172,13 +160,11 @@ class PivotalProfile:
 
     @cached_property
     def zeros_toward(self) -> int:
-        """Zero counts of the records' branches that sigma points at."""
-        return sum(rec.zeros1 if rec.sigma else rec.zeros0 for rec in self.records)
-
-    @cached_property
-    def zeros_away(self) -> int:
-        """Zero counts of the other branches: the records cover every string."""
-        return self.function.zeros_total - self.zeros_toward
+        """Zero counts of the records' branches that sigma points at, read
+        off the tree; the other branches hold the rest of the zeros."""
+        levels = self.function.tree.levels
+        return sum(levels[length + 1][(code << 1) | sigma]
+                   for length, code, sigma in self.records)
 
     def pivot(self, x_code: int) -> tuple[int, int]:
         """(pivotal index, bias direction) for the string with this code."""
@@ -191,10 +177,10 @@ class PivotalProfile:
         raise AssertionError("no pivotal index on a path of an almost balanced function")
 
     def histogram(self) -> dict[int, int]:
-        """Count of input strings per pivotal index: a record at index i
-        covers the 2^(n - i + 1) strings under its prefix."""
-        counts = Counter(map(attrgetter("index"), self.records))
-        return {index: count << (self.n - index + 1) for index, count in counts.items()}
+        """Count of input strings per pivotal index, in index order: a
+        record with a length-L prefix covers 2^(n - L) strings."""
+        counts = sorted(Counter(map(itemgetter(0), self.records)).items())
+        return {length + 1: count << (self.n - length) for length, count in counts}
 
 
 def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
@@ -220,9 +206,7 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
             )
         sigma = tree.pivot_direction(length, code)
         if sigma is not None:
-            below = tree.levels[length + 1]
-            records.append(record((length, code, length + 1, sigma,
-                                   below[code << 1], below[(code << 1) | 1])))
+            records.append(record((length, code, sigma)))
         else:
             stack.append((length + 1, (code << 1) | 1))
             stack.append((length + 1, code << 1))
@@ -326,13 +310,13 @@ def random_function(n: int, seed: int | str) -> HashFunction:
 def function_from_hex(digits: str, n: int | None = None) -> HashFunction:
     """Truth table from hex digits, most significant digit first.
 
-    The digit count fixes n via 4 * len(digits) = 2^n, so only n >= 2 is
-    representable.
+    Only the characters 0-9, a-f and A-F are digits; signs, a ``0x``
+    prefix, underscores and spaces are refused.  The digit count fixes n
+    via 4 * len(digits) = 2^n, so only n >= 2 is representable.
     """
-    try:
-        value = int(digits, 16)
-    except ValueError:
-        raise ValueError(f"not a hex truth table: {digits!r}") from None
+    if not digits or not set(digits) <= set(string.hexdigits):
+        raise ValueError(f"not a hex truth table: {digits!r}")
+    value = int(digits, 16)
     total = 4 * len(digits)
     inferred = total.bit_length() - 1
     if 2**inferred != total:

@@ -11,14 +11,15 @@ bound to check is eps * 2/(3n).
 
 Each part's Pr[f(X) = 0] comes from one of two paths:
 
-- the closed form, for ``AttackedSystem`` parts only.  It weights the
-  profile's zero counts, summed once over its records towards and away
-  from sigma, by the biased box's Alice marginal, so it scales to
-  large n.  It rests on three premises, each checked first: the
-  base box's Alice marginal is 1/2 at every setting, ``biased[0]``'s
-  Alice marginal is the same at every setting, and ``biased[1]``'s
-  mirrors it.  Then the part's X-marginal does not depend on the
-  inputs.  A part that breaks a premise is refused.
+- the closed form, for ``AttackedSystem`` parts only.  It weights
+  f's zeros towards sigma (read off the zero-count tree at the
+  profile's records) and away from it by the biased box's Alice
+  marginal, so it scales to large n.  It rests on three premises, each
+  checked first: the base box's Alice marginal is 1/2 at every
+  setting, ``biased[0]``'s Alice marginal is the same at every
+  setting, and ``biased[1]``'s mirrors it.  Then the part's X-marginal
+  does not depend on the inputs.  A part that breaks a premise is
+  refused.
 - per-point summation at an explicit input tuple (``at_input``): the
   sum of ``evaluate`` over every y and every x with f(x) = 0, refused
   above ``DEFAULT_EVAL_CAP`` calls per part.  It serves every other
@@ -91,7 +92,8 @@ def _part_key_zero_probability(f: HashFunction, part: SystemEvaluator) -> Prob:
     _require_closed_form_premises(part)
     n = f.n
     # Part z biases towards sigma when z = 0 and away from it when z = 1.
-    match_zeros, other_zeros = part.profile.zeros_toward, part.profile.zeros_away
+    match_zeros = part.profile.zeros_toward
+    other_zeros = f.zeros_total - match_zeros
     if part.z:
         match_zeros, other_zeros = other_zeros, match_zeros
     m_hi = part.biased[0].alice_marginal(0, 0, 0)  # 1/2 + eps
@@ -175,8 +177,8 @@ class AttackReport:
     distance: Prob
     bound: Prob
     ratio: Prob | None
-    pivotal_histogram: dict[int, int]
     pr_k0_given_z0: Prob
+    pivotal_histogram: dict[int, int]
     passed: bool
     z0_part: int | None = None
     key_relabeled: bool = False

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -32,7 +33,7 @@ from .boxes import (
     bias_box,
     build_unbiased_box,
 )
-from .nonsignalling import DEFAULT_EVAL_CAP, InfeasibleSizeError, NsReport
+from .nonsignalling import DEFAULT_EVAL_CAP, InfeasibleSizeError
 from .systems import build_product_system
 
 
@@ -54,9 +55,18 @@ def _render(value) -> str:
 
 
 def _jsonify(value):
+    """JSON-ready copy: dataclasses as objects in field order, exact values
+    as num/den/decimal."""
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator,
                 "decimal": _decimal(value)}
+    if dataclasses.is_dataclass(value):
+        return {field.name: _jsonify(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _jsonify(item) for key, item in value.items()}
     return value
 
 
@@ -104,18 +114,17 @@ def _cmd_box(args) -> int:
                     "u": u,
                     "v": v,
                     "allowed": (u, v) in allowed,
-                    "cells": [[_jsonify(box.prob(a, b, x, y)) for x in (0, 1)]
-                              for y in (0, 1)],
+                    "cells": [[box.prob(a, b, x, y) for x in (0, 1)] for y in (0, 1)],
                 })
         doc = {
             "n_settings": params.n_settings,
-            "eps": _jsonify(params.eps),
+            "eps": params.eps,
             "mode": params.mode,
             "sigma": args.sigma,
-            "bell_value": _jsonify(bell),
+            "bell_value": bell,
             "squares": squares,
         }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_jsonify(doc), indent=2))
         return 0
 
     print(f"box: N={params.n_settings} eps={_render(params.eps)} "
@@ -139,32 +148,12 @@ def _cmd_box(args) -> int:
 # ---------------------------------------------------------------------------
 # attack
 
-def _attack_json(report: analysis.AttackReport) -> dict:
-    return {
-        "function": report.function,
-        "n": report.n,
-        "n_settings": report.n_settings,
-        "eps": _jsonify(report.eps),
-        "mode": report.mode,
-        "strategy": report.strategy,
-        "distance": _jsonify(report.distance),
-        "bound": _jsonify(report.bound),
-        "ratio": _jsonify(report.ratio),
-        "pr_k0_given_z0": _jsonify(report.pr_k0_given_z0),
-        "pivotal_histogram": {str(k): v for k, v in sorted(report.pivotal_histogram.items())},
-        "passed": report.passed,
-        "z0_part": report.z0_part,
-        "key_relabeled": report.key_relabeled,
-        "trivial_guess": report.trivial_guess,
-    }
-
-
 def _cmd_attack(args) -> int:
     params = _box_params(args)
     f = parse_function_spec(args.function, args.n)
     report = analysis.run_attack(f, params)
     if args.format == "json":
-        print(json.dumps(_attack_json(report), indent=2))
+        print(json.dumps(_jsonify(report), indent=2))
     else:
         print(f"function: {report.function} (n={report.n})")
         print(f"box: N={report.n_settings} eps={_render(report.eps)} mode={report.mode}")
@@ -198,34 +187,6 @@ def _verify_system(args, params: BoxParams):
     return partition.systems[0 if args.system == "attack-z0" else 1]
 
 
-def _violation_json(v: nonsignalling.NsViolation) -> dict:
-    return {
-        "condition": v.condition,
-        "side": v.side,
-        "cut": v.cut,
-        "summed_positions": list(v.summed_positions),
-        "x_kept": list(v.x_kept),
-        "y_kept": list(v.y_kept),
-        "u_left": list(v.u_left),
-        "v_left": list(v.v_left),
-        "u_right": list(v.u_right),
-        "v_right": list(v.v_right),
-        "left": _jsonify(v.left),
-        "right": _jsonify(v.right),
-    }
-
-
-def _report_json(report: NsReport) -> dict:
-    return {
-        "condition": report.condition,
-        "passed": report.passed,
-        "checks_performed": report.checks_performed,
-        "violations_total": report.violations_total,
-        "tolerance": _jsonify(report.tolerance),
-        "violations": [_violation_json(v) for v in report.violations],
-    }
-
-
 def _cmd_verify(args) -> int:
     params = _box_params(args)
     system = _verify_system(args, params)
@@ -246,11 +207,11 @@ def _cmd_verify(args) -> int:
             "function": args.function,
             "n": system.n,
             "n_settings": params.n_settings,
-            "eps": _jsonify(params.eps),
+            "eps": params.eps,
             "mode": params.mode,
-            "report": _report_json(report),
+            "report": report,
         }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_jsonify(doc), indent=2))
     else:
         print(f"system: {args.system}"
               + (f" function={args.function}" if args.function else "")

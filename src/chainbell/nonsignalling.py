@@ -18,9 +18,12 @@ inputs inside S.  One kernel checks it:
   depend on inputs from the cut onwards;
 - ``check_subset``: S given by the caller, on one side.
 
-Every violation is counted.  A report keeps as witnesses the
-``MAX_WITNESSES`` smallest violations by ``_witness_key``: side, cut,
-then the settings and outputs of the two compared marginals.
+Every violation is counted.  A report keeps as witnesses the first
+``MAX_WITNESSES`` violations in witness order: by side (alice before
+bob), then cut (none counts as 0), then the left settings u and v,
+then the right settings u and v, then the kept outputs x and y, each
+compared digit by digit from position 1 with a summed position before
+either bit.
 
 Exact tables (all ints or Fractions) are normalized to integer numerators
 over a common denominator, so every marginal comparison is exact integer
@@ -49,8 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Default bound on evaluator calls per verification.
 DEFAULT_EVAL_CAP = 2**26
 
-#: Violation witnesses retained per report: the smallest by
-#: ``_witness_key``.  All violations are counted.
+#: Violation witnesses retained per report: the first in witness
+#: order.  All violations are counted.
 MAX_WITNESSES = 10
 
 CONDITION_AB = "ab"
@@ -90,10 +93,10 @@ class NsViolation:
 class NsReport:
     condition: str
     passed: bool
-    violations: list[NsViolation]
-    violations_total: int
     checks_performed: int
+    violations_total: int
     tolerance: Prob
+    violations: list[NsViolation]
 
     def __str__(self) -> str:
         status = "pass" if self.passed else f"FAIL ({self.violations_total} violations)"
@@ -219,19 +222,6 @@ def _scaled(value, den: int | None) -> Prob:
     return value if den is None else Fraction(value, den)
 
 
-def _witness_key(v: NsViolation):
-    return (
-        v.side,
-        v.cut if v.cut is not None else 0,
-        v.u_left,
-        v.v_left,
-        v.u_right,
-        v.v_right,
-        tuple(-1 if b is None else b for b in v.x_kept),
-        tuple(-1 if b is None else b for b in v.y_kept),
-    )
-
-
 def _scatter_codes(positions: Sequence[int], n: int, base: int) -> list[int]:
     """Codes of all assignments over `positions`, embedded in an n-digit word,
     in ascending order."""
@@ -257,9 +247,9 @@ def _independence_violations(
     subset positions; grids whose ``side`` settings differ only inside the
     subset are compared with the one that has zeros there.  Both sides are
     read in place, through the strides of the table layout.  Comparisons
-    run in ``_witness_key`` order, so the first MAX_WITNESSES violations
-    found are the smallest.  Returns (witnesses, total violation count,
-    comparisons performed).
+    run in witness order (see the module docstring), so the first
+    MAX_WITNESSES violations found are the report's witnesses.  Returns
+    (witnesses, total violation count, comparisons performed).
     """
     n, N, den = table.n, table.n_settings, table.den
     NS, X = N**n, 2**n
@@ -333,7 +323,7 @@ def _independence_violations(
 
 def _merge(condition: str, parts: Iterable[tuple[list[NsViolation], int, int]],
            den: int | None) -> NsReport:
-    """One report from kernel results given in ``_witness_key`` order."""
+    """One report from kernel results given in witness order."""
     violations: list[NsViolation] = []
     total = 0
     checks = 0

@@ -17,7 +17,9 @@ from chainbell import (
     BoxParams,
     HashFunction,
     PivotalProfile,
+    PivotRecord,
     SinglePairBox,
+    ZeroCountTree,
     bias_box,
     build_unbiased_box,
     is_almost_balanced,
@@ -29,6 +31,35 @@ from chainbell.systems import Partition, SystemEvaluator
 
 def pivotal_threshold(n: int) -> Fraction:
     return Fraction(2, 3 * n)
+
+
+def tree_zeros(tree: ZeroCountTree, prefix_len: int, prefix_code: int) -> int:
+    """Completions of the prefix that map to 0, read off the tree's levels."""
+    return tree.levels[prefix_len][prefix_code]
+
+
+def influence(tree: ZeroCountTree, i: int, prefix_code: int) -> Fraction:
+    """|Pr[f=0 | prefix.0] - Pr[f=0 | prefix.1]| for a length-(i-1)
+    prefix, over uniform completions."""
+    if not 1 <= i <= tree.n:
+        raise ValueError(f"index must be in 1..{tree.n}, got {i}")
+    z0 = tree_zeros(tree, i, prefix_code << 1)
+    z1 = tree_zeros(tree, i, (prefix_code << 1) | 1)
+    return Fraction(abs(z0 - z1), 2 ** (tree.n - i))
+
+
+def record_index(record: PivotRecord) -> int:
+    """The 1-based pivotal index of the strings under a record's prefix."""
+    return record.prefix_len + 1
+
+
+def record_zeros(f: HashFunction, record: PivotRecord) -> tuple[int, int]:
+    """Zeros of f under the record's prefix followed by 0, and by 1,
+    counted off the truth table."""
+    half = 2 ** (f.n - record.prefix_len - 1)
+    start = record.prefix_code * 2 * half
+    return (f.bits[start:start + half].count(0),
+            f.bits[start + half:start + 2 * half].count(0))
 
 
 def pivotal_index(f: HashFunction, x: Sequence[int]) -> tuple[int, int, Fraction]:
@@ -47,9 +78,10 @@ def pivotal_index(f: HashFunction, x: Sequence[int]) -> tuple[int, int, Fraction
     tree = f.tree
     prefix = 0
     for i in range(1, f.n + 1):
-        delta = tree.influence(i, prefix)
+        delta = influence(tree, i, prefix)
         if delta >= threshold:
-            sigma = 0 if tree.zeros(i, prefix << 1) > tree.zeros(i, (prefix << 1) | 1) else 1
+            z0, z1 = tree_zeros(tree, i, prefix << 1), tree_zeros(tree, i, (prefix << 1) | 1)
+            sigma = 0 if z0 > z1 else 1
             return i, sigma, delta
         prefix = (prefix << 1) | x[i - 1]
     raise AssertionError("almost balanced function with no pivotal index")
@@ -238,6 +270,21 @@ def brute_force_violations(system: SystemEvaluator, side: str, subset, *,
     return violations, len(comparisons)
 
 
+def witness_key(v: NsViolation):
+    """The witness order of the nonsignalling module docstring, as a sort
+    key: side, cut, left and right settings, then the kept outputs."""
+    return (
+        v.side,
+        v.cut if v.cut is not None else 0,
+        v.u_left,
+        v.v_left,
+        v.u_right,
+        v.v_right,
+        tuple(-1 if b is None else b for b in v.x_kept),
+        tuple(-1 if b is None else b for b in v.y_kept),
+    )
+
+
 def x_marginal(system: AttackedSystem, x):
     """P(x) of an attacked part from the box marginals alone, with the
     pivot found by walking the function's prefixes (``pivotal_index``)."""
@@ -264,7 +311,7 @@ def profile_delta(profile: PivotalProfile, x_code: int) -> Fraction:
     prefix = x_code >> (profile.n - index + 1)
     (record,) = [r for r in profile.records
                  if (r.prefix_len, r.prefix_code) == (index - 1, prefix)]
-    return profile.function.tree.influence(record.index, record.prefix_code)
+    return influence(profile.function.tree, record_index(record), record.prefix_code)
 
 
 def alice_output_distribution(system: SystemEvaluator, u=None, v=None):

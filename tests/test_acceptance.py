@@ -37,8 +37,10 @@ from helpers import (
     balanced_two_zero_functions_n2,
     exhaustive_almost_balanced,
     exhaustive_functions,
+    influence,
     pivotal_index,
     pivotal_threshold,
+    record_index,
     seeded_almost_balanced,
 )
 
@@ -200,7 +202,7 @@ def test_criterion_8_pivotal_existence():
             covered = sum(2 ** (n - rec.prefix_len) for rec in profile.records)
             assert covered == 2**n
             for rec in profile.records:
-                assert f.tree.influence(rec.index, rec.prefix_code) >= threshold
+                assert influence(f.tree, record_index(rec), rec.prefix_code) >= threshold
             total += 1
     fig = function_from_hex("39")
     by_prefix = {}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chainbell import (
     BoxParams,
     HashFunction,
+    PivotRecord,
     ZeroCountTree,
     and_function,
     bias_box,
@@ -30,6 +31,7 @@ from chainbell._coding import bits_to_int
 from helpers import (
     constant_function,
     exhaustive_almost_balanced,
+    influence,
     oracle_and_bits,
     oracle_majority_bits,
     oracle_or_bits,
@@ -38,6 +40,9 @@ from helpers import (
     pivotal_index,
     pivotal_threshold,
     profile_delta,
+    record_index,
+    record_zeros,
+    tree_zeros,
 )
 
 # The worked three-bit example: truth table 00111001 (hex 39).
@@ -93,6 +98,14 @@ def test_from_hex_errors():
         function_from_hex("393")  # 12 bits, not a power of two
     with pytest.raises(ValueError):
         function_from_hex("39", n=4)  # encodes n=3
+
+
+def test_from_hex_takes_hex_digits_of_either_case_only():
+    assert function_from_hex("AbCd").bits == function_from_hex("abcd").bits
+    assert function_from_hex("AbCd").bits == tuple(int(b) for b in format(0xABCD, "016b"))
+    for digits in ["", "-3", "+39", "0x39", "3_99", " 399", "39\n", "\u0663\u0669"]:
+        with pytest.raises(ValueError, match="not a hex truth table"):
+            function_from_hex(digits)
 
 
 def test_builders_small():
@@ -179,19 +192,19 @@ def test_parse_function_spec():
 
 def _pi0(tree: ZeroCountTree, length: int, code: int) -> Fraction:
     """Pr[f = 0] over a uniform completion of the prefix."""
-    return Fraction(tree.zeros(length, code), 2 ** (tree.n - length))
+    return Fraction(tree_zeros(tree, length, code), 2 ** (tree.n - length))
 
 
 @given(hash_functions())
 @settings(max_examples=60)
 def test_tree_counts_are_consistent(f):
     tree = f.tree
-    assert tree.zeros(0, 0) == sum(1 for b in f.bits if b == 0)
+    assert tree_zeros(tree, 0, 0) == sum(1 for b in f.bits if b == 0)
     for length in range(f.n):
         for code in range(2**length):
-            assert tree.zeros(length, code) == (
-                tree.zeros(length + 1, code << 1)
-                + tree.zeros(length + 1, (code << 1) | 1)
+            assert tree_zeros(tree, length, code) == (
+                tree_zeros(tree, length + 1, code << 1)
+                + tree_zeros(tree, length + 1, (code << 1) | 1)
             )
     for code in range(2**f.n):
         assert _pi0(tree, f.n, code) in (Fraction(0), Fraction(1))
@@ -211,7 +224,7 @@ def test_pi0_averaging_identity(f):
 @given(hash_functions())
 @settings(max_examples=60)
 def test_zeros_total_matches_tree_root(f):
-    assert f.zeros_total == f.tree.zeros(0, 0)
+    assert f.zeros_total == tree_zeros(f.tree, 0, 0)
 
 
 def test_unbalanced_functions_build_no_tree():
@@ -223,15 +236,15 @@ def test_unbalanced_functions_build_no_tree():
 
 def test_tree_type_direct():
     tree = ZeroCountTree.from_function(xor_function(3))
-    assert tree.zeros(0, 0) == 4
-    assert tree.influence(3, 0b00) == 1
+    assert tree_zeros(tree, 0, 0) == 4
+    assert influence(tree, 3, 0b00) == 1
 
 
 # ---------------------------------------------------------------------------
 # influence
 
 def _influence(f, i, prefix):
-    return f.tree.influence(i, bits_to_int(prefix))
+    return influence(f.tree, i, bits_to_int(prefix))
 
 
 def test_influence_worked_values(worked_example):
@@ -257,7 +270,7 @@ def test_influence_prefix_length_checked(worked_example):
     tree = worked_example.tree
     for i in (0, 4):
         with pytest.raises(ValueError, match="index must be in 1..3"):
-            tree.influence(i, 0)
+            influence(tree, i, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +302,18 @@ def test_pivotal_worked_x101(worked_example):
 
 def test_pivotal_worked_profile_prefixes(worked_example):
     profile = build_pivotal_profile(worked_example)
-    by_prefix = {(r.prefix_len, r.prefix_code): r.index for r in profile.records}
+    by_prefix = {(r.prefix_len, r.prefix_code): record_index(r) for r in profile.records}
     assert by_prefix == {(1, 0): 2, (2, 2): 3, (2, 3): 3}
     assert profile.histogram() == {2: 4, 3: 4}
+
+
+def test_pivot_records_hold_prefix_and_direction_only(worked_example):
+    """Zero counts live in the tree alone; a record names its prefix and
+    the direction of the more-zeros branch after it."""
+    assert PivotRecord._fields == ("prefix_len", "prefix_code", "sigma")
+    profile = build_pivotal_profile(worked_example)
+    assert profile.records == ((1, 0, 0), (2, 2, 1), (2, 3, 0))
+    assert profile.zeros_toward == 2 + 1 + 1
 
 
 def test_pivotal_xor_always_last():
@@ -331,17 +353,20 @@ def assert_profile_matches_pointwise_walk(f):
         span = f.n - rec.prefix_len
         assert rec.prefix_code << span == end
         end = (rec.prefix_code + 1) << span
-        delta = f.tree.influence(rec.index, rec.prefix_code)
+        index, (zeros0, zeros1) = record_index(rec), record_zeros(f, rec)
+        delta = influence(f.tree, index, rec.prefix_code)
         assert delta >= pivotal_threshold(f.n)
-        assert delta == Fraction(abs(rec.zeros0 - rec.zeros1), 2 ** (f.n - rec.index))
+        assert delta == Fraction(abs(zeros0 - zeros1), 2 ** (f.n - index))
     assert end == 2**f.n
-    toward = sum(r.zeros1 if r.sigma else r.zeros0 for r in profile.records)
-    away = sum(r.zeros0 if r.sigma else r.zeros1 for r in profile.records)
-    assert (profile.zeros_toward, profile.zeros_away) == (toward, away)
+    zeros = [record_zeros(f, r) for r in profile.records]
+    toward = sum(z[r.sigma] for r, z in zip(profile.records, zeros))
+    away = sum(z[1 - r.sigma] for r, z in zip(profile.records, zeros))
+    assert (profile.zeros_toward, f.zeros_total - profile.zeros_toward) == (toward, away)
     histogram = {}
     for rec in profile.records:
-        histogram[rec.index] = histogram.get(rec.index, 0) + 2 ** (f.n - rec.prefix_len)
-    assert profile.histogram() == histogram
+        index = record_index(rec)
+        histogram[index] = histogram.get(index, 0) + 2 ** (f.n - rec.prefix_len)
+    assert list(profile.histogram().items()) == sorted(histogram.items())
 
 
 @given(hash_functions(min_n=2, max_n=5))
@@ -402,7 +427,7 @@ def test_pivotal_exists_for_random_large_n(n, seed):
         f = random_function(n, seed + seed_offset)
     profile = build_pivotal_profile(f)
     assert sum(2 ** (n - r.prefix_len) for r in profile.records) == 2**n
-    assert all(f.tree.influence(r.index, r.prefix_code) >= pivotal_threshold(n)
+    assert all(influence(f.tree, record_index(r), r.prefix_code) >= pivotal_threshold(n)
                for r in profile.records)
 
 
@@ -425,8 +450,8 @@ def test_influence_chain_argument(f):
         assert max(steps) >= Fraction(1, 3 * n)
         j = max(range(n), key=lambda k: steps[k]) + 1
         # averaging identity: the step is half the influence at that node
-        assert tree.influence(j, code >> (n - j + 1)) == 2 * steps[j - 1]
-        assert tree.influence(j, code >> (n - j + 1)) >= Fraction(2, 3 * n)
+        assert influence(tree, j, code >> (n - j + 1)) == 2 * steps[j - 1]
+        assert influence(tree, j, code >> (n - j + 1)) >= Fraction(2, 3 * n)
 
 
 # ---------------------------------------------------------------------------

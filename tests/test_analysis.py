@@ -36,7 +36,9 @@ from chainbell import (
 from helpers import (
     PerPointSystem,
     constant_function,
+    influence,
     lemma_distance_oracle,
+    record_index,
     seeded_almost_balanced,
 )
 
@@ -136,7 +138,7 @@ def test_distance_decomposes_over_pivotal_influences(seed):
     partition = build_attack_partition(f, _params())
     profile = partition.systems[0].profile
     recombined = EIGHTH * sum(
-        Fraction(1, 2**rec.prefix_len) * f.tree.influence(rec.index, rec.prefix_code)
+        Fraction(1, 2**rec.prefix_len) * influence(f.tree, record_index(rec), rec.prefix_code)
         for rec in profile.records
     )
     assert distance_details(f, partition).distance == recombined

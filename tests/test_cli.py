@@ -165,6 +165,14 @@ def test_bad_function_spec_exits_2(capsys):
     assert "function spec" in err
 
 
+@pytest.mark.parametrize("spec", ["hex:-3", "hex:+39", "hex:0x39", "hex:3_99",
+                                  "hex: 399", "hex:39 ", "hex:\u0663\u0669"])
+def test_hex_spec_with_a_non_hex_character_exits_2(capsys, spec):
+    code, out, err = run_cli(capsys, "attack", "--function", spec)
+    assert (code, out) == (2, "")
+    assert "not a hex truth table" in err
+
+
 def test_bad_eps_exits_2(capsys):
     code, _, err = run_cli(capsys, "attack", "--function", "xor", "--n", "3",
                            "--eps", "0")

@@ -23,7 +23,7 @@ from chainbell import (
     materialize,
     replay_violation,
 )
-from chainbell.nonsignalling import MAX_WITNESSES, _witness_key
+from chainbell.nonsignalling import MAX_WITNESSES
 
 from helpers import (
     FuturePeekingSystem,
@@ -32,6 +32,7 @@ from helpers import (
     brute_force_violations,
     perturbed_alice_marginal_box,
     perturbed_bob_marginal_box,
+    witness_key,
 )
 
 EIGHTH = Fraction(1, 8)
@@ -297,7 +298,7 @@ def test_subset_kernel_matches_evaluate_oracle(case):
     oracle, checks = brute_force_violations(system, side, subset)
     assert report.violations_total == len(oracle)
     assert report.checks_performed == checks
-    expected = sorted(oracle, key=_witness_key)[:MAX_WITNESSES]
+    expected = sorted(oracle, key=witness_key)[:MAX_WITNESSES]
     if report.tolerance == 0:
         assert report.violations == expected
         return
