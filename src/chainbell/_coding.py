@@ -20,11 +20,6 @@ def bits_to_int(bits: Sequence[int]) -> int:
     return code
 
 
-def int_to_bits(code: int, n: int) -> tuple[int, ...]:
-    """Decode an integer into an n-bit tuple, first bit most significant."""
-    return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
-
-
 def int_to_digits(code: int, n: int, base: int) -> tuple[int, ...]:
     """Decode an integer into n base-`base` digits, first digit most significant."""
     out = [0] * n

@@ -41,7 +41,7 @@ from .adversary import (
     parse_function_spec,
     trivial_strategy,
 )
-from .boxes import FLOAT_ATOL, HALF, BoxParams, Prob, close
+from .boxes import FLOAT_ATOL, HALF, BoxParams, Prob, all_exact, close
 from .nonsignalling import DEFAULT_EVAL_CAP, InfeasibleSizeError
 from .systems import AttackedSystem, Partition, SystemEvaluator
 
@@ -61,9 +61,11 @@ class DistanceBreakdown:
     q_parts: tuple[Prob, ...]
 
 
-def _require_closed_form_premises(part: AttackedSystem) -> None:
-    """Raise ValueError unless the part's boxes meet the closed form's
-    premises, compared exactly for exact boxes, else to FLOAT_ATOL."""
+def _closed_form_marginals(part: AttackedSystem) -> tuple[Prob, Prob]:
+    """``biased[0]``'s Alice marginals (1/2 + eps, 1/2 - eps) towards and
+    away from its bias.  Raises ValueError unless the part's boxes meet
+    the closed form's premises, compared exactly for exact boxes, else
+    to FLOAT_ATOL."""
     base, (toward0, toward1) = part.base, part.biased
     atol = 0 if all(box.exact for box in (base, toward0, toward1)) else FLOAT_ATOL
     m_hi, m_lo = toward0.alice_marginal(0, 0, 0), toward0.alice_marginal(0, 0, 1)
@@ -78,6 +80,7 @@ def _require_closed_form_premises(part: AttackedSystem) -> None:
                    for a, b in settings):
             raise ValueError(f"closed form premise fails: {premise}; "
                              "pass at_input to sum evaluate at one input")
+    return m_hi, m_lo
 
 
 def _part_key_zero_probability(f: HashFunction, part: SystemEvaluator) -> Prob:
@@ -89,15 +92,13 @@ def _part_key_zero_probability(f: HashFunction, part: SystemEvaluator) -> Prob:
         )
     if part.profile.function is not f and part.profile.function.bits != f.bits:
         raise ValueError("partition was built for a different hash function")
-    _require_closed_form_premises(part)
+    m_hi, m_lo = _closed_form_marginals(part)
     n = f.n
     # Part z biases towards sigma when z = 0 and away from it when z = 1.
     match_zeros = part.profile.zeros_toward
     other_zeros = f.zeros_total - match_zeros
     if part.z:
         match_zeros, other_zeros = other_zeros, match_zeros
-    m_hi = part.biased[0].alice_marginal(0, 0, 0)  # 1/2 + eps
-    m_lo = part.biased[0].alice_marginal(0, 0, 1)  # 1/2 - eps
     return (m_hi * match_zeros + m_lo * other_zeros) / 2 ** (n - 1)
 
 
@@ -209,7 +210,7 @@ def run_attack(f: HashFunction, params: BoxParams) -> AttackReport:
         histogram = {}
         pr_k0 = Fraction(1, 2) + distance
         z0_part, key_relabeled = None, guess == 1
-    exact = isinstance(distance, Fraction) and isinstance(bound, Fraction)
+    exact = all_exact((distance, bound))
     passed = distance >= bound if exact else float(distance) >= float(bound) - FLOAT_ATOL
     ratio = None if bound == 0 else distance / bound
     return AttackReport(
@@ -233,49 +234,34 @@ def run_attack(f: HashFunction, params: BoxParams) -> AttackReport:
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One scan row: the attack's report at one n, or why there is none."""
+
     family: str
     n: int
-    n_settings: int
-    eps: Prob
-    strategy: str | None
-    distance: Prob | None
-    bound: Prob | None
-    ratio: Prob | None
-    distance_times_n: Prob | None
-    distance_times_sqrt_n: float | None
-    pr_k0_given_z0: Prob | None
-    passed: bool | None
-    error: str | None = None
+    report: AttackReport | None
+    error: str | None
+
+    @property
+    def distance_times_n(self) -> Prob:
+        return self.report.distance * self.n
+
+    @property
+    def distance_times_sqrt_n(self) -> float:
+        return float(self.report.distance) * math.sqrt(self.n)
 
 
 def scan(family: str, n_values: Iterable[int], params: BoxParams) -> list[ScanRow]:
     """Run the attack across a function family; one row per n.
 
-    Per-row failures (unbuildable function, infeasible size) are recorded
-    in the row and the scan continues.
+    A function that cannot be built is recorded in its row and the scan
+    continues.
     """
     rows = []
     for n in n_values:
         try:
-            f = parse_function_spec(family, n)
-            report = run_attack(f, params)
-        except (ValueError, InfeasibleSizeError, OverflowError) as exc:
-            rows.append(ScanRow(family, n, params.n_settings, params.eps,
-                                None, None, None, None, None, None, None,
-                                None, error=str(exc)))
-            continue
-        rows.append(ScanRow(
-            family=family,
-            n=n,
-            n_settings=params.n_settings,
-            eps=params.eps,
-            strategy=report.strategy,
-            distance=report.distance,
-            bound=report.bound,
-            ratio=report.ratio,
-            distance_times_n=report.distance * n,
-            distance_times_sqrt_n=float(report.distance) * math.sqrt(n),
-            pr_k0_given_z0=report.pr_k0_given_z0,
-            passed=report.passed,
-        ))
+            report = run_attack(parse_function_spec(family, n), params)
+        except ValueError as exc:
+            rows.append(ScanRow(family, n, None, str(exc)))
+        else:
+            rows.append(ScanRow(family, n, report, None))
     return rows

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Prob = Union[Fraction, float]
 
@@ -40,6 +40,11 @@ def close(lhs: Prob, rhs: Prob, atol: Prob) -> bool:
     """Whether two values are equal: exactly when ``atol`` is 0, else to
     within ``atol`` (FLOAT_ATOL for float values)."""
     return lhs == rhs if atol == 0 else abs(lhs - rhs) <= atol
+
+
+def all_exact(values: Iterable) -> bool:
+    """Whether every value is exact: an int or a Fraction."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 MODE_RATIONAL = "rational"
@@ -127,7 +132,7 @@ class SinglePairBox:
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self.cells)
+        return all_exact(self.cells)
 
     def validate(self) -> None:
         """Check nonnegativity, per-square normalization, Bob-marginal

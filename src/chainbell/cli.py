@@ -243,16 +243,17 @@ def _cmd_scan(args) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        if row.error is not None:
+        report = row.report
+        if report is None:
             print(f"n={row.n}: {row.error}", file=sys.stderr)
-            writer.writerow([row.family, row.n, row.n_settings,
-                             _render(row.eps), "error", "", "", "", "", "", ""])
+            writer.writerow([row.family, row.n, params.n_settings,
+                             _render(params.eps), "error", "", "", "", "", "", ""])
             continue
         writer.writerow([
-            row.family, row.n, row.n_settings, _render(row.eps), row.strategy,
-            _render(row.distance), _render(row.bound), _render(row.ratio),
+            row.family, row.n, report.n_settings, _render(report.eps), report.strategy,
+            _render(report.distance), _render(report.bound), _render(report.ratio),
             _render(row.distance_times_n), _render(row.distance_times_sqrt_n),
-            _render(row.pr_k0_given_z0),
+            _render(report.pr_k0_given_z0),
         ])
     text = out.getvalue()
     if args.out:
@@ -261,7 +262,7 @@ def _cmd_scan(args) -> int:
     else:
         sys.stdout.write(text)
 
-    if any(row.passed is False for row in rows):
+    if any(row.report is not None and not row.report.passed for row in rows):
         return 1
     if any(row.error is not None for row in rows):
         return 2

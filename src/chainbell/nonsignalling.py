@@ -25,6 +25,9 @@ then the right settings u and v, then the kept outputs x and y, each
 compared digit by digit from position 1 with a summed position before
 either bit.
 
+Only ``JointTable.point`` decodes the table's index layout; the kernel
+and ``verify_partition`` name witness points through it.
+
 Exact tables (all ints or Fractions) are normalized to integer numerators
 over a common denominator, so every marginal comparison is exact integer
 arithmetic.  Float tables are compared to ``FLOAT_ATOL``, far above
@@ -41,10 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, product
 from operator import add, itemgetter, ne
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from ._coding import int_to_bits, int_to_digits
-from .boxes import FLOAT_ATOL, Prob, close
+from ._coding import int_to_digits
+from .boxes import FLOAT_ATOL, Prob, all_exact, close
 
 if TYPE_CHECKING:  # pragma: no cover
     from .systems import SystemEvaluator
@@ -109,7 +112,8 @@ class JointTable:
 
     Exact tables hold integer numerators over ``den``; float tables hold
     raw floats with ``den`` None.  Index layout, all first-position most
-    significant: ``((u * N^n + v) * 2^n + x) * 2^n + y``.
+    significant: ``((u * N^n + v) * 2^n + x) * 2^n + y``.  ``point``
+    decodes an index and ``blocks`` cuts the table by input (u, v).
     """
 
     n: int
@@ -120,6 +124,25 @@ class JointTable:
     @property
     def exact(self) -> bool:
         return self.den is not None
+
+    def point(self, index: int) -> tuple[tuple[int, ...], ...]:
+        """The point (x, y, u, v) whose value is ``values[index]``."""
+        n, N = self.n, self.n_settings
+        index, y = divmod(index, 2**n)
+        index, x = divmod(index, 2**n)
+        u, v = divmod(index, N**n)
+        return (int_to_digits(x, n, 2), int_to_digits(y, n, 2),
+                int_to_digits(u, n, N), int_to_digits(v, n, N))
+
+    def blocks(self) -> Iterator[list]:
+        """The values at each input (u, v) in index order, 4^n per block."""
+        size = 4**self.n
+        return (self.values[start:start + size] for start in range(0, len(self.values), size))
+
+
+def table_entries(system: "SystemEvaluator") -> int:
+    """Entries of a system's joint table: (4 N^2)^n."""
+    return (4 * system.n_settings**2) ** system.n
 
 
 def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP) -> JointTable:
@@ -138,7 +161,7 @@ def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP)
     from .systems import BoxProductSystem  # deferred: systems imports this module
 
     n, N = system.n, system.n_settings
-    total = (4 * N * N) ** n
+    total = table_entries(system)
     if total > max_evals:
         raise InfeasibleSizeError(
             f"joint table needs {total} evaluations, cap is {max_evals}"
@@ -148,16 +171,9 @@ def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP)
         return _box_product_table(system)
     settings = list(product(range(N), repeat=n))
     outcomes = list(product((0, 1), repeat=n))
-    raw = []
-    exact = True
-    for u in settings:
-        for v in settings:
-            for x in outcomes:
-                for y in outcomes:
-                    val = system.evaluate(x, y, u, v)
-                    exact = exact and isinstance(val, (int, Fraction))
-                    raw.append(val)
-    if not exact:
+    raw = [system.evaluate(x, y, u, v)
+           for u in settings for v in settings for x in outcomes for y in outcomes]
+    if not all_exact(raw):
         return JointTable(n, N, [float(v) for v in raw], None)
     den = 1
     for d in {v.denominator for v in raw}:
@@ -301,22 +317,20 @@ def _independence_violations(
                         found.append((ref_index, index, k, ref[k], grid[k]))
     checks = len(refs) * (len(setting_var) - 1) * G
 
-    def masked(code: int) -> tuple[int | None, ...]:
-        return tuple(b if p in kept else None for p, b in enumerate(int_to_bits(code, n), 1))
+    def masked(bits: tuple[int, ...]) -> tuple[int | None, ...]:
+        return tuple(b if p in kept else None for p, b in enumerate(bits, 1))
 
     violations = []
     for left, right, k, lhs, rhs in found:
-        x, y = divmod(summands[0][k], X)
+        offset = summands[0][k]
+        x, y, u_left, v_left = table.point(left * block + offset)
+        u_right, v_right = table.point(right * block + offset)[2:]
         if side == "alice":
-            x_bits, y_bits = masked(x), int_to_bits(y, n)
+            x = masked(x)
         else:
-            x_bits, y_bits = int_to_bits(x, n), masked(y)
-        u_left, v_left = divmod(left, NS)
-        u_right, v_right = divmod(right, NS)
+            y = masked(y)
         violations.append(NsViolation(
-            condition, side, cut, subset, x_bits, y_bits,
-            int_to_digits(u_left, n, N), int_to_digits(v_left, n, N),
-            int_to_digits(u_right, n, N), int_to_digits(v_right, n, N),
+            condition, side, cut, subset, x, y, u_left, v_left, u_right, v_right,
             _scaled(lhs, den), _scaled(rhs, den)))
     return violations, total, checks
 

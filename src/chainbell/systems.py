@@ -28,8 +28,8 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import TYPE_CHECKING, Sequence
 
-from ._coding import bits_to_int, int_to_bits, int_to_digits
-from .boxes import FLOAT_ATOL, Prob, SinglePairBox, close
+from ._coding import bits_to_int
+from .boxes import FLOAT_ATOL, Prob, SinglePairBox, all_exact, close
 from .nonsignalling import (
     DEFAULT_EVAL_CAP,
     InfeasibleSizeError,
@@ -38,6 +38,7 @@ from .nonsignalling import (
     check_ab,  # noqa: F401 -- unused here; bench/harness.py swaps it for a traced one
     check_time_ordered,
     materialize,
+    table_entries,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -247,16 +248,6 @@ class PartitionReport:
         return "\n".join(lines)
 
 
-def _decode_point(table: JointTable, index: int):
-    n, N = table.n, table.n_settings
-    X = 2**n
-    index, y = divmod(index, X)
-    index, x = divmod(index, X)
-    u, v = divmod(index, N**n)
-    return (int_to_bits(x, n), int_to_bits(y, n),
-            int_to_digits(u, n, N), int_to_digits(v, n, N))
-
-
 def verify_partition(partition: Partition, base: SystemEvaluator, *,
                      constraint: str = "time-ordered",
                      max_evals: int = DEFAULT_EVAL_CAP) -> PartitionReport:
@@ -272,7 +263,7 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
         if (system.n, system.n_settings) != (base.n, base.n_settings):
             raise ValueError("all parts must share (n, n_settings) with the base")
 
-    table_size = (4 * base.n_settings**2) ** base.n
+    table_size = table_entries(base)
     budget = (len(partition.parts) + 1) * table_size
     if budget > max_evals:
         raise InfeasibleSizeError(
@@ -280,7 +271,7 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
         )
 
     weights = partition.weights
-    exact_weights = all(isinstance(w, (int, Fraction)) for w in weights)
+    exact_weights = all_exact(weights)
     weight_sum = sum(weights)
     weights_ok = all(w >= 0 for w in weights) and close(
         weight_sum, 1, 0 if exact_weights else FLOAT_ATOL)
@@ -293,10 +284,8 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
     for system, table in zip(partition.systems, part_tables):
         atol = 0 if table.exact else FLOAT_ATOL
         nonneg = all(v >= -atol for v in table.values)
-        per_input = 4**table.n
         one = table.den if table.exact else 1.0
-        normalized = all(close(sum(table.values[start:start + per_input]), one, atol)
-                         for start in range(0, len(table.values), per_input))
+        normalized = all(close(sum(block), one, atol) for block in table.blocks())
         ns = None if constraint == "none" else check_time_ordered(system, table=table)
         if ns is not None:
             checks += ns.checks_performed
@@ -331,7 +320,7 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
             if len(mismatches) < 10:
                 if den is not None:
                     want, combo = Fraction(want, den), Fraction(combo, den)
-                mismatches.append((*_decode_point(base_table, idx), want, combo))
+                mismatches.append((*base_table.point(idx), want, combo))
     checks += table_size
 
     return PartitionReport(

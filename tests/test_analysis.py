@@ -408,20 +408,20 @@ def test_scan_xor_row_shape():
     assert [r.n for r in rows] == list(range(2, 17))
     for row in rows:
         assert row.error is None
-        assert row.strategy == "partition"
-        assert row.distance == EIGHTH
-        assert row.bound == theorem_bound(row.n, _params())
-        assert row.ratio == row.distance / row.bound
+        assert row.report.strategy == "partition"
+        assert row.report.distance == EIGHTH
+        assert row.report.bound == theorem_bound(row.n, _params())
+        assert row.report.ratio == row.report.distance / row.report.bound
         assert row.distance_times_n == EIGHTH * row.n
         assert row.distance_times_sqrt_n == pytest.approx(
             float(EIGHTH) * math.sqrt(row.n))
-        assert row.passed
+        assert row.report.passed
 
 
 def test_scan_random_family_all_pass():
     rows = scan("random:7", range(4, 13), _params())
     assert all(row.error is None for row in rows)
-    assert all(row.ratio >= 1 for row in rows)
+    assert all(row.report.ratio >= 1 for row in rows)
 
 
 def test_scan_majority_sqrt_band():
@@ -432,9 +432,9 @@ def test_scan_majority_sqrt_band():
 
 def test_scan_records_errors_and_continues():
     rows = scan("hex:39", [3, 4], _params())
-    assert rows[0].error is None and rows[0].distance == EIGHTH
+    assert rows[0].error is None and rows[0].report.distance == EIGHTH
     assert rows[1].error is not None  # hex table pins n = 3
-    assert rows[1].distance is None
+    assert rows[1].report is None
 
 
 def test_seeded_corpus_helper_is_deterministic():

@@ -1,9 +1,13 @@
-"""The package carries no code that only tests use.
+"""Package-wide layout rules.
 
-Every function, method and class defined under ``src/chainbell`` is
-referenced by name somewhere in the package outside its own definition,
-or exported from ``chainbell/__init__.py``.  Oracles that only tests
-need live in ``tests/helpers.py`` instead.
+The package carries no code that only tests use: every function, method
+and class defined under ``src/chainbell`` is referenced by name somewhere
+in the package outside its own definition, or exported from
+``chainbell/__init__.py``.  Oracles that only tests need live in
+``tests/helpers.py`` instead.
+
+One predicate decides exactness: ``isinstance(value, (int, Fraction))``
+appears only in ``boxes.all_exact``.
 """
 
 import ast
@@ -59,3 +63,28 @@ def unreferenced_definitions(package: Path) -> list[str]:
 
 def test_every_definition_is_used_in_the_package_or_exported():
     assert unreferenced_definitions(PACKAGE) == []
+
+
+def exactness_tests(package: Path) -> list[str]:
+    """``file:owner`` of every ``isinstance(..., (int, Fraction))`` call,
+    owner being the dotted names of the enclosing definitions."""
+    found = []
+
+    def visit(node: ast.AST, filename: str, owner: str) -> None:
+        if isinstance(node, DEFINITIONS):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and isinstance(node.args[1], ast.Tuple)
+                and sorted(map(ast.unparse, node.args[1].elts)) == ["Fraction", "int"]):
+            found.append(f"{filename}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, filename, owner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    return found
+
+
+def test_exactness_is_decided_only_by_all_exact():
+    assert exactness_tests(PACKAGE) == ["boxes.py:all_exact"]

@@ -28,6 +28,7 @@ from chainbell import (
     check_time_ordered,
     is_almost_balanced,
     materialize,
+    parse_function_spec,
     replay_violation,
     verify_partition,
 )
@@ -217,3 +218,31 @@ def test_int_weights_keep_the_convex_check_exact():
     report = verify_partition(Partition(((1, shifted), (0, base))), base, constraint="none")
     assert report.weights_ok
     assert not report.convex_ok and report.convex_mismatch_total == 16
+
+
+@pytest.mark.parametrize("spec, n, params, per_point", [
+    ("hex:39", 3, BoxParams.rational(2, Fraction(1, 8)), True),
+    ("xor", 2, BoxParams.rational(3, Fraction(1, 8)), True),
+    ("hex:39", 3, BoxParams.quantum(2), False),
+], ids=["exact-N2-n3", "exact-N3-n2", "quantum-N2-n3"])
+def test_point_names_the_evaluate_point_of_every_index(spec, n, params, per_point):
+    """``JointTable.point`` against the oracle: evaluate at the decoded
+    point gives the stored value, exactly or to the float bit.  Each of
+    ``blocks`` holds the 4^n values of one input (u, v)."""
+    system = build_attack_partition(parse_function_spec(spec, n), params).systems[0]
+    if per_point:
+        system = PerPointSystem(system)
+    table = materialize(system)
+    points = [table.point(i) for i in range(len(table.values))]
+    assert len(set(points)) == len(points)
+    start = 0
+    for block in table.blocks():
+        assert block == table.values[start:start + 4**n]
+        assert len({point[2:] for point in points[start:start + 4**n]}) == 1
+        start += 4**n
+    assert start == len(points)
+    for point, value in zip(points, table.values):
+        if table.exact:
+            assert system.evaluate(*point) == Fraction(value, table.den)
+        else:
+            assert system.evaluate(*point).hex() == value.hex()
