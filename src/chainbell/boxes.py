@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Union
 
 Prob = Union[Fraction, float]
@@ -112,7 +113,8 @@ class SinglePairBox:
     """Conditional probability table of one box pair.
 
     ``cells`` is flat, indexed by ((a*N + b)*2 + x)*2 + y with a, b the
-    setting indices (u = 2a, v = 2b+1) and x, y the outcome bits.
+    setting indices (u = 2a, v = 2b+1) and x, y the outcome bits; the
+    builders write cells in that order, and ``prob`` is their one reader.
     """
 
     n_settings: int
@@ -219,19 +221,13 @@ def bias_box(box: SinglePairBox, sigma: int, eps: Prob) -> SinglePairBox:
         eps = Fraction(eps)
     half_eps = eps / 2
     atol = 0 if (box.exact and isinstance(eps, Fraction)) else FLOAT_ATOL
-    cells = list(box.cells)
-    for a in range(n):
-        for b in range(n):
-            for y in (0, 1):
-                src = ((a * n + b) * 2 + (1 - sigma)) * 2 + y
-                dst = ((a * n + b) * 2 + sigma) * 2 + y
-                if cells[src] < half_eps - atol:
-                    raise ValueError(
-                        f"cell (a={a}, b={b}, x={1 - sigma}, y={y}) holds "
-                        f"{cells[src]}, cannot shift {half_eps} out"
-                    )
-                cells[src] = cells[src] - half_eps
-                cells[dst] = cells[dst] + half_eps
+    cells = []
+    for a, b, x, y in product(range(n), range(n), (0, 1), (0, 1)):
+        cell = box.prob(a, b, x, y)
+        if x != sigma and cell < half_eps - atol:
+            raise ValueError(f"cell (a={a}, b={b}, x={x}, y={y}) holds {cell}, "
+                             f"cannot shift {half_eps} out")
+        cells.append(cell + half_eps if x == sigma else cell - half_eps)
     return SinglePairBox(n, tuple(cells))
 
 

@@ -20,6 +20,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 
 from . import analysis, nonsignalling
 from .adversary import build_attack_partition, parse_function_spec
@@ -104,18 +105,13 @@ def _cmd_box(args) -> int:
     box = _the_box(params, args.sigma)
     allowed = allowed_pairs(params.n_settings)
     bell = bell_value(box)
+    squares = []
+    for a, b in product(range(params.n_settings), repeat=2):
+        u, v = 2 * a, 2 * b + 1
+        squares.append({"u": u, "v": v, "allowed": (u, v) in allowed,
+                        "cells": [[box.prob(a, b, x, y) for x in (0, 1)] for y in (0, 1)]})
 
     if args.format == "json":
-        squares = []
-        for a in range(params.n_settings):
-            for b in range(params.n_settings):
-                u, v = 2 * a, 2 * b + 1
-                squares.append({
-                    "u": u,
-                    "v": v,
-                    "allowed": (u, v) in allowed,
-                    "cells": [[box.prob(a, b, x, y) for x in (0, 1)] for y in (0, 1)],
-                })
         doc = {
             "n_settings": params.n_settings,
             "eps": params.eps,
@@ -130,18 +126,13 @@ def _cmd_box(args) -> int:
     print(f"box: N={params.n_settings} eps={_render(params.eps)} "
           f"mode={params.mode} sigma={args.sigma}")
     print(f"bell value: {_render(bell)} = {_decimal(bell)}")
-    cells = [_render(c) for c in box.cells]
-    width = max(max(len(c) for c in cells), 4)
-    for a in range(params.n_settings):
-        for b in range(params.n_settings):
-            u, v = 2 * a, 2 * b + 1
-            tag = " (allowed)" if (u, v) in allowed else ""
-            print(f"\nu={u} v={v}{tag}")
-            print("      " + "  ".join(f"x={x}".ljust(width) for x in (0, 1)))
-            for y in (0, 1):
-                row = "  ".join(_render(box.prob(a, b, x, y)).ljust(width)
-                                for x in (0, 1))
-                print(f" y={y}  {row}")
+    width = max(4, *(len(_render(c)) for c in box.cells))
+    for square in squares:
+        tag = " (allowed)" if square["allowed"] else ""
+        print(f"\nu={square['u']} v={square['v']}{tag}")
+        print("      " + "  ".join(f"x={x}".ljust(width) for x in (0, 1)))
+        for y, row in enumerate(square["cells"]):
+            print(f" y={y}  " + "  ".join(_render(c).ljust(width) for c in row))
     return 0
 
 
@@ -176,15 +167,24 @@ def _cmd_attack(args) -> int:
 # verify
 
 def _verify_system(args, params: BoxParams):
+    # Refused by table size before any O(2^n) work.  A hex spec's truth
+    # table is on the command line and fixes n, so it is parsed first.
+    f = None
     if args.system == "unbiased":
         if args.n is None:
             raise ValueError("--n is required for the unbiased system")
-        return build_product_system(build_unbiased_box(params), args.n)
-    if args.function is None:
+    elif args.function is None:
         raise ValueError(f"--function is required for system {args.system!r}")
-    f = parse_function_spec(args.function, args.n)
-    partition = build_attack_partition(f, params)
-    return partition.systems[0 if args.system == "attack-z0" else 1]
+    elif args.function.startswith("hex:"):
+        f = parse_function_spec(args.function, args.n)
+    n = args.n if f is None else f.n
+    if n is not None:
+        nonsignalling.refuse_oversized_table(n, params.n_settings, args.eval_cap)
+    if args.system == "unbiased":
+        return build_product_system(build_unbiased_box(params), n)
+    if f is None:
+        f = parse_function_spec(args.function, n)
+    return build_attack_partition(f, params).systems[0 if args.system == "attack-z0" else 1]
 
 
 def _cmd_verify(args) -> int:

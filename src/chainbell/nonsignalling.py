@@ -140,9 +140,16 @@ class JointTable:
         return (self.values[start:start + size] for start in range(0, len(self.values), size))
 
 
-def table_entries(system: "SystemEvaluator") -> int:
-    """Entries of a system's joint table: (4 N^2)^n."""
-    return (4 * system.n_settings**2) ** system.n
+def table_entries(n: int, n_settings: int) -> int:
+    """Entries of the joint table of n pairs with N settings: (4 N^2)^n."""
+    return (4 * n_settings**2) ** n
+
+
+def refuse_oversized_table(n: int, n_settings: int, max_evals: int) -> None:
+    """Raise InfeasibleSizeError if the n-pair joint table has over ``max_evals`` entries."""
+    total = table_entries(n, n_settings)
+    if total > max_evals:
+        raise InfeasibleSizeError(f"joint table needs {total} evaluations, cap is {max_evals}")
 
 
 def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP) -> JointTable:
@@ -161,11 +168,7 @@ def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP)
     from .systems import BoxProductSystem  # deferred: systems imports this module
 
     n, N = system.n, system.n_settings
-    total = table_entries(system)
-    if total > max_evals:
-        raise InfeasibleSizeError(
-            f"joint table needs {total} evaluations, cap is {max_evals}"
-        )
+    refuse_oversized_table(n, N, max_evals)
     if (isinstance(system, BoxProductSystem)
             and type(system).evaluate is BoxProductSystem.evaluate):
         return _box_product_table(system)
@@ -185,25 +188,27 @@ def _box_product_table(system) -> JointTable:
     """Joint table of a box product, built from its boxes.
 
     For fixed x the row over Bob's y at (u, v) is the Kronecker product of
-    each position's two cells box_j[u_j, v_j][x_j, :].  The rows of one x
-    are built position by position for all (u_j, v_j) at once, so each
-    entry costs about one multiplication.  Exact cells are scaled to integers over one common
-    denominator D; the table's ``den`` is D^n over the gcd of D^n and every
-    numerator, the lcm of the entries' reduced denominators, as on the
-    per-point path.  Float entries are products taken in position order
-    starting from 1, exactly as ``evaluate`` takes them.
+    each position's pair box_j[u_j, v_j][x_j, :].  Each distinct box is read
+    through ``prob`` once per bit x_j, into N^2 (y = 0, y = 1) pairs in (a, b)
+    order; the rows of one x are built from them position by position for all
+    (u_j, v_j) at once, so each entry costs about one multiplication.  Exact
+    cells are scaled to integers over one common denominator D; the table's
+    ``den`` is D^n over the gcd of D^n and every numerator, the lcm of the
+    entries' reduced denominators, as on the per-point path.  Float entries
+    are products taken in position order starting from 1, as ``evaluate``
+    takes them.
     """
     n, N = system.n, system.n_settings
-    X, NN = 2**n, N * N
+    X = 2**n
     boxes_by_x = [system.pair_boxes(x) for x in range(X)]
     distinct = {id(box): box for boxes in boxes_by_x for box in boxes}
     exact = all(box.exact for box in distinct.values())
     if exact:
         D = math.lcm(*(c.denominator for box in distinct.values() for c in box.cells))
-        cells = {key: [c.numerator * (D // c.denominator) for c in box.cells]
-                 for key, box in distinct.items()}
-    else:
-        cells = {key: box.cells for key, box in distinct.items()}
+    pairs = {(key, bit): [tuple(c.numerator * (D // c.denominator) if exact else c
+                                for c in (box.prob(a, b, bit, 0), box.prob(a, b, bit, 1)))
+                          for a in range(N) for b in range(N)]
+             for key, box in distinct.items() for bit in (0, 1)}
 
     # Rows are built in (u_1, v_1, u_2, v_2, ...) order; offsets[k] is where
     # the k-th row's (u, v) block starts in the table's (u, v, x, y) layout.
@@ -213,14 +218,12 @@ def _box_product_table(system) -> JointTable:
         offsets = [o + (a * N**n + b) * step * X * X
                    for o in offsets for a in range(N) for b in range(N)]
 
-    values = [0] * (NN**n * X * X)
+    values = [0] * table_entries(n, N)
     for x, boxes in enumerate(boxes_by_x):
         rows = [[1]]
         for j, box in enumerate(boxes):
-            t = cells[id(box)]
-            bit = (x >> (n - 1 - j)) & 1
-            pairs = [(t[(ab * 2 + bit) * 2], t[(ab * 2 + bit) * 2 + 1]) for ab in range(NN)]
-            rows = [[p * c for p in row for c in pair] for row in rows for pair in pairs]
+            bit_pairs = pairs[id(box), (x >> (n - 1 - j)) & 1]
+            rows = [[p * c for p in row for c in pair] for row in rows for pair in bit_pairs]
         start = x * X
         for offset, row in zip(offsets, rows):
             values[offset + start:offset + start + X] = row

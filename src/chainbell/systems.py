@@ -32,6 +32,7 @@ from ._coding import bits_to_int
 from .boxes import FLOAT_ATOL, Prob, SinglePairBox, all_exact, close
 from .nonsignalling import (
     DEFAULT_EVAL_CAP,
+    MAX_WITNESSES,
     InfeasibleSizeError,
     JointTable,
     NsReport,
@@ -99,10 +100,9 @@ class BoxProductSystem(SystemEvaluator):
 
     def evaluate(self, x, y, u, v) -> Prob:
         self._check_point(x, y, u, v)
-        N = self.n_settings
         val: Prob = 1
         for j, box in enumerate(self.pair_boxes(bits_to_int(x))):
-            val *= box.cells[((u[j] * N + v[j]) * 2 + x[j]) * 2 + y[j]]
+            val *= box.prob(u[j], v[j], x[j], y[j])
         return val
 
 
@@ -263,7 +263,7 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
         if (system.n, system.n_settings) != (base.n, base.n_settings):
             raise ValueError("all parts must share (n, n_settings) with the base")
 
-    table_size = table_entries(base)
+    table_size = table_entries(base.n, base.n_settings)
     budget = (len(partition.parts) + 1) * table_size
     if budget > max_evals:
         raise InfeasibleSizeError(
@@ -317,7 +317,7 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
         combo = sum(map(mul, scales, column))
         if combo != want and not close(combo, want, atol):
             mismatch_total += 1
-            if len(mismatches) < 10:
+            if len(mismatches) < MAX_WITNESSES:
                 if den is not None:
                     want, combo = Fraction(want, den), Fraction(combo, den)
                 mismatches.append((*base_table.point(idx), want, combo))

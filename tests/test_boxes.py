@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -191,9 +192,12 @@ def test_bias_with_int_eps_stays_exact():
 
 def test_bias_underflow_rejected():
     box = build_unbiased_box(BoxParams.rational(2, EIGHTH))
-    # smallest cell is 1/16 < (1/2)/2: shifting 1/2 must fail
-    with pytest.raises(ValueError):
-        bias_box(box, 0, Fraction(1, 2))
+    # off-diagonal cells are 1/16 < (1/2)/2: shifting 1/2 must fail, at
+    # the first such source cell in (a, b, x, y) order
+    for sigma, first in ((0, "x=1, y=0"), (1, "x=0, y=1")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cell (a=0, b=0, {first}) holds 1/16, cannot shift 1/4 out")):
+            bias_box(box, sigma, Fraction(1, 2))
 
 
 def test_bias_rejects_non_bit_sigma():

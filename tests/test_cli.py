@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chainbell import cli
 from chainbell.cli import CSV_COLUMNS, main
 
 
@@ -75,6 +76,37 @@ def test_verify_infeasible_cap_exits_2(capsys):
                            "--eval-cap", "100")
     assert code == 2
     assert "infeasible" in err
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("built before the table size was checked")
+
+
+@pytest.mark.parametrize("system", ["attack-z0", "attack-z1", "unbiased"])
+def test_verify_refuses_by_table_size_before_building(capsys, monkeypatch, system):
+    """The table size follows from --n and --n-settings alone, so an
+    oversized table is refused before any truth table, tree, profile or
+    box product is built."""
+    for name in ("parse_function_spec", "build_attack_partition", "build_product_system"):
+        monkeypatch.setattr(cli, name, _unreachable)
+    code, out, err = run_cli(capsys, "verify", "--system", system, "--function", "xor",
+                             "--n", "21", "--check", "ab")
+    assert (code, out) == (2, "")
+    assert err == ("infeasible: joint table needs 19342813113834066795298816 "
+                   "evaluations, cap is 67108864\n")
+
+
+def test_verify_takes_n_from_a_hex_spec_before_building(capsys, monkeypatch):
+    """A hex spec fixes n from its digits: it is parsed, with its own
+    errors, and the attack is refused before it is built."""
+    monkeypatch.setattr(cli, "build_attack_partition", _unreachable)
+    code, out, err = run_cli(capsys, "verify", "--system", "attack-z1",
+                             "--function", "hex:6996", "--eval-cap", "1000")
+    assert (code, out, err) == (
+        2, "", "infeasible: joint table needs 65536 evaluations, cap is 1000\n")
+    code, _, err = run_cli(capsys, "verify", "--system", "attack-z1",
+                           "--function", "hex:39", "--n", "4")
+    assert (code, err) == (2, "error: hex table encodes n=3, but n=4 was requested\n")
 
 
 # ---------------------------------------------------------------------------

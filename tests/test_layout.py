@@ -7,7 +7,9 @@ in the package outside its own definition, or exported from
 ``tests/helpers.py`` instead.
 
 One predicate decides exactness: ``isinstance(value, (int, Fraction))``
-appears only in ``boxes.all_exact``.
+appears only in ``boxes.all_exact``.  One method reads a box's cell by
+its index: only ``SinglePairBox.prob`` subscripts a ``.cells``
+attribute.
 """
 
 import ast
@@ -65,18 +67,15 @@ def test_every_definition_is_used_in_the_package_or_exported():
     assert unreferenced_definitions(PACKAGE) == []
 
 
-def exactness_tests(package: Path) -> list[str]:
-    """``file:owner`` of every ``isinstance(..., (int, Fraction))`` call,
-    owner being the dotted names of the enclosing definitions."""
+def owners_of(package: Path, matches) -> list[str]:
+    """``file:owner`` of every node for which ``matches`` holds, owner
+    being the dotted names of the enclosing definitions."""
     found = []
 
     def visit(node: ast.AST, filename: str, owner: str) -> None:
         if isinstance(node, DEFINITIONS):
             owner = f"{owner}.{node.name}" if owner else node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2
-                and isinstance(node.args[1], ast.Tuple)
-                and sorted(map(ast.unparse, node.args[1].elts)) == ["Fraction", "int"]):
+        if matches(node):
             found.append(f"{filename}:{owner}")
         for child in ast.iter_child_nodes(node):
             visit(child, filename, owner)
@@ -86,5 +85,23 @@ def exactness_tests(package: Path) -> list[str]:
     return found
 
 
+def is_exactness_test(node: ast.AST) -> bool:
+    """An ``isinstance(..., (int, Fraction))`` call."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Tuple)
+            and sorted(map(ast.unparse, node.args[1].elts)) == ["Fraction", "int"])
+
+
+def is_cell_subscript(node: ast.AST) -> bool:
+    """A subscript of a ``.cells`` attribute, such as ``box.cells[i]``."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "cells")
+
+
 def test_exactness_is_decided_only_by_all_exact():
-    assert exactness_tests(PACKAGE) == ["boxes.py:all_exact"]
+    assert owners_of(PACKAGE, is_exactness_test) == ["boxes.py:all_exact"]
+
+
+def test_box_cells_are_indexed_only_by_prob():
+    assert owners_of(PACKAGE, is_cell_subscript) == ["boxes.py:SinglePairBox.prob"]

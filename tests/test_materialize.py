@@ -32,6 +32,7 @@ from chainbell import (
     replay_violation,
     verify_partition,
 )
+from chainbell.nonsignalling import MAX_WITNESSES
 
 from helpers import (
     FuturePeekingSystem,
@@ -87,22 +88,58 @@ def test_attacked_parts_match_per_point_tables(case):
         assert_same_table(materialize(part), materialize(PerPointSystem(part)))
 
 
-@given(shapes(), st.lists(st.sampled_from((None, 0, 1)), min_size=4, max_size=4))
+def assert_entries_are_prob_products(tables, boxes):
+    """Every entry of each table equals the product, in position order
+    from 1, of each box's ``prob`` at the entry's decoded point.  The
+    tables share one layout and one exactness; exact products are taken
+    as a numerator and a denominator."""
+    first = tables[0]
+    for index in range(len(first.values)):
+        x, y, u, v = first.point(index)
+        num = den = want = 1
+        for j, box in enumerate(boxes):
+            cell = box.prob(u[j], v[j], x[j], y[j])
+            if first.exact:
+                num, den = num * cell.numerator, den * cell.denominator
+            else:
+                want *= cell
+        if first.exact:
+            assert all(t.values[index] * den == num * t.den for t in tables)
+        else:
+            assert all(t.values[index].hex() == float(want).hex() for t in tables)
+
+
+#: A position holding the box whose 4N^2 exact cells are pairwise distinct.
+DISTINCT = "distinct"
+
+
+@given(shapes(), st.lists(st.sampled_from((None, 0, 1, DISTINCT)), min_size=4, max_size=4))
 @settings(max_examples=8, deadline=None)
 @example((2, 4, Fraction(1, 3)), [None, 1, None, 0])
 @example((2, 2, Fraction(1, 8)), [None, 1, None, None])
 @example((3, 3, "quantum"), [None, None, None, None])
+@example((3, 2, Fraction(1, 8)), [DISTINCT, 0, None, None])
+@example((2, 3, "quantum"), [1, DISTINCT, DISTINCT, None])
 def test_product_systems_match_per_point_tables(shape, directions):
     """Homogeneous and heterogeneous products: each position holds the
-    base box (None) or the base box biased towards that bit."""
+    base box (None), the base box biased towards that bit, or a box with
+    pairwise distinct cells, where reading a cell at swapped settings or
+    outcomes changes the table.  Both paths agree with each other and
+    with the boxes' ``prob``."""
     n_settings, n, eps = shape
     params = _params(n_settings, eps)
     box = build_unbiased_box(params)
-    system = ProductSystem(tuple(
-        box if sigma is None else bias_box(box, sigma, params.eps)
+    distinct = SinglePairBox(n_settings, tuple(
+        Fraction(k + 1, 97) for k in range(4 * n_settings**2)))
+    boxes = tuple(
+        box if sigma is None else distinct if sigma == DISTINCT
+        else bias_box(box, sigma, params.eps)
         for sigma in directions[:n]
-    ))
-    assert_same_table(materialize(system), materialize(PerPointSystem(system)))
+    )
+    fast = materialize(ProductSystem(boxes))
+    slow = materialize(PerPointSystem(ProductSystem(boxes)))
+    assert_same_table(fast, slow)
+    assert_entries_are_prob_products((fast, slow), boxes)
 
 
 def test_max_evals_refuses_before_any_work():
@@ -218,6 +255,13 @@ def test_int_weights_keep_the_convex_check_exact():
     report = verify_partition(Partition(((1, shifted), (0, base))), base, constraint="none")
     assert report.weights_ok
     assert not report.convex_ok and report.convex_mismatch_total == 16
+    # Every one of the 16 entries differs; the first MAX_WITNESSES are kept.
+    base_table = materialize(base)
+    assert report.convex_mismatches == [
+        (*base_table.point(i), Fraction(base_table.values[i], base_table.den),
+         shifted.evaluate(*base_table.point(i)))
+        for i in range(MAX_WITNESSES)
+    ]
 
 
 @pytest.mark.parametrize("spec, n, params, per_point", [
