@@ -41,7 +41,7 @@ from .adversary import (
     parse_function_spec,
     trivial_strategy,
 )
-from .boxes import FLOAT_ATOL, HALF, BoxParams, Prob, all_exact, close
+from .boxes import HALF, BoxParams, Prob, at_least, close
 from .nonsignalling import DEFAULT_EVAL_CAP, InfeasibleSizeError
 from .systems import AttackedSystem, Partition, SystemEvaluator
 
@@ -64,10 +64,9 @@ class DistanceBreakdown:
 def _closed_form_marginals(part: AttackedSystem) -> tuple[Prob, Prob]:
     """``biased[0]``'s Alice marginals (1/2 + eps, 1/2 - eps) towards and
     away from its bias.  Raises ValueError unless the part's boxes meet
-    the closed form's premises, compared exactly for exact boxes, else
-    to FLOAT_ATOL."""
+    the closed form's premises, compared under the tolerance rule of
+    ``boxes``."""
     base, (toward0, toward1) = part.base, part.biased
-    atol = 0 if all(box.exact for box in (base, toward0, toward1)) else FLOAT_ATOL
     m_hi, m_lo = toward0.alice_marginal(0, 0, 0), toward0.alice_marginal(0, 0, 1)
     settings = list(product(range(part.n_settings), repeat=2))
     for box, want0, want1, premise in [
@@ -75,8 +74,8 @@ def _closed_form_marginals(part: AttackedSystem) -> tuple[Prob, Prob]:
         (toward0, m_hi, m_lo, "biased[0]'s Alice marginal is the same at every setting"),
         (toward1, m_lo, m_hi, "biased[1]'s Alice marginal mirrors biased[0]'s"),
     ]:
-        if not all(close(box.alice_marginal(a, b, 0), want0, atol)
-                   and close(box.alice_marginal(a, b, 1), want1, atol)
+        if not all(close(box.alice_marginal(a, b, 0), want0)
+                   and close(box.alice_marginal(a, b, 1), want1)
                    for a, b in settings):
             raise ValueError(f"closed form premise fails: {premise}; "
                              "pass at_input to sum evaluate at one input")
@@ -210,8 +209,7 @@ def run_attack(f: HashFunction, params: BoxParams) -> AttackReport:
         histogram = {}
         pr_k0 = Fraction(1, 2) + distance
         z0_part, key_relabeled = None, guess == 1
-    exact = all_exact((distance, bound))
-    passed = distance >= bound if exact else float(distance) >= float(bound) - FLOAT_ATOL
+    passed = at_least(distance, bound)
     ratio = None if bound == 0 else distance / bound
     return AttackReport(
         function=f.name or "anonymous",

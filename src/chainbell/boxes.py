@@ -21,6 +21,11 @@ all inputs):
 Biasing (``bias_box``) shifts eps/2 of probability within every row from
 one Alice outcome to the other: Alice's marginal moves to 1/2 + eps
 while Bob's marginal and all the correlation terms stay untouched.
+
+One tolerance rule serves the whole package, through ``close`` (=) and
+``at_least`` (>=): a comparison is exact when both operands are exact
+(int or Fraction), and holds to within ``FLOAT_ATOL`` when either one is
+a float.
 """
 
 from __future__ import annotations
@@ -33,14 +38,22 @@ from typing import Iterable, Union
 
 Prob = Union[Fraction, float]
 
-#: Comparison tolerance for float-valued (quantum-mode) boxes and systems.
+#: Comparison tolerance when either operand is a float (quantum mode).
 FLOAT_ATOL = 1e-12
 
 
-def close(lhs: Prob, rhs: Prob, atol: Prob) -> bool:
-    """Whether two values are equal: exactly when ``atol`` is 0, else to
-    within ``atol`` (FLOAT_ATOL for float values)."""
-    return lhs == rhs if atol == 0 else abs(lhs - rhs) <= atol
+def close(lhs: Prob, rhs: Prob) -> bool:
+    """Whether lhs = rhs under the module's tolerance rule."""
+    if type(lhs) is float or type(rhs) is float:
+        return abs(lhs - rhs) <= FLOAT_ATOL
+    return lhs == rhs
+
+
+def at_least(lhs: Prob, rhs: Prob) -> bool:
+    """Whether lhs >= rhs under the module's tolerance rule."""
+    if type(lhs) is float or type(rhs) is float:
+        return lhs >= rhs - FLOAT_ATOL
+    return lhs >= rhs
 
 
 def all_exact(values: Iterable) -> bool:
@@ -85,9 +98,7 @@ class BoxParams:
                 raise ValueError(f"eps must lie in [0, 1/2], got {self.eps}")
         elif self.mode == MODE_QUANTUM:
             expected = quantum_eps(self.n_settings)
-            if self.eps is not None and not math.isclose(
-                float(self.eps), expected, abs_tol=FLOAT_ATOL
-            ):
+            if self.eps is not None and not close(float(self.eps), expected):
                 raise ValueError(
                     f"quantum mode fixes eps to sin^2(pi/4N) = {expected!r}"
                 )
@@ -140,20 +151,19 @@ class SinglePairBox:
         """Check nonnegativity, per-square normalization, Bob-marginal
         uniformity and setting-independence of Alice's marginal.
 
-        Raises ValueError on the first violated invariant.  Exact boxes
-        are compared exactly, float boxes to FLOAT_ATOL.
+        Raises ValueError on the first violated invariant.  Values are
+        compared under the module's tolerance rule.
         """
         n = self.n_settings
-        atol = 0 if self.exact else FLOAT_ATOL
         for a in range(n):
             for b in range(n):
                 square = [self.prob(a, b, x, y) for x in (0, 1) for y in (0, 1)]
-                if any(c < -atol for c in square):
+                if not all(at_least(c, 0) for c in square):
                     raise ValueError(f"negative cell in square (a={a}, b={b})")
-                if not close(sum(square), 1, atol):
+                if not close(sum(square), 1):
                     raise ValueError(f"square (a={a}, b={b}) does not sum to 1")
                 for y in (0, 1):
-                    if not close(self.bob_marginal(a, b, y), HALF, atol):
+                    if not close(self.bob_marginal(a, b, y), HALF):
                         raise ValueError(
                             f"Bob marginal not 1/2 at (a={a}, b={b}, y={y})"
                         )
@@ -161,7 +171,7 @@ class SinglePairBox:
             for x in (0, 1):
                 ref = self.alice_marginal(a, 0, x)
                 for b in range(1, n):
-                    if not close(self.alice_marginal(a, b, x), ref, atol):
+                    if not close(self.alice_marginal(a, b, x), ref):
                         raise ValueError(
                             f"Alice marginal depends on Bob's setting at (a={a}, x={x})"
                         )
@@ -220,11 +230,10 @@ def bias_box(box: SinglePairBox, sigma: int, eps: Prob) -> SinglePairBox:
     if isinstance(eps, int):
         eps = Fraction(eps)
     half_eps = eps / 2
-    atol = 0 if (box.exact and isinstance(eps, Fraction)) else FLOAT_ATOL
     cells = []
     for a, b, x, y in product(range(n), range(n), (0, 1), (0, 1)):
         cell = box.prob(a, b, x, y)
-        if x != sigma and cell < half_eps - atol:
+        if x != sigma and not at_least(cell, half_eps):
             raise ValueError(f"cell (a={a}, b={b}, x={x}, y={y}) holds {cell}, "
                              f"cannot shift {half_eps} out")
         cells.append(cell + half_eps if x == sigma else cell - half_eps)

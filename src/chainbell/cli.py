@@ -181,23 +181,38 @@ def _verify_system(args, params: BoxParams):
     if n is not None:
         nonsignalling.refuse_oversized_table(n, params.n_settings, args.eval_cap)
     if args.system == "unbiased":
+        if args.function is not None:
+            raise ValueError("--function is not used by the unbiased system")
         return build_product_system(build_unbiased_box(params), n)
     if f is None:
         f = parse_function_spec(args.function, n)
     return build_attack_partition(f, params).systems[0 if args.system == "attack-z0" else 1]
 
 
+def _subset(args) -> tuple[int, ...] | None:
+    """The parsed ``--subset``: required by the subset check, refused by the others."""
+    if args.check != "subset":
+        if args.subset is not None:
+            raise ValueError(f"--subset is used only by the subset check, not {args.check!r}")
+        return None
+    if not args.subset:
+        raise ValueError("--subset is required for the subset check")
+    try:
+        return tuple(int(tok) for tok in args.subset.split(","))
+    except ValueError:
+        raise ValueError(f"--subset must be comma-separated positions like 1,3, "
+                         f"got {args.subset!r}") from None
+
+
 def _cmd_verify(args) -> int:
     params = _box_params(args)
+    subset = _subset(args)
     system = _verify_system(args, params)
     if args.check == "ab":
         report = nonsignalling.check_ab(system, max_evals=args.eval_cap)
     elif args.check == "time-ordered":
         report = nonsignalling.check_time_ordered(system, max_evals=args.eval_cap)
     else:
-        if not args.subset:
-            raise ValueError("--subset is required for the subset check")
-        subset = tuple(int(tok) for tok in args.subset.split(","))
         report = nonsignalling.check_subset(system, args.side, subset,
                                             max_evals=args.eval_cap)
 
@@ -235,6 +250,10 @@ CSV_COLUMNS = ["family", "n", "N", "eps", "strategy", "distance", "bound",
 
 
 def _cmd_scan(args) -> int:
+    if args.n_to < args.n_from:
+        raise ValueError(f"--n-to ({args.n_to}) must be at least --n-from ({args.n_from})")
+    if args.step < 1:
+        raise ValueError(f"--step must be at least 1, got {args.step}")
     params = _box_params(args)
     n_values = range(args.n_from, args.n_to + 1, args.step)
     rows = analysis.scan(args.family, n_values, params)

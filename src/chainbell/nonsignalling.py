@@ -30,7 +30,8 @@ and ``verify_partition`` name witness points through it.
 
 Exact tables (all ints or Fractions) are normalized to integer numerators
 over a common denominator, so every marginal comparison is exact integer
-arithmetic.  Float tables are compared to ``FLOAT_ATOL``, far above
+arithmetic.  Marginals are compared by ``boxes.close``, under the
+tolerance rule stated in ``boxes``; its float tolerance is far above
 double rounding at desk scale and far below any structural violation.
 
 Every reported violation is replayable: ``replay_violation`` recomputes
@@ -277,7 +278,6 @@ def _independence_violations(
     setting_var = _scatter_codes(subset, n, N)
     outcome_keep = _scatter_codes(kept, n, 2)
     outcome_var = _scatter_codes(subset, n, 2)
-    atol = 0 if table.exact else FLOAT_ATOL
 
     # Offsets into one (u, v) block of X*X entries (x major, y minor),
     # summand-major; within a summand in grid order, Alice's x before Bob's y.
@@ -314,7 +314,7 @@ def _independence_violations(
             if grid == ref:
                 continue
             for k in compress(count(), map(ne, ref, grid)):
-                if not close(ref[k], grid[k], atol):
+                if not close(ref[k], grid[k]):
                     total += 1
                     if len(found) < MAX_WITNESSES:
                         found.append((ref_index, index, k, ref[k], grid[k]))

@@ -29,7 +29,7 @@ from operator import mul, truediv
 from typing import TYPE_CHECKING, Sequence
 
 from ._coding import bits_to_int
-from .boxes import FLOAT_ATOL, Prob, SinglePairBox, all_exact, close
+from .boxes import Prob, SinglePairBox, all_exact, at_least, close
 from .nonsignalling import (
     DEFAULT_EVAL_CAP,
     MAX_WITNESSES,
@@ -255,7 +255,8 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
 
     ``constraint`` selects the non-signalling condition set every part
     must fulfil: "time-ordered" or "none" (distribution checks only).
-    Exact systems are compared with zero tolerance.
+    Values are compared under the tolerance rule of ``boxes``, so exact
+    systems with zero tolerance.
     """
     if constraint not in ("time-ordered", "none"):
         raise ValueError(f"unknown constraint set {constraint!r}")
@@ -271,10 +272,8 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
         )
 
     weights = partition.weights
-    exact_weights = all_exact(weights)
     weight_sum = sum(weights)
-    weights_ok = all(w >= 0 for w in weights) and close(
-        weight_sum, 1, 0 if exact_weights else FLOAT_ATOL)
+    weights_ok = all(w >= 0 for w in weights) and close(weight_sum, 1)
 
     base_table = materialize(base, max_evals=max_evals)
     part_tables = [materialize(s, max_evals=max_evals) for s in partition.systems]
@@ -282,10 +281,9 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
 
     part_reports = []
     for system, table in zip(partition.systems, part_tables):
-        atol = 0 if table.exact else FLOAT_ATOL
-        nonneg = all(v >= -atol for v in table.values)
+        nonneg = at_least(min(table.values), 0)
         one = table.den if table.exact else 1.0
-        normalized = all(close(sum(block), one, atol) for block in table.blocks())
+        normalized = all(close(sum(block), one) for block in table.blocks())
         ns = None if constraint == "none" else check_time_ordered(system, table=table)
         if ns is not None:
             checks += ns.checks_performed
@@ -293,7 +291,7 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
 
     # Pointwise convex combination: on a common integer denominator in
     # exact mode, else in floats (exact tables converted as they are read).
-    if base_table.exact and all(t.exact for t in part_tables) and exact_weights:
+    if base_table.exact and all(t.exact for t in part_tables) and all_exact(weights):
         den = base_table.den
         for w, t in zip(weights, part_tables):
             den = math.lcm(den, t.den * w.denominator)
@@ -301,7 +299,6 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
                   for w, t in zip(weights, part_tables)]
         wants = map(mul, base_table.values, repeat(den // base_table.den))
         columns = zip(*(t.values for t in part_tables))
-        atol = 0
     else:
         def as_floats(t: JointTable):
             return map(truediv, t.values, repeat(t.den)) if t.exact else t.values
@@ -310,12 +307,11 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
         scales = [float(w) for w in weights]
         wants = as_floats(base_table)
         columns = zip(*map(as_floats, part_tables))
-        atol = FLOAT_ATOL
     mismatches = []
     mismatch_total = 0
     for idx, (want, column) in enumerate(zip(wants, columns)):
         combo = sum(map(mul, scales, column))
-        if combo != want and not close(combo, want, atol):
+        if combo != want and not close(combo, want):
             mismatch_total += 1
             if len(mismatches) < MAX_WITNESSES:
                 if den is not None:

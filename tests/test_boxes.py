@@ -17,6 +17,7 @@ from chainbell import (
     cross_probability,
     quantum_eps,
 )
+from chainbell.boxes import at_least, close
 
 EIGHTH = Fraction(1, 8)
 
@@ -295,3 +296,35 @@ def test_validate_catches_alice_marginal_moved_by_bob():
 def test_cross_probability_rejects_bad_setting_distance(delta):
     with pytest.raises(ValueError, match="setting distance must be odd"):
         cross_probability(BoxParams.rational(2, EIGHTH), delta)
+
+
+# ---------------------------------------------------------------------------
+# the tolerance rule
+
+TINY = Fraction(1, 10**15)
+
+
+@pytest.mark.parametrize("compare, lhs, rhs, expected", [
+    # Exact against exact: no tolerance, however small the gap.
+    (close, Fraction(1, 3), Fraction(1, 3) + TINY, False),
+    (at_least, Fraction(1, 3), Fraction(1, 3) + TINY, False),
+    # Float against float: within FLOAT_ATOL.
+    (close, 0.25, 0.25 + 1e-13, True),
+    (at_least, 0.25, 0.25 + 1e-13, True),
+    (close, 0.25, 0.25 + 1e-11, False),
+    (at_least, 0.25, 0.25 + 1e-11, False),
+    # Exact against float: a float operand brings the tolerance.
+    (close, Fraction(1, 4), 0.25 + 1e-13, True),
+    (at_least, Fraction(1, 4), 0.25 + 1e-13, True),
+    (close, 0.25 - 1e-13, Fraction(1, 4), True),
+    # int against Fraction: exact.
+    (close, 1, 1 + TINY, False),
+    (close, 1, Fraction(2, 2), True),
+    (at_least, 1, 1 + TINY, False),
+    (at_least, 1 + TINY, 1, True),
+    # Just below zero: a float rounding residue passes, an exact one does not.
+    (at_least, -1e-13, 0, True),
+    (at_least, -TINY, 0, False),
+])
+def test_tolerance_rule_decides_from_the_operands(compare, lhs, rhs, expected):
+    assert compare(lhs, rhs) is expected

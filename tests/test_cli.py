@@ -231,6 +231,38 @@ def test_verify_subset_check_needs_subset(capsys):
     assert "--subset is required" in err
 
 
+def test_verify_unbiased_refuses_function(capsys):
+    code, out, err = run_cli(capsys, "verify", "--system", "unbiased",
+                             "--function", "bogus", "--n", "1")
+    assert (code, out, err) == (
+        2, "", "error: --function is not used by the unbiased system\n")
+
+
+@pytest.mark.parametrize("check, subset, message", [
+    ("ab", "1", "--subset is used only by the subset check, not 'ab'"),
+    ("time-ordered", "1", "--subset is used only by the subset check, not 'time-ordered'"),
+    ("subset", "1,x", "--subset must be comma-separated positions like 1,3, got '1,x'"),
+])
+def test_verify_refuses_subset_before_building(capsys, monkeypatch, check, subset, message):
+    """--subset is refused where the check does not use it, and parsed
+    where it does, before any system is built."""
+    for name in ("parse_function_spec", "build_attack_partition", "build_product_system"):
+        monkeypatch.setattr(cli, name, _unreachable)
+    code, out, err = run_cli(capsys, "verify", "--system", "attack-z0", "--function", "xor",
+                             "--n", "2", "--check", check, "--subset", subset)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (("--n-from", "3", "--n-to", "2"), "--n-to (2) must be at least --n-from (3)"),
+    (("--n-from", "2", "--n-to", "3", "--step", "0"), "--step must be at least 1, got 0"),
+    (("--n-from", "2", "--n-to", "3", "--step", "-1"), "--step must be at least 1, got -1"),
+])
+def test_scan_refuses_an_empty_or_invalid_range(capsys, bounds, message):
+    code, out, err = run_cli(capsys, "scan", "--family", "xor", *bounds)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_usage_error_exits_2(capsys):
     assert run_cli(capsys, "attack")[0] == 2  # missing --function
     assert run_cli(capsys, "nonsense")[0] == 2

@@ -9,7 +9,10 @@ in the package outside its own definition, or exported from
 One predicate decides exactness: ``isinstance(value, (int, Fraction))``
 appears only in ``boxes.all_exact``.  One method reads a box's cell by
 its index: only ``SinglePairBox.prob`` subscripts a ``.cells``
-attribute.
+attribute.  One rule chooses a comparison's tolerance: ``FLOAT_ATOL`` is
+read only by ``boxes.close`` and ``boxes.at_least``, and by
+``nonsignalling._merge``, which reports it, and no code names an
+``atol`` of its own.
 """
 
 import ast
@@ -105,3 +108,25 @@ def test_exactness_is_decided_only_by_all_exact():
 
 def test_box_cells_are_indexed_only_by_prob():
     assert owners_of(PACKAGE, is_cell_subscript) == ["boxes.py:SinglePairBox.prob"]
+
+
+def reads_float_atol(node: ast.AST) -> bool:
+    """A read of ``FLOAT_ATOL``, bare or as an attribute."""
+    if isinstance(node, ast.Name):
+        return node.id == "FLOAT_ATOL" and isinstance(node.ctx, ast.Load)
+    return (isinstance(node, ast.Attribute) and node.attr == "FLOAT_ATOL"
+            and isinstance(node.ctx, ast.Load))
+
+
+def names_atol(node: ast.AST) -> bool:
+    """A variable, parameter, keyword, attribute or definition named ``atol``."""
+    return any(getattr(node, field, None) == "atol" for field in ("id", "arg", "attr", "name"))
+
+
+def test_float_tolerance_is_read_only_by_the_comparisons():
+    assert owners_of(PACKAGE, reads_float_atol) == [
+        "boxes.py:close", "boxes.py:at_least", "nonsignalling.py:_merge"]
+
+
+def test_no_code_chooses_its_own_tolerance():
+    assert owners_of(PACKAGE, names_atol) == []
