@@ -43,7 +43,7 @@ from .boxes import (
     quantum_eps,
 )
 from .nonsignalling import (
-    DEFAULT_EVAL_CAP,
+    EVAL_CAP,
     InfeasibleSizeError,
     NsReport,
     NsViolation,

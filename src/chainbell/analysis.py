@@ -21,9 +21,9 @@ Each part's Pr[f(X) = 0] comes from one of two paths:
   does not depend on the inputs.  A part that breaks a premise is
   refused.
 - per-point summation at an explicit input tuple (``at_input``): the
-  sum of ``evaluate`` over every y and every x with f(x) = 0, refused
-  above ``DEFAULT_EVAL_CAP`` calls per part.  It serves every other
-  part and cross-checks the closed form.
+  sum of ``evaluate`` over every y and every x with f(x) = 0, after
+  the input is checked against every part and ``refuse_over_cap``
+  passes.  It serves every other part and cross-checks the closed form.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .adversary import (
     trivial_strategy,
 )
 from .boxes import HALF, BoxParams, Prob, at_least, close
-from .nonsignalling import DEFAULT_EVAL_CAP, InfeasibleSizeError
+from .nonsignalling import refuse_over_cap
 from .systems import AttackedSystem, Partition, SystemEvaluator
 
 STRATEGY_PARTITION = "partition"
@@ -116,9 +116,8 @@ def distance_details(f: HashFunction, partition: Partition, *,
 
     Without ``at_input`` every part must be an ``AttackedSystem`` that
     meets the closed form's premises; otherwise ValueError.  With it,
-    each part is summed at that input, or InfeasibleSizeError is raised
-    before any evaluation when that takes more than DEFAULT_EVAL_CAP
-    calls per part.
+    each part is summed at that input, after the input is checked
+    against every part (ValueError) and ``refuse_over_cap`` passes.
 
     The part with the larger Pr[K=0|Z] plays z = 0.  If even that falls
     below 1/2 the key labels are swapped as well, which leaves the
@@ -130,13 +129,10 @@ def distance_details(f: HashFunction, partition: Partition, *,
     if at_input is None:
         q = [_part_key_zero_probability(f, part) for part in partition.systems]
     else:
-        calls = f.zeros_total * 2**f.n
-        if calls > DEFAULT_EVAL_CAP:
-            raise InfeasibleSizeError(
-                f"distance at one input needs {calls} evaluations per part, "
-                f"cap is {DEFAULT_EVAL_CAP}"
-            )
+        refuse_over_cap("one part's distance at one input", f.zeros_total * 2**f.n)
         u, v = at_input
+        for part in partition.systems:
+            part._check_point((0,) * f.n, (0,) * f.n, u, v)
         q = [_part_key_zero_at_input(f, part, u, v) for part in partition.systems]
     pr0 = Fraction(f.zeros_total, 2**f.n)
 

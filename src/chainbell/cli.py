@@ -34,7 +34,7 @@ from .boxes import (
     bias_box,
     build_unbiased_box,
 )
-from .nonsignalling import DEFAULT_EVAL_CAP, InfeasibleSizeError
+from .nonsignalling import InfeasibleSizeError
 from .systems import build_product_system
 
 
@@ -179,7 +179,8 @@ def _verify_system(args, params: BoxParams):
         f = parse_function_spec(args.function, args.n)
     n = args.n if f is None else f.n
     if n is not None:
-        nonsignalling.refuse_oversized_table(n, params.n_settings, args.eval_cap)
+        nonsignalling.refuse_over_cap("joint table",
+                                      nonsignalling.table_entries(n, params.n_settings))
     if args.system == "unbiased":
         if args.function is not None:
             raise ValueError("--function is not used by the unbiased system")
@@ -190,18 +191,21 @@ def _verify_system(args, params: BoxParams):
 
 
 def _subset(args) -> tuple[int, ...] | None:
-    """The parsed ``--subset``: required by the subset check, refused by the others."""
+    """The parsed ``--subset``: required by the subset check, refused by the
+    others, as ``--side`` is.  Positions are ASCII digits only."""
     if args.check != "subset":
-        if args.subset is not None:
-            raise ValueError(f"--subset is used only by the subset check, not {args.check!r}")
+        for flag, value in (("--side", args.side), ("--subset", args.subset)):
+            if value is not None:
+                raise ValueError(f"{flag} is used only by the subset check, "
+                                 f"not {args.check!r}")
         return None
     if not args.subset:
         raise ValueError("--subset is required for the subset check")
-    try:
-        return tuple(int(tok) for tok in args.subset.split(","))
-    except ValueError:
+    tokens = args.subset.split(",")
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ValueError(f"--subset must be comma-separated positions like 1,3, "
-                         f"got {args.subset!r}") from None
+                         f"got {args.subset!r}")
+    return tuple(map(int, tokens))
 
 
 def _cmd_verify(args) -> int:
@@ -209,12 +213,11 @@ def _cmd_verify(args) -> int:
     subset = _subset(args)
     system = _verify_system(args, params)
     if args.check == "ab":
-        report = nonsignalling.check_ab(system, max_evals=args.eval_cap)
+        report = nonsignalling.check_ab(system)
     elif args.check == "time-ordered":
-        report = nonsignalling.check_time_ordered(system, max_evals=args.eval_cap)
+        report = nonsignalling.check_time_ordered(system)
     else:
-        report = nonsignalling.check_subset(system, args.side, subset,
-                                            max_evals=args.eval_cap)
+        report = nonsignalling.check_subset(system, args.side or "alice", subset)
 
     if args.format == "json":
         doc = {
@@ -330,11 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--check", choices=["ab", "time-ordered", "subset"],
                           default="time-ordered")
-    p_verify.add_argument("--side", choices=["alice", "bob"], default="alice",
+    p_verify.add_argument("--side", choices=["alice", "bob"], default=None,
                           help="side for the subset check (default alice)")
     p_verify.add_argument("--subset", default=None, metavar="I,J,...",
                           help="1-based input positions for the subset check")
-    p_verify.add_argument("--eval-cap", type=int, default=DEFAULT_EVAL_CAP)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -1,10 +1,10 @@
 """Exhaustive non-signalling verification by exact marginal equality.
 
 All checks share one strategy: materialize the full joint table of a
-system (refusing outright if it exceeds the evaluation cap -- never
-sampling), then compare marginal sums across input assignments.  Box
-products are materialized from their boxes, other systems point by point
-through ``evaluate``.
+system (refused by ``refuse_over_cap`` above the evaluation cap --
+never sampled), then compare marginal sums across input assignments.
+Box products are materialized from their boxes, other systems point by
+point through ``evaluate``.
 
 All three conditions are one marginal-independence equation over an
 index subset S of one side: that side's outputs outside S, together
@@ -53,8 +53,9 @@ from .boxes import FLOAT_ATOL, Prob, all_exact, close
 if TYPE_CHECKING:  # pragma: no cover
     from .systems import SystemEvaluator
 
-#: Default bound on evaluator calls per verification.
-DEFAULT_EVAL_CAP = 2**26
+#: Evaluations allowed per joint table, per partition verification and
+#: per part's distance at one input.  Only ``refuse_over_cap`` reads it.
+EVAL_CAP = 2**26
 
 #: Violation witnesses retained per report: the first in witness
 #: order.  All violations are counted.
@@ -146,14 +147,13 @@ def table_entries(n: int, n_settings: int) -> int:
     return (4 * n_settings**2) ** n
 
 
-def refuse_oversized_table(n: int, n_settings: int, max_evals: int) -> None:
-    """Raise InfeasibleSizeError if the n-pair joint table has over ``max_evals`` entries."""
-    total = table_entries(n, n_settings)
-    if total > max_evals:
-        raise InfeasibleSizeError(f"joint table needs {total} evaluations, cap is {max_evals}")
+def refuse_over_cap(what: str, evaluations: int) -> None:
+    """Raise InfeasibleSizeError if ``what`` needs more than EVAL_CAP evaluations."""
+    if evaluations > EVAL_CAP:
+        raise InfeasibleSizeError(f"{what} needs {evaluations} evaluations, cap is {EVAL_CAP}")
 
 
-def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP) -> JointTable:
+def materialize(system: "SystemEvaluator") -> JointTable:
     """The full joint table of a system.
 
     A ``BoxProductSystem`` that keeps the shared ``evaluate`` is built from
@@ -163,13 +163,13 @@ def materialize(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP)
     same values, same float bits.  The table is exact when every value
     is an int or a Fraction.
 
-    Raises InfeasibleSizeError, before any work, when the table has more
-    than ``max_evals`` entries -- on either path.
+    ``refuse_over_cap`` raises InfeasibleSizeError, before any work, when
+    the table has more than EVAL_CAP entries -- on either path.
     """
     from .systems import BoxProductSystem  # deferred: systems imports this module
 
     n, N = system.n, system.n_settings
-    refuse_oversized_table(n, N, max_evals)
+    refuse_over_cap("joint table", table_entries(n, N))
     if (isinstance(system, BoxProductSystem)
             and type(system).evaluate is BoxProductSystem.evaluate):
         return _box_product_table(system)
@@ -358,20 +358,19 @@ def _merge(condition: str, parts: Iterable[tuple[list[NsViolation], int, int]],
     )
 
 
-def check_ab(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP,
-             table: JointTable | None = None) -> NsReport:
+def check_ab(system: "SystemEvaluator", *, table: JointTable | None = None) -> NsReport:
     """Neither full output marginal may depend on the other side's inputs."""
-    t = table if table is not None else materialize(system, max_evals=max_evals)
+    t = table if table is not None else materialize(system)
     everything = tuple(range(1, t.n + 1))
     parts = [_independence_violations(t, side, everything, CONDITION_AB, 1)
              for side in ("alice", "bob")]
     return _merge(CONDITION_AB, parts, t.den)
 
 
-def check_time_ordered(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EVAL_CAP,
+def check_time_ordered(system: "SystemEvaluator", *,
                        table: JointTable | None = None) -> NsReport:
     """Future inputs may not influence past outputs, on either side."""
-    t = table if table is not None else materialize(system, max_evals=max_evals)
+    t = table if table is not None else materialize(system)
     parts = [
         _independence_violations(t, side, tuple(range(cut, t.n + 1)),
                                  f"{CONDITION_TIME_ORDERED}-{side}", cut)
@@ -382,7 +381,6 @@ def check_time_ordered(system: "SystemEvaluator", *, max_evals: int = DEFAULT_EV
 
 
 def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
-                 max_evals: int = DEFAULT_EVAL_CAP,
                  table: JointTable | None = None) -> NsReport:
     """Outputs outside ``subset`` on ``side`` (plus the whole other side)
     must not depend on the inputs inside ``subset``."""
@@ -391,7 +389,7 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
     sub = tuple(sorted(set(subset)))
     if not sub or sub[0] < 1 or sub[-1] > system.n:
         raise ValueError(f"subset must be a nonempty subset of 1..{system.n}, got {sub}")
-    t = table if table is not None else materialize(system, max_evals=max_evals)
+    t = table if table is not None else materialize(system)
     part = _independence_violations(t, side, sub, CONDITION_SUBSET, None)
     return _merge(CONDITION_SUBSET, [part], t.den)
 

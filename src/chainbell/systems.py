@@ -3,7 +3,7 @@
 A system is a conditional distribution P(x, y | u, v) over n-bit output
 strings and length-n setting vectors, exposed through ``evaluate`` --
 the full table has (4N^2)^n entries, so nothing is materialized here.
-Verifiers materialize what they enumerate, under an evaluation cap.
+Verifiers materialize what they enumerate, under ``refuse_over_cap``.
 
 ``BoxProductSystem`` systems also expose ``pair_boxes``: for each output
 string x the single-pair boxes whose product the system is.  Verifiers
@@ -31,14 +31,13 @@ from typing import TYPE_CHECKING, Sequence
 from ._coding import bits_to_int
 from .boxes import Prob, SinglePairBox, all_exact, at_least, close
 from .nonsignalling import (
-    DEFAULT_EVAL_CAP,
     MAX_WITNESSES,
-    InfeasibleSizeError,
     JointTable,
     NsReport,
     check_ab,  # noqa: F401 -- unused here; bench/harness.py swaps it for a traced one
     check_time_ordered,
     materialize,
+    refuse_over_cap,
     table_entries,
 )
 
@@ -249,14 +248,14 @@ class PartitionReport:
 
 
 def verify_partition(partition: Partition, base: SystemEvaluator, *,
-                     constraint: str = "time-ordered",
-                     max_evals: int = DEFAULT_EVAL_CAP) -> PartitionReport:
+                     constraint: str = "time-ordered") -> PartitionReport:
     """Exhaustively check partition legality against a base system.
 
     ``constraint`` selects the non-signalling condition set every part
     must fulfil: "time-ordered" or "none" (distribution checks only).
     Values are compared under the tolerance rule of ``boxes``, so exact
-    systems with zero tolerance.
+    systems with zero tolerance.  ``refuse_over_cap`` refuses an
+    oversized run before any table is built.
     """
     if constraint not in ("time-ordered", "none"):
         raise ValueError(f"unknown constraint set {constraint!r}")
@@ -266,17 +265,14 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
 
     table_size = table_entries(base.n, base.n_settings)
     budget = (len(partition.parts) + 1) * table_size
-    if budget > max_evals:
-        raise InfeasibleSizeError(
-            f"partition verification needs {budget} evaluations, cap is {max_evals}"
-        )
+    refuse_over_cap("partition verification", budget)
 
     weights = partition.weights
     weight_sum = sum(weights)
-    weights_ok = all(w >= 0 for w in weights) and close(weight_sum, 1)
+    weights_ok = all(at_least(w, 0) for w in weights) and close(weight_sum, 1)
 
-    base_table = materialize(base, max_evals=max_evals)
-    part_tables = [materialize(s, max_evals=max_evals) for s in partition.systems]
+    base_table = materialize(base)
+    part_tables = [materialize(s) for s in partition.systems]
     checks = budget
 
     part_reports = []

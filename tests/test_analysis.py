@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbell import (
-    DEFAULT_EVAL_CAP,
+    EVAL_CAP,
     FLOAT_ATOL,
     AttackedSystem,
     BoxParams,
@@ -34,6 +35,7 @@ from chainbell import (
 )
 
 from helpers import (
+    FuturePeekingSystem,
     PerPointSystem,
     constant_function,
     influence,
@@ -218,8 +220,6 @@ def test_distance_rejects_foreign_partition():
 def test_distance_rejects_input_dependent_marginal():
     """A part that is not an AttackedSystem has no closed form: it is
     refused before any evaluate call, and summed at one input instead."""
-    from helpers import FuturePeekingSystem
-
     calls = []
 
     class InputLeaky(FuturePeekingSystem):
@@ -248,6 +248,29 @@ def test_distance_rejects_input_dependent_marginal():
         detail = distance_details(f, partition, at_input=(u, (0, 0)))
         assert detail.q_parts == (q, q)
         assert detail.distance == lemma_distance_oracle(f, partition, u, (0, 0))
+
+
+@pytest.mark.parametrize("at_input, message", [
+    (((0, 0, 0), (0, 0, 0)), "expected four length-2 vectors, got lengths 2, 2, 3, 3"),
+    (((0, 0), (0,)), "expected four length-2 vectors, got lengths 2, 2, 2, 1"),
+    (((0, 2), (0, 0)), "Alice setting 2 out of range for N=2"),
+    (((0, 0), (0, -1)), "Bob setting -1 out of range for N=2"),
+])
+def test_distance_checks_the_input_against_every_part(at_input, message):
+    """An input that does not fit the parts is refused before the first
+    evaluate call, also for parts that do not check their own points."""
+    calls = []
+
+    class Counting(FuturePeekingSystem):
+        def evaluate(self, x, y, u, v):
+            calls.append(x)
+            return super().evaluate(x, y, u, v)
+
+    part = Counting(_params())
+    partition = Partition(((Fraction(1, 2), part), (Fraction(1, 2), part)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        distance_details(xor_function(2), partition, at_input=at_input)
+    assert calls == []
 
 
 class ShiftedMarginalSystem(SystemEvaluator):
@@ -310,7 +333,7 @@ def test_distance_rejects_input_dependence_at_mixed_inputs():
 
 def test_distance_refuses_generic_part_above_the_evaluation_cap():
     """Summation at one input needs zeros(f) * 2^n evaluate calls per part
-    and is refused above DEFAULT_EVAL_CAP before the first call."""
+    and is refused above EVAL_CAP before the first call."""
     calls = []
 
     class CountingSystem(PerPointSystem):
@@ -322,7 +345,7 @@ def test_distance_refuses_generic_part_above_the_evaluation_cap():
     system = CountingSystem(build_product_system(build_unbiased_box(_params()), 14))
     partition = Partition(((Fraction(1, 2), system), (Fraction(1, 2), system)))
     f = xor_function(14)
-    assert f.zeros_total * 2**f.n > DEFAULT_EVAL_CAP
+    assert f.zeros_total * 2**f.n > EVAL_CAP
     with pytest.raises(InfeasibleSizeError, match=str(2**27)):
         distance_details(f, partition, at_input=((0,) * 14, (0,) * 14))
     with pytest.raises(ValueError, match="at_input"):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chainbell import cli
+from chainbell import cli, nonsignalling
 from chainbell.cli import CSV_COLUMNS, main
 
 
@@ -71,9 +71,9 @@ def test_verify_unbiased_needs_n(capsys):
     assert "--n" in err
 
 
-def test_verify_infeasible_cap_exits_2(capsys):
-    code, _, err = run_cli(capsys, "verify", "--system", "unbiased", "--n", "3",
-                           "--eval-cap", "100")
+def test_verify_infeasible_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(nonsignalling, "EVAL_CAP", 100)
+    code, _, err = run_cli(capsys, "verify", "--system", "unbiased", "--n", "3")
     assert code == 2
     assert "infeasible" in err
 
@@ -100,8 +100,9 @@ def test_verify_takes_n_from_a_hex_spec_before_building(capsys, monkeypatch):
     """A hex spec fixes n from its digits: it is parsed, with its own
     errors, and the attack is refused before it is built."""
     monkeypatch.setattr(cli, "build_attack_partition", _unreachable)
+    monkeypatch.setattr(nonsignalling, "EVAL_CAP", 1000)
     code, out, err = run_cli(capsys, "verify", "--system", "attack-z1",
-                             "--function", "hex:6996", "--eval-cap", "1000")
+                             "--function", "hex:6996")
     assert (code, out, err) == (
         2, "", "infeasible: joint table needs 65536 evaluations, cap is 1000\n")
     code, _, err = run_cli(capsys, "verify", "--system", "attack-z1",
@@ -238,19 +239,46 @@ def test_verify_unbiased_refuses_function(capsys):
         2, "", "error: --function is not used by the unbiased system\n")
 
 
-@pytest.mark.parametrize("check, subset, message", [
-    ("ab", "1", "--subset is used only by the subset check, not 'ab'"),
-    ("time-ordered", "1", "--subset is used only by the subset check, not 'time-ordered'"),
-    ("subset", "1,x", "--subset must be comma-separated positions like 1,3, got '1,x'"),
-])
-def test_verify_refuses_subset_before_building(capsys, monkeypatch, check, subset, message):
-    """--subset is refused where the check does not use it, and parsed
-    where it does, before any system is built."""
+def _flag_value(value):
+    """A (flag, value) case is named by its value alone."""
+    return value[1] if isinstance(value, tuple) else None
+
+
+@pytest.mark.parametrize("check, flag, message", [
+    ("ab", ("--subset", "1"), "--subset is used only by the subset check, not 'ab'"),
+    ("time-ordered", ("--subset", "1"),
+     "--subset is used only by the subset check, not 'time-ordered'"),
+    ("ab", ("--side", "bob"), "--side is used only by the subset check, not 'ab'"),
+    ("time-ordered", ("--side", "alice"),
+     "--side is used only by the subset check, not 'time-ordered'"),
+    *(("subset", ("--subset", subset),
+       f"--subset must be comma-separated positions like 1,3, got {subset!r}")
+      for subset in ["1,x", "+2", " 1", "\u0661", "1_0"]),
+], ids=_flag_value)
+def test_verify_refuses_subset_before_building(capsys, monkeypatch, check, flag, message):
+    """--subset and --side are refused where the check does not use them,
+    and --subset is parsed, as ASCII digits only, where it is used, all
+    before any system is built."""
     for name in ("parse_function_spec", "build_attack_partition", "build_product_system"):
         monkeypatch.setattr(cli, name, _unreachable)
     code, out, err = run_cli(capsys, "verify", "--system", "attack-z0", "--function", "xor",
-                             "--n", "2", "--check", check, "--subset", subset)
+                             "--n", "2", "--check", check, *flag)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags, side", [((), "alice"), (("--side", "bob"), "bob")])
+def test_verify_subset_check_takes_side_alice_by_default(capsys, monkeypatch, flags, side):
+    seen = []
+    check_subset = nonsignalling.check_subset
+
+    def recording(system, which, subset):
+        seen.append((which, subset))
+        return check_subset(system, which, subset)
+
+    monkeypatch.setattr(nonsignalling, "check_subset", recording)
+    code, _, _ = run_cli(capsys, "verify", "--n", "2", "--check", "subset",
+                         "--subset", "2", *flags)
+    assert (code, seen) == (0, [(side, (2,))])
 
 
 @pytest.mark.parametrize("bounds, message", [

@@ -12,7 +12,9 @@ its index: only ``SinglePairBox.prob`` subscripts a ``.cells``
 attribute.  One rule chooses a comparison's tolerance: ``FLOAT_ATOL`` is
 read only by ``boxes.close`` and ``boxes.at_least``, and by
 ``nonsignalling._merge``, which reports it, and no code names an
-``atol`` of its own.
+``atol`` of its own.  One guard decides whether a run is too big:
+``EVAL_CAP`` is read, and ``InfeasibleSizeError`` raised, only in
+``nonsignalling.refuse_over_cap``.
 """
 
 import ast
@@ -110,12 +112,16 @@ def test_box_cells_are_indexed_only_by_prob():
     assert owners_of(PACKAGE, is_cell_subscript) == ["boxes.py:SinglePairBox.prob"]
 
 
-def reads_float_atol(node: ast.AST) -> bool:
-    """A read of ``FLOAT_ATOL``, bare or as an attribute."""
-    if isinstance(node, ast.Name):
-        return node.id == "FLOAT_ATOL" and isinstance(node.ctx, ast.Load)
-    return (isinstance(node, ast.Attribute) and node.attr == "FLOAT_ATOL"
-            and isinstance(node.ctx, ast.Load))
+def reads(name: str):
+    """A predicate for a read of ``name``, bare or as an attribute."""
+
+    def matches(node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id == name and isinstance(node.ctx, ast.Load)
+        return (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.ctx, ast.Load))
+
+    return matches
 
 
 def names_atol(node: ast.AST) -> bool:
@@ -124,9 +130,23 @@ def names_atol(node: ast.AST) -> bool:
 
 
 def test_float_tolerance_is_read_only_by_the_comparisons():
-    assert owners_of(PACKAGE, reads_float_atol) == [
+    assert owners_of(PACKAGE, reads("FLOAT_ATOL")) == [
         "boxes.py:close", "boxes.py:at_least", "nonsignalling.py:_merge"]
 
 
 def test_no_code_chooses_its_own_tolerance():
     assert owners_of(PACKAGE, names_atol) == []
+
+
+def raises_infeasible_size(node: ast.AST) -> bool:
+    """A ``raise`` of ``InfeasibleSizeError``, called or bare."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return reads("InfeasibleSizeError")(exc)
+
+
+def test_size_is_refused_only_by_refuse_over_cap():
+    owner = "nonsignalling.py:refuse_over_cap"
+    assert set(owners_of(PACKAGE, reads("EVAL_CAP"))) == {owner}
+    assert owners_of(PACKAGE, raises_infeasible_size) == [owner]

@@ -32,6 +32,7 @@ from chainbell import (
     replay_violation,
     verify_partition,
 )
+from chainbell import nonsignalling
 from chainbell.nonsignalling import MAX_WITNESSES
 
 from helpers import (
@@ -142,7 +143,9 @@ def test_product_systems_match_per_point_tables(shape, directions):
     assert_entries_are_prob_products((fast, slow), boxes)
 
 
-def test_max_evals_refuses_before_any_work():
+def test_max_evals_refuses_before_any_work(monkeypatch):
+    """A table one entry over the evaluation cap is refused, on either
+    path, before any box or point is looked up; one at the cap is built."""
     calls = []
 
     class CountingProductSystem(ProductSystem):
@@ -158,11 +161,13 @@ def test_max_evals_refuses_before_any_work():
     box = build_unbiased_box(_params(2, Fraction(1, 8)))
     system = CountingProductSystem((box,) * 3)
     entries = 16**3
+    monkeypatch.setattr(nonsignalling, "EVAL_CAP", entries - 1)
     for candidate in (system, CountingPerPointSystem(system)):
         with pytest.raises(InfeasibleSizeError, match=str(entries)):
-            materialize(candidate, max_evals=entries - 1)
+            materialize(candidate)
         assert calls == []
-    materialize(system, max_evals=entries)
+    monkeypatch.setattr(nonsignalling, "EVAL_CAP", entries)
+    materialize(system)
     assert calls == list(range(8))  # built from its boxes, one lookup per x
 
 

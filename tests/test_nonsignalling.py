@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainbell import (
-    DEFAULT_EVAL_CAP,
+    EVAL_CAP,
     FLOAT_ATOL,
     BoxParams,
     InfeasibleSizeError,
@@ -23,6 +23,7 @@ from chainbell import (
     materialize,
     replay_violation,
 )
+from chainbell import nonsignalling
 from chainbell.nonsignalling import MAX_WITNESSES
 
 from helpers import (
@@ -217,7 +218,7 @@ def test_subset_validation(fig_parts):
         check_subset(base, "eve", (1,))
 
 
-def test_subset_validated_before_materializing():
+def test_subset_validated_before_materializing(monkeypatch):
     calls = []
 
     class CountingSystem(PerPointSystem):
@@ -226,9 +227,10 @@ def test_subset_validated_before_materializing():
             return super().evaluate(x, y, u, v)
 
     system = CountingSystem(build_product_system(build_unbiased_box(_params()), 3))
-    for max_evals in (DEFAULT_EVAL_CAP, 1):
+    for cap in (EVAL_CAP, 1):
+        monkeypatch.setattr(nonsignalling, "EVAL_CAP", cap)
         with pytest.raises(ValueError, match="nonempty subset of 1..3"):
-            check_subset(system, "alice", [4], max_evals=max_evals)
+            check_subset(system, "alice", [4])
     assert calls == []
 
 
@@ -335,12 +337,14 @@ def test_reports_are_deterministic():
     assert check_time_ordered(system) == check_time_ordered(system)
 
 
-def test_eval_cap_refuses_instead_of_sampling():
+def test_eval_cap_refuses_instead_of_sampling(monkeypatch):
     system = build_product_system(build_unbiased_box(_params()), 3)
+    monkeypatch.setattr(nonsignalling, "EVAL_CAP", 4095)
     with pytest.raises(InfeasibleSizeError):
-        check_time_ordered(system, max_evals=4095)
+        check_time_ordered(system)
+    monkeypatch.setattr(nonsignalling, "EVAL_CAP", 10)
     with pytest.raises(InfeasibleSizeError):
-        materialize(system, max_evals=10)
+        materialize(system)
 
 
 def test_materialized_table_matches_evaluate():

@@ -18,6 +18,7 @@ from chainbell import (
     verify_partition,
     xor_function,
 )
+from chainbell import nonsignalling
 from chainbell._coding import bits_to_int
 
 from helpers import (
@@ -240,11 +241,26 @@ def test_verify_partition_float_convex_mismatches_are_stable(params, amount, wei
     assert (want.hex(), got.hex()) == first
 
 
-def test_verify_partition_respects_eval_cap(fig_partition):
+def test_verify_partition_respects_eval_cap(fig_partition, monkeypatch):
     f, partition = fig_partition
     base = build_product_system(build_unbiased_box(_params()), 3)
+    monkeypatch.setattr(nonsignalling, "EVAL_CAP", 1000)
     with pytest.raises(InfeasibleSizeError):
-        verify_partition(partition, base, max_evals=1000)
+        verify_partition(partition, base)
+
+
+@pytest.mark.parametrize("weights, ok", [
+    ((1.0 + 1e-13, -1e-13), True),
+    ((1 + Fraction(1, 10**15), -Fraction(1, 10**15)), False),
+])
+def test_weight_signs_follow_the_tolerance_rule(weights, ok):
+    """A weight's sign is judged as the weight sum is: a float weight
+    within FLOAT_ATOL below zero counts as nonnegative, an exact negative
+    weight never does."""
+    base = build_product_system(build_unbiased_box(_params()), 1)
+    report = verify_partition(Partition(tuple((w, base) for w in weights)), base,
+                              constraint="none")
+    assert (report.weights_ok, report.convex_ok) == (ok, True)
 
 
 def test_verify_partition_shape_mismatch(fig_partition):
