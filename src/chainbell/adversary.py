@@ -3,7 +3,8 @@
 Truth tables use a fixed bit order: ``index(x) = sum x_i * 2^(n-i)``,
 i.e. the first bit x_1 is most significant.  A prefix of length L is
 then the top L bits, and the strings sharing it form one contiguous
-index range.
+index range.  ``HashFunction.bits`` holds the table as ``bytes``, one
+0 or 1 per entry.
 
 The adversary machinery, for a hash f:
 
@@ -13,18 +14,22 @@ The adversary machinery, for a hash f:
   bit i is 0 versus 1; the first position where it reaches 2/(3n) is
   the string's pivotal index.  For almost balanced f one always
   exists, and the direction sigma points at the more-zeros branch.
-- ``build_pivotal_profile(f)`` records the pivotal prefixes only, each
-  as a prefix and a direction; the profile's zero sums are read off
-  the tree, and a string's pivot is found by walking its own prefix
-  down the tree.
+- ``build_pivotal_profile(f)`` walks the tree level by level.  At each
+  level it tests, in bulk, only the prefixes that have not pivoted yet,
+  and it keeps the children of those that do not pivot for the next
+  level.  It records each pivotal prefix as a plain
+  ``(prefix_len, prefix_code, sigma)`` tuple of ints and sums the zeros
+  of the branches sigma points at as it goes.  A string's pivot is
+  found by walking its own prefix down the tree.
 - ``build_attack_partition(f, params)`` assembles the two half-weight
   parts that bias each string's pivotal pair towards (or away from) a
   zero of f, which is the whole attack.
 
-The built-in families' truth tables (xor, majority, and, or, random)
-and the tree's levels above the leaves are bulk sequence operations
-(``bytes.translate``, tuple repetition, ``map`` over ``islice``), not
-per-index Python loops; they give the same bits as the plain loops.
+The built-in families' truth tables (xor, majority, and, or, random),
+the tree's levels and the pivotal walk are bulk sequence operations
+(``bytes.translate``, ``bytes`` repetition, ``map`` over ``islice``,
+``compress``), not per-index or per-node Python loops; they give the
+same results as the plain loops.
 ``random_function`` keeps the exact ``randrange(2)`` stream:
 ``randrange(2)`` is rejection sampling on
 ``getrandbits(2)``, the top two bits of one 32-bit Mersenne Twister
@@ -40,10 +45,10 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import islice
-from operator import add, itemgetter
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from itertools import compress, islice, repeat
+from operator import add, itemgetter, sub
+from typing import Sequence
 
 from ._coding import bits_to_int
 from .boxes import BoxParams, bias_box, build_unbiased_box
@@ -63,18 +68,29 @@ def _table_size(n: int) -> int:
 #: ``bytes.translate`` tables over truth-table bits and bit counts.
 _INCREMENT = bytes(range(1, 256)) + b"\0"
 _PARITY = bytes(b & 1 for b in range(256))
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+_ASCII_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
 class HashFunction:
-    """A function {0,1}^n -> {0,1} as a truth table (x_1 most significant)."""
+    """A function {0,1}^n -> {0,1} as a truth table (x_1 most significant).
+
+    ``bits`` may be given as any sequence of 0/1 ints; it is stored as
+    ``bytes``.
+    """
 
     n: int
-    bits: tuple[int, ...]
+    bits: bytes
     name: str = ""
 
     def __post_init__(self) -> None:
         size = _table_size(self.n)
+        if not isinstance(self.bits, bytes):
+            try:
+                object.__setattr__(self, "bits", bytes(self.bits))
+            except (TypeError, ValueError):
+                raise ValueError("truth table entries must be bits") from None
         if len(self.bits) != size:
             raise ValueError(f"truth table needs {size} bits, got {len(self.bits)}")
         if self.zeros_total + self.bits.count(1) != size:
@@ -105,10 +121,7 @@ class ZeroCountTree:
 
     @classmethod
     def from_function(cls, f: HashFunction) -> "ZeroCountTree":
-        # The leaves by comprehension: building them through bytes and
-        # translate left about 10 MB of freed heap untrimmed from one job
-        # to the next, which raised peak RSS over a run of 2^20 tables.
-        levels = [[1 - b for b in f.bits]]
+        levels = [list(f.bits.translate(_FLIP))]
         # islice, not slicing: a slice would copy each level twice more.
         while len(levels[-1]) > 1:
             prev = levels[-1]
@@ -133,38 +146,25 @@ def is_almost_balanced(f: HashFunction) -> bool:
     return 3 * abs(2 * f.zeros_total - size) <= size
 
 
-class PivotRecord(NamedTuple):
-    """One pivotal prefix: all strings sharing it pivot at the 1-based
-    index ``prefix_len + 1``, biased towards branch ``sigma``."""
-
-    prefix_len: int
-    prefix_code: int
-    sigma: int
-
-
 class PivotalProfile:
     """The pivotal prefixes of an almost balanced function.
 
-    ``records`` holds one ``PivotRecord`` per prefix after which the next
-    bit is pivotal, in ascending order of the strings they cover: their
-    string ranges are disjoint, contiguous and cover [0, 2^n).  They are
-    the profile's only data.  The pivotal data of a string depends on
-    the prefix before the pivot only (the prefix property), so ``pivot``
-    finds it by walking the string's prefix from the root.
+    ``records`` holds one ``(prefix_len, prefix_code, sigma)`` tuple of
+    ints per prefix after which the next bit is pivotal, in ascending
+    order of the strings they cover: their string ranges are disjoint,
+    contiguous and cover [0, 2^n).  ``zeros_toward`` is the number of
+    zeros of f in the branches the records' sigmas point at; the other
+    branches hold the rest of the zeros.  The pivotal data of a string
+    depends on the prefix before the pivot only (the prefix property),
+    so ``pivot`` finds it by walking the string's prefix from the root.
     """
 
-    def __init__(self, function: HashFunction, records: tuple[PivotRecord, ...]):
+    def __init__(self, function: HashFunction,
+                 records: tuple[tuple[int, int, int], ...], zeros_toward: int):
         self.function = function
         self.n = function.n
         self.records = records
-
-    @cached_property
-    def zeros_toward(self) -> int:
-        """Zero counts of the records' branches that sigma points at, read
-        off the tree; the other branches hold the rest of the zeros."""
-        levels = self.function.tree.levels
-        return sum(levels[length + 1][(code << 1) | sigma]
-                   for length, code, sigma in self.records)
+        self.zeros_toward = zeros_toward
 
     def pivot(self, x_code: int) -> tuple[int, int]:
         """(pivotal index, bias direction) for the string with this code."""
@@ -184,33 +184,63 @@ class PivotalProfile:
 
 
 def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
-    """Locate the pivotal prefix above every string of an almost balanced f,
-    depth first with the 0 branch first: records ascend by string."""
+    """Locate the pivotal prefix above every string of an almost balanced f.
+
+    One pass per tree level L over the codes of the length-L prefixes
+    that have not pivoted yet, in ascending order; until one pivots,
+    that is the whole level, read by slices.  For each, z0 and z1 are
+    the zeros below its 0 and 1 children; it pivots when
+    3n*|z0 - z1| >= 2^(n - L), towards sigma = 1 if z1 > z0 else 0, and
+    the zeros below sigma's child add to ``zeros_toward``.  The children
+    of the prefixes that do not pivot are live at level L + 1.  Records
+    ascend by string within a level, and are sorted by the first string
+    they cover when more than one level has pivots.
+    """
     if not is_almost_balanced(f):
         raise ValueError(
             f"{f.name or 'function'} is not almost balanced; "
             "the pivotal index is not guaranteed to exist"
         )
     n = f.n
-    tree = f.tree
-    # PivotRecord(...) runs a Python-level __new__ per record; this builds
-    # the same tuple without it, about an eighth of the walk at xor n=19.
-    record = partial(tuple.__new__, PivotRecord)
+    levels = f.tree.levels
     records = []
-    stack = [(0, 0)]
-    while stack:
-        length, code = stack.pop()
-        if length == n:
-            raise AssertionError(
-                "no pivotal index on a path of an almost balanced function"
-            )
-        sigma = tree.pivot_direction(length, code)
-        if sigma is not None:
-            records.append(record((length, code, sigma)))
+    zeros_toward = 0
+    live = None  # every prefix of the level, until one pivots
+    for length in range(n):
+        above, below = levels[length], levels[length + 1]
+        if live is None:
+            codes = range(len(above))
+            z0 = below[0::2]
+            diff = list(map(sub, z0, below[1::2]))
         else:
-            stack.append((length + 1, (code << 1) | 1))
-            stack.append((length + 1, code << 1))
-    return PivotalProfile(f, tuple(records))
+            codes = live
+            z0 = list(map(below.__getitem__, map(add, live, live)))
+            # z0 - z1 = 2*z0 - (z0 + z1), the parent's count
+            diff = list(map(sub, map(add, z0, z0), map(above.__getitem__, live)))
+        # 3n*|diff| >= 2^(n - L) exactly when |diff| >= ceil(2^(n - L) / 3n)
+        threshold = -(-(1 << (n - length)) // (3 * n))
+        pivots = bytes(map(threshold.__le__, map(abs, diff)))
+        if 1 in pivots:
+            hit = list(compress(diff, pivots))
+            sigmas = bytes(map((0).__gt__, hit))
+            # sigma's child holds z0 zeros, or z1 = z0 - diff when sigma is 1
+            zeros_toward += sum(compress(z0, pivots)) - sum(compress(hit, sigmas))
+            del z0, diff, hit  # the level's counts go before its records are made
+            records.extend(zip(repeat(length), compress(codes, pivots), sigmas))
+            live = list(compress(codes, pivots.translate(_FLIP)))
+            if not live:
+                break
+        elif live is None:
+            continue
+        children = [0] * (2 * len(live))
+        children[0::2] = map(add, live, live)
+        children[1::2] = map(add, children[0::2], repeat(1))
+        live = children
+    else:
+        raise AssertionError("no pivotal index on a path of an almost balanced function")
+    if records[0][0] != records[-1][0]:  # more than one level has pivots
+        records.sort(key=lambda record: record[1] << (n - record[0]))
+    return PivotalProfile(f, tuple(records), zeros_toward)
 
 
 def trivial_strategy(f: HashFunction) -> tuple[int, Fraction]:
@@ -255,21 +285,21 @@ def _popcounts(n: int) -> bytes:
 
 
 def xor_function(n: int) -> HashFunction:
-    return HashFunction(n, tuple(_popcounts(n).translate(_PARITY)), "xor")
+    return HashFunction(n, _popcounts(n).translate(_PARITY), "xor")
 
 
 def majority_function(n: int) -> HashFunction:
     """Majority of the input bits; ties (even n) resolve to 1."""
     majority = bytes(1 if 2 * count >= n else 0 for count in range(256))
-    return HashFunction(n, tuple(_popcounts(n).translate(majority)), "majority")
+    return HashFunction(n, _popcounts(n).translate(majority), "majority")
 
 
 def and_function(n: int) -> HashFunction:
-    return HashFunction(n, (0,) * (_table_size(n) - 1) + (1,), "and")
+    return HashFunction(n, bytes(_table_size(n) - 1) + b"\1", "and")
 
 
 def or_function(n: int) -> HashFunction:
-    return HashFunction(n, (0,) + (1,) * (_table_size(n) - 1), "or")
+    return HashFunction(n, b"\0" + b"\1" * (_table_size(n) - 1), "or")
 
 
 #: Mersenne Twister words per ``getrandbits`` call in ``random_function``,
@@ -304,7 +334,7 @@ def random_function(n: int, seed: int | str) -> HashFunction:
         words = min(size - len(bits), _RANDOM_CHUNK_WORDS)
         top_bytes = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
         bits += top_bytes.translate(_SECOND_BIT, delete=_REJECTED)
-    return HashFunction(n, tuple(bits), f"random:{seed}")
+    return HashFunction(n, bytes(bits), f"random:{seed}")
 
 
 def function_from_hex(digits: str, n: int | None = None) -> HashFunction:
@@ -327,7 +357,7 @@ def function_from_hex(digits: str, n: int | None = None) -> HashFunction:
         raise ValueError(
             f"hex table encodes n={inferred}, but n={n} was requested"
         )
-    bits = tuple((value >> (total - 1 - k)) & 1 for k in range(total))
+    bits = format(value, f"0{total}b").encode("ascii").translate(_ASCII_BIT)
     return HashFunction(inferred, bits, f"hex:{digits}")
 
 

@@ -17,7 +17,6 @@ from chainbell import (
     BoxParams,
     HashFunction,
     PivotalProfile,
-    PivotRecord,
     SinglePairBox,
     ZeroCountTree,
     bias_box,
@@ -48,18 +47,51 @@ def influence(tree: ZeroCountTree, i: int, prefix_code: int) -> Fraction:
     return Fraction(abs(z0 - z1), 2 ** (tree.n - i))
 
 
-def record_index(record: PivotRecord) -> int:
+#: A pivot record: (prefix_len, prefix_code, sigma).
+Record = tuple[int, int, int]
+
+
+def record_index(record: Record) -> int:
     """The 1-based pivotal index of the strings under a record's prefix."""
-    return record.prefix_len + 1
+    prefix_len, _, _ = record
+    return prefix_len + 1
 
 
-def record_zeros(f: HashFunction, record: PivotRecord) -> tuple[int, int]:
+def record_zeros(f: HashFunction, record: Record) -> tuple[int, int]:
     """Zeros of f under the record's prefix followed by 0, and by 1,
     counted off the truth table."""
-    half = 2 ** (f.n - record.prefix_len - 1)
-    start = record.prefix_code * 2 * half
+    prefix_len, prefix_code, _ = record
+    half = 2 ** (f.n - prefix_len - 1)
+    start = prefix_code * 2 * half
     return (f.bits[start:start + half].count(0),
             f.bits[start + half:start + 2 * half].count(0))
+
+
+def oracle_pivotal_profile(f: HashFunction) -> tuple[tuple[Record, ...], int, dict[int, int]]:
+    """(records, zeros_toward, histogram) of an almost balanced f, by a
+    depth-first walk of the zero-count tree, 0 branch first, one
+    ``pivot_direction`` call per node: the records ascend by string.
+    The oracle for the library's level-wise walk."""
+    n = f.n
+    tree = f.tree
+    records = []
+    stack = [(0, 0)]
+    while stack:
+        length, code = stack.pop()
+        if length == n:
+            raise AssertionError("no pivotal index on a path of an almost balanced function")
+        sigma = tree.pivot_direction(length, code)
+        if sigma is not None:
+            records.append((length, code, sigma))
+        else:
+            stack.append((length + 1, (code << 1) | 1))
+            stack.append((length + 1, code << 1))
+    zeros_toward = sum(tree.levels[length + 1][(code << 1) | sigma]
+                       for length, code, sigma in records)
+    histogram = {}
+    for length, _, _ in records:
+        histogram[length + 1] = histogram.get(length + 1, 0) + 2 ** (n - length)
+    return tuple(records), zeros_toward, dict(sorted(histogram.items()))
 
 
 def pivotal_index(f: HashFunction, x: Sequence[int]) -> tuple[int, int, Fraction]:
@@ -89,25 +121,25 @@ def pivotal_index(f: HashFunction, x: Sequence[int]) -> tuple[int, int, Fraction
 
 # Per-index truth-table builders: the oracles for the library's bulk ones.
 
-def oracle_xor_bits(n: int) -> tuple[int, ...]:
-    return tuple(bin(i).count("1") & 1 for i in range(2**n))
+def oracle_xor_bits(n: int) -> bytes:
+    return bytes(bin(i).count("1") & 1 for i in range(2**n))
 
 
-def oracle_majority_bits(n: int) -> tuple[int, ...]:
-    return tuple(1 if 2 * bin(i).count("1") >= n else 0 for i in range(2**n))
+def oracle_majority_bits(n: int) -> bytes:
+    return bytes(1 if 2 * bin(i).count("1") >= n else 0 for i in range(2**n))
 
 
-def oracle_and_bits(n: int) -> tuple[int, ...]:
-    return tuple(1 if i == 2**n - 1 else 0 for i in range(2**n))
+def oracle_and_bits(n: int) -> bytes:
+    return bytes(1 if i == 2**n - 1 else 0 for i in range(2**n))
 
 
-def oracle_or_bits(n: int) -> tuple[int, ...]:
-    return tuple(0 if i == 0 else 1 for i in range(2**n))
+def oracle_or_bits(n: int) -> bytes:
+    return bytes(0 if i == 0 else 1 for i in range(2**n))
 
 
-def oracle_random_bits(n: int, seed) -> tuple[int, ...]:
+def oracle_random_bits(n: int, seed) -> bytes:
     rng = random.Random(f"chainbell:random:{seed}:n={n}")
-    return tuple(rng.randrange(2) for _ in range(2**n))
+    return bytes(rng.randrange(2) for _ in range(2**n))
 
 
 class FuturePeekingSystem(SystemEvaluator):
@@ -309,9 +341,8 @@ def profile_delta(profile: PivotalProfile, x_code: int) -> Fraction:
     the function's zero-count tree."""
     index, _ = profile.pivot(x_code)
     prefix = x_code >> (profile.n - index + 1)
-    (record,) = [r for r in profile.records
-                 if (r.prefix_len, r.prefix_code) == (index - 1, prefix)]
-    return influence(profile.function.tree, record_index(record), record.prefix_code)
+    (record,) = [r for r in profile.records if r[:2] == (index - 1, prefix)]
+    return influence(profile.function.tree, record_index(record), prefix)
 
 
 def alice_output_distribution(system: SystemEvaluator, u=None, v=None):

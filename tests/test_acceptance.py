@@ -199,10 +199,11 @@ def test_criterion_8_pivotal_existence():
         threshold = pivotal_threshold(n)
         for f in exhaustive_almost_balanced(n):
             profile = build_pivotal_profile(f)
-            covered = sum(2 ** (n - rec.prefix_len) for rec in profile.records)
+            covered = sum(2 ** (n - length) for length, _, _ in profile.records)
             assert covered == 2**n
             for rec in profile.records:
-                assert influence(f.tree, record_index(rec), rec.prefix_code) >= threshold
+                _, code, _ = rec
+                assert influence(f.tree, record_index(rec), code) >= threshold
             total += 1
     fig = function_from_hex("39")
     by_prefix = {}

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainbell.adversary
 from chainbell import (
     BoxParams,
     HashFunction,
-    PivotRecord,
     ZeroCountTree,
     and_function,
     bias_box,
@@ -35,6 +35,7 @@ from helpers import (
     oracle_and_bits,
     oracle_majority_bits,
     oracle_or_bits,
+    oracle_pivotal_profile,
     oracle_random_bits,
     oracle_xor_bits,
     pivotal_index,
@@ -75,14 +76,24 @@ def test_hash_function_validation():
     with pytest.raises(ValueError):
         HashFunction(2, (0, 1, 0))  # wrong size
     with pytest.raises(ValueError):
-        HashFunction(1, (0, 2))
-    with pytest.raises(ValueError):
         HashFunction(0, ())
-    with pytest.raises(ValueError, match="entries must be bits"):
-        HashFunction(1, (0, -1))
+    # -1 and 256 are no byte, 2 is a byte but no bit
+    for bad in [(0, -1), (0, 2), (0, 256), b"\0\2", bytearray(b"\0\2"), "01", (0, 1.0)]:
+        with pytest.raises(ValueError, match="entries must be bits"):
+            HashFunction(1, bad)
     # the count-based check still finds a bad entry at the very end
     with pytest.raises(ValueError, match="entries must be bits"):
         HashFunction(17, (0, 1) * (2**16 - 1) + (0, 2))
+    with pytest.raises(ValueError, match="entries must be bits"):
+        HashFunction(17, b"\0\1" * (2**16 - 1) + b"\0\2")
+
+
+def test_truth_tables_are_stored_as_bytes():
+    assert HashFunction(2, (0, 1, 1, 0)).bits == b"\0\1\1\0"
+    assert HashFunction(2, bytearray(b"\0\1\1\0")).bits == b"\0\1\1\0"
+    for f in (xor_function(3), majority_function(3), and_function(3), or_function(3),
+              random_function(3, 0), function_from_hex("39")):
+        assert type(f.bits) is bytes, f.name
 
 
 def test_from_hex_fig_table(worked_example):
@@ -102,19 +113,19 @@ def test_from_hex_errors():
 
 def test_from_hex_takes_hex_digits_of_either_case_only():
     assert function_from_hex("AbCd").bits == function_from_hex("abcd").bits
-    assert function_from_hex("AbCd").bits == tuple(int(b) for b in format(0xABCD, "016b"))
+    assert function_from_hex("AbCd").bits == bytes(int(b) for b in format(0xABCD, "016b"))
     for digits in ["", "-3", "+39", "0x39", "3_99", " 399", "39\n", "\u0663\u0669"]:
         with pytest.raises(ValueError, match="not a hex truth table"):
             function_from_hex(digits)
 
 
 def test_builders_small():
-    assert xor_function(2).bits == (0, 1, 1, 0)
-    assert and_function(2).bits == (0, 0, 0, 1)
-    assert or_function(2).bits == (0, 1, 1, 1)
+    assert xor_function(2).bits == bytes((0, 1, 1, 0))
+    assert and_function(2).bits == bytes((0, 0, 0, 1))
+    assert or_function(2).bits == bytes((0, 1, 1, 1))
     # even-n majority breaks ties towards 1
-    assert majority_function(2).bits == (0, 1, 1, 1)
-    assert majority_function(3).bits == (0, 0, 0, 1, 0, 1, 1, 1)
+    assert majority_function(2).bits == bytes((0, 1, 1, 1))
+    assert majority_function(3).bits == bytes((0, 0, 0, 1, 0, 1, 1, 1))
 
 
 @pytest.mark.parametrize("build,oracle", [
@@ -152,7 +163,7 @@ def test_random_function_matches_randrange_oracle_across_chunks(n):
 def test_large_truth_tables_are_pinned(build, digest):
     """sha256 of the tables the per-index builders gave; a change in how
     CPython packs getrandbits words would show here on every version."""
-    assert hashlib.sha256(bytes(build().bits)).hexdigest() == digest
+    assert hashlib.sha256(build().bits).hexdigest() == digest
 
 
 @pytest.mark.parametrize("build", [
@@ -302,7 +313,10 @@ def test_pivotal_worked_x101(worked_example):
 
 def test_pivotal_worked_profile_prefixes(worked_example):
     profile = build_pivotal_profile(worked_example)
-    by_prefix = {(r.prefix_len, r.prefix_code): record_index(r) for r in profile.records}
+    by_prefix = {}
+    for rec in profile.records:
+        length, code, _ = rec
+        by_prefix[length, code] = record_index(rec)
     assert by_prefix == {(1, 0): 2, (2, 2): 3, (2, 3): 3}
     assert profile.histogram() == {2: 4, 3: 4}
 
@@ -310,9 +324,9 @@ def test_pivotal_worked_profile_prefixes(worked_example):
 def test_pivot_records_hold_prefix_and_direction_only(worked_example):
     """Zero counts live in the tree alone; a record names its prefix and
     the direction of the more-zeros branch after it."""
-    assert PivotRecord._fields == ("prefix_len", "prefix_code", "sigma")
     profile = build_pivotal_profile(worked_example)
     assert profile.records == ((1, 0, 0), (2, 2, 1), (2, 3, 0))
+    assert all(type(field) is int for record in profile.records for field in record)
     assert profile.zeros_toward == 2 + 1 + 1
 
 
@@ -350,22 +364,24 @@ def assert_profile_matches_pointwise_walk(f):
         assert delta >= pivotal_threshold(f.n)
     end = 0
     for rec in profile.records:
-        span = f.n - rec.prefix_len
-        assert rec.prefix_code << span == end
-        end = (rec.prefix_code + 1) << span
+        length, code, _ = rec
+        span = f.n - length
+        assert code << span == end
+        end = (code + 1) << span
         index, (zeros0, zeros1) = record_index(rec), record_zeros(f, rec)
-        delta = influence(f.tree, index, rec.prefix_code)
+        delta = influence(f.tree, index, code)
         assert delta >= pivotal_threshold(f.n)
         assert delta == Fraction(abs(zeros0 - zeros1), 2 ** (f.n - index))
     assert end == 2**f.n
     zeros = [record_zeros(f, r) for r in profile.records]
-    toward = sum(z[r.sigma] for r, z in zip(profile.records, zeros))
-    away = sum(z[1 - r.sigma] for r, z in zip(profile.records, zeros))
+    toward = sum(z[sigma] for (_, _, sigma), z in zip(profile.records, zeros))
+    away = sum(z[1 - sigma] for (_, _, sigma), z in zip(profile.records, zeros))
     assert (profile.zeros_toward, f.zeros_total - profile.zeros_toward) == (toward, away)
     histogram = {}
     for rec in profile.records:
+        length, _, _ = rec
         index = record_index(rec)
-        histogram[index] = histogram.get(index, 0) + 2 ** (f.n - rec.prefix_len)
+        histogram[index] = histogram.get(index, 0) + 2 ** (f.n - length)
     assert list(profile.histogram().items()) == sorted(histogram.items())
 
 
@@ -393,6 +409,56 @@ def test_profile_agrees_with_pointwise_walk_random_functions(n, seed):
     assert_profile_matches_pointwise_walk(f)
 
 
+def assert_profile_matches_record_oracle(f):
+    """The level-wise walk gives the depth-first oracle's records in the
+    same order, its ``zeros_toward`` and its histogram, and every record
+    field is an int: a bool sigma would serialise as true/false."""
+    profile = build_pivotal_profile(f)
+    records, zeros_toward, histogram = oracle_pivotal_profile(f)
+    assert profile.records == records
+    assert all(type(field) is int for record in profile.records for field in record)
+    assert profile.zeros_toward == zeros_toward
+    assert list(profile.histogram().items()) == list(histogram.items())
+
+
+def test_walk_matches_record_oracle_every_3bit_function():
+    functions = exhaustive_almost_balanced(3)
+    assert len(functions) == 182
+    for f in functions:
+        assert_profile_matches_record_oracle(f)
+
+
+@pytest.mark.parametrize("build", [xor_function, majority_function], ids=["xor", "majority"])
+def test_walk_matches_record_oracle_xor_and_majority(build):
+    functions = [f for f in map(build, range(1, 17)) if is_almost_balanced(f)]
+    assert len(functions) >= 14  # majority on 2 and 4 bits is too biased
+    for f in functions:
+        assert_profile_matches_record_oracle(f)
+
+
+@given(st.integers(1, 14), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_walk_matches_record_oracle_random_functions(n, seed):
+    f = random_function(n, seed)
+    if not is_almost_balanced(f):
+        return
+    assert_profile_matches_record_oracle(f)
+
+
+@pytest.mark.parametrize("bits", [(0,) * 8, (0,) * 30 + (1, 1)],
+                         ids=["no-prefix-pivots", "one-prefix-pivots"])
+def test_walk_refuses_a_path_without_a_pivot(monkeypatch, bits):
+    """Only a function that is not almost balanced has such a path.  With
+    the balance check patched out, the walk still refuses one, both
+    before any prefix pivots and after one has."""
+    monkeypatch.setattr(chainbell.adversary, "is_almost_balanced", lambda f: True)
+    f = HashFunction(len(bits).bit_length() - 1, bits)
+    with pytest.raises(AssertionError, match="no pivotal index"):
+        oracle_pivotal_profile(f)
+    with pytest.raises(AssertionError, match="no pivotal index"):
+        build_pivotal_profile(f)
+
+
 @given(hash_functions(min_n=2, max_n=5))
 @settings(max_examples=40)
 def test_prefix_property(f):
@@ -407,7 +473,7 @@ def test_prefix_property(f):
             other = prefix + suffix
             assert pivotal_index(f, other)[:2] == (index, sigma)
     # and the profile groups cover all strings exactly once
-    covered = sum(2 ** (f.n - r.prefix_len) for r in profile.records)
+    covered = sum(2 ** (f.n - length) for length, _, _ in profile.records)
     assert covered == 2**f.n
 
 
@@ -426,9 +492,10 @@ def test_pivotal_exists_for_random_large_n(n, seed):
         seed_offset += 100
         f = random_function(n, seed + seed_offset)
     profile = build_pivotal_profile(f)
-    assert sum(2 ** (n - r.prefix_len) for r in profile.records) == 2**n
-    assert all(influence(f.tree, record_index(r), r.prefix_code) >= pivotal_threshold(n)
-               for r in profile.records)
+    assert sum(2 ** (n - length) for length, _, _ in profile.records) == 2**n
+    for rec in profile.records:
+        _, code, _ = rec
+        assert influence(f.tree, record_index(rec), code) >= pivotal_threshold(n)
 
 
 @given(hash_functions(min_n=2, max_n=5))

@@ -40,7 +40,6 @@ from helpers import (
     constant_function,
     influence,
     lemma_distance_oracle,
-    record_index,
     seeded_almost_balanced,
 )
 
@@ -140,8 +139,8 @@ def test_distance_decomposes_over_pivotal_influences(seed):
     partition = build_attack_partition(f, _params())
     profile = partition.systems[0].profile
     recombined = EIGHTH * sum(
-        Fraction(1, 2**rec.prefix_len) * influence(f.tree, record_index(rec), rec.prefix_code)
-        for rec in profile.records
+        Fraction(1, 2**length) * influence(f.tree, length + 1, code)
+        for length, code, _ in profile.records
     )
     assert distance_details(f, partition).distance == recombined
 
