@@ -9,7 +9,6 @@ and the resulting distance-from-uniform of the hashed key.
 from .adversary import (
     HashFunction,
     PivotalProfile,
-    ZeroCountTree,
     and_function,
     build_attack_partition,
     build_pivotal_profile,

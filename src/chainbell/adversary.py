@@ -8,19 +8,21 @@ index range.  ``HashFunction.bits`` holds the table as ``bytes``, one
 
 The adversary machinery, for a hash f:
 
-- ``ZeroCountTree`` counts, for every prefix, how many completions map
-  to 0.  It is the only store of zero counts.  The influence of bit i
-  given a prefix is the gap between the probabilities of f = 0 when
-  bit i is 0 versus 1; the first position where it reaches 2/(3n) is
-  the string's pivotal index.  For almost balanced f one always
-  exists, and the direction sigma points at the more-zeros branch.
-- ``build_pivotal_profile(f)`` walks the tree level by level.  At each
-  level it tests, in bulk, only the prefixes that have not pivoted yet,
-  and it keeps the children of those that do not pivot for the next
-  level.  It records each pivotal prefix as a plain
+- ``HashFunction.tree`` is the zero-count tree: ``tree[L][p]`` counts
+  the completions of the length-L prefix with code p that map to 0.
+  The influence of bit i given a prefix is the gap between the
+  probabilities of f = 0 when bit i is 0 versus 1; the first position
+  where it reaches 2/(3n) is the string's pivotal index.  For almost
+  balanced f one always exists, and the direction sigma points at the
+  more-zeros branch.
+- ``build_pivotal_profile(f)`` walks the tree level by level; it is
+  the package's only reader of the tree and its only statement of the
+  pivot rule.  At each level it tests, in bulk, only the prefixes that
+  have not pivoted yet, and it keeps the children of those that do not
+  pivot for the next level.  It records each pivotal prefix as a plain
   ``(prefix_len, prefix_code, sigma)`` tuple of ints and sums the zeros
   of the branches sigma points at as it goes.  A string's pivot is
-  found by walking its own prefix down the tree.
+  read off the record whose range holds it.
 - ``build_attack_partition(f, params)`` assembles the two half-weight
   parts that bias each string's pivotal pair towards (or away from) a
   zero of f, which is the whole attack.
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import random
 import string
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,6 +89,8 @@ class HashFunction:
 
     def __post_init__(self) -> None:
         size = _table_size(self.n)
+        if isinstance(self.bits, int):  # bytes(k) would be k zero bytes
+            raise ValueError("truth table entries must be bits")
         if not isinstance(self.bits, bytes):
             try:
                 object.__setattr__(self, "bits", bytes(self.bits))
@@ -97,6 +102,8 @@ class HashFunction:
             raise ValueError("truth table entries must be bits")
 
     def value(self, x: Sequence[int]) -> int:
+        if len(x) != self.n:
+            raise ValueError(f"x must have {self.n} bits, got {len(x)}")
         return self.bits[bits_to_int(x)]
 
     @cached_property
@@ -104,40 +111,17 @@ class HashFunction:
         return self.bits.count(0)
 
     @cached_property
-    def tree(self) -> "ZeroCountTree":
-        return ZeroCountTree.from_function(self)
-
-
-class ZeroCountTree:
-    """Per-prefix counts of suffixes mapping to 0.
-
-    ``levels[L][p]`` is the number of length-(n-L) completions s with
-    f(p.s) = 0, for the length-L prefix with code p.
-    """
-
-    def __init__(self, n: int, levels: list[list[int]]):
-        self.n = n
-        self.levels = levels
-
-    @classmethod
-    def from_function(cls, f: HashFunction) -> "ZeroCountTree":
-        levels = [list(f.bits.translate(_FLIP))]
+    def tree(self) -> list[list[int]]:
+        """The zero-count tree: ``tree[L][p]`` is the number of
+        length-(n-L) completions s with f(p.s) = 0, for the length-L
+        prefix with code p."""
+        levels = [list(self.bits.translate(_FLIP))]
         # islice, not slicing: a slice would copy each level twice more.
         while len(levels[-1]) > 1:
             prev = levels[-1]
             levels.append(list(map(add, islice(prev, 0, None, 2), islice(prev, 1, None, 2))))
         levels.reverse()
-        return cls(f.n, levels)
-
-    def pivot_direction(self, prefix_len: int, prefix_code: int) -> int | None:
-        """Direction of the more-zeros branch if the next bit's influence
-        reaches 2/(3n), else None: 3n*|z0 - z1| >= 2^(n - prefix_len)."""
-        below = self.levels[prefix_len + 1]
-        z0 = below[prefix_code << 1]
-        z1 = below[(prefix_code << 1) | 1]
-        if 3 * self.n * abs(z0 - z1) >= 1 << (self.n - prefix_len):
-            return 0 if z0 > z1 else 1
-        return None
+        return levels
 
 
 def is_almost_balanced(f: HashFunction) -> bool:
@@ -156,7 +140,7 @@ class PivotalProfile:
     zeros of f in the branches the records' sigmas point at; the other
     branches hold the rest of the zeros.  The pivotal data of a string
     depends on the prefix before the pivot only (the prefix property),
-    so ``pivot`` finds it by walking the string's prefix from the root.
+    so ``pivot`` finds it in the record whose range holds the string.
     """
 
     def __init__(self, function: HashFunction,
@@ -168,13 +152,13 @@ class PivotalProfile:
 
     def pivot(self, x_code: int) -> tuple[int, int]:
         """(pivotal index, bias direction) for the string with this code."""
-        tree = self.function.tree
         n = self.n
-        for length in range(n):
-            sigma = tree.pivot_direction(length, x_code >> (n - length))
-            if sigma is not None:
-                return length + 1, sigma
-        raise AssertionError("no pivotal index on a path of an almost balanced function")
+        if not 0 <= x_code < 1 << n:
+            raise ValueError(f"string code must be in [0, 2^{n}), got {x_code}")
+        # the last record whose first string is at or before x_code
+        at = bisect_right(self.records, x_code, key=lambda record: record[1] << (n - record[0]))
+        prefix_len, _, sigma = self.records[at - 1]
+        return prefix_len + 1, sigma
 
     def histogram(self) -> dict[int, int]:
         """Count of input strings per pivotal index, in index order: a
@@ -202,12 +186,12 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
             "the pivotal index is not guaranteed to exist"
         )
     n = f.n
-    levels = f.tree.levels
+    tree = f.tree
     records = []
     zeros_toward = 0
     live = None  # every prefix of the level, until one pivots
     for length in range(n):
-        above, below = levels[length], levels[length + 1]
+        above, below = tree[length], tree[length + 1]
         if live is None:
             codes = range(len(above))
             z0 = below[0::2]

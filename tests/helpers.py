@@ -18,7 +18,6 @@ from chainbell import (
     HashFunction,
     PivotalProfile,
     SinglePairBox,
-    ZeroCountTree,
     bias_box,
     build_unbiased_box,
     is_almost_balanced,
@@ -32,19 +31,20 @@ def pivotal_threshold(n: int) -> Fraction:
     return Fraction(2, 3 * n)
 
 
-def tree_zeros(tree: ZeroCountTree, prefix_len: int, prefix_code: int) -> int:
+def tree_zeros(tree: list[list[int]], prefix_len: int, prefix_code: int) -> int:
     """Completions of the prefix that map to 0, read off the tree's levels."""
-    return tree.levels[prefix_len][prefix_code]
+    return tree[prefix_len][prefix_code]
 
 
-def influence(tree: ZeroCountTree, i: int, prefix_code: int) -> Fraction:
+def influence(tree: list[list[int]], i: int, prefix_code: int) -> Fraction:
     """|Pr[f=0 | prefix.0] - Pr[f=0 | prefix.1]| for a length-(i-1)
-    prefix, over uniform completions."""
-    if not 1 <= i <= tree.n:
-        raise ValueError(f"index must be in 1..{tree.n}, got {i}")
+    prefix, over uniform completions; the tree has n + 1 levels."""
+    n = len(tree) - 1
+    if not 1 <= i <= n:
+        raise ValueError(f"index must be in 1..{n}, got {i}")
     z0 = tree_zeros(tree, i, prefix_code << 1)
     z1 = tree_zeros(tree, i, (prefix_code << 1) | 1)
-    return Fraction(abs(z0 - z1), 2 ** (tree.n - i))
+    return Fraction(abs(z0 - z1), 2 ** (n - i))
 
 
 #: A pivot record: (prefix_len, prefix_code, sigma).
@@ -69,24 +69,27 @@ def record_zeros(f: HashFunction, record: Record) -> tuple[int, int]:
 
 def oracle_pivotal_profile(f: HashFunction) -> tuple[tuple[Record, ...], int, dict[int, int]]:
     """(records, zeros_toward, histogram) of an almost balanced f, by a
-    depth-first walk of the zero-count tree, 0 branch first, one
-    ``pivot_direction`` call per node: the records ascend by string.
-    The oracle for the library's level-wise walk."""
+    depth-first walk of the zero-count tree, 0 branch first: a node
+    pivots when its next bit's ``influence``, in ``Fraction``s, reaches
+    ``pivotal_threshold(n)``, so the records ascend by string.  The
+    oracle for the library's level-wise walk, sharing none of its rule."""
     n = f.n
     tree = f.tree
+    threshold = pivotal_threshold(n)
     records = []
     stack = [(0, 0)]
     while stack:
         length, code = stack.pop()
         if length == n:
             raise AssertionError("no pivotal index on a path of an almost balanced function")
-        sigma = tree.pivot_direction(length, code)
-        if sigma is not None:
-            records.append((length, code, sigma))
+        if influence(tree, length + 1, code) >= threshold:
+            z0 = tree_zeros(tree, length + 1, code << 1)
+            z1 = tree_zeros(tree, length + 1, (code << 1) | 1)
+            records.append((length, code, 0 if z0 > z1 else 1))
         else:
             stack.append((length + 1, (code << 1) | 1))
             stack.append((length + 1, code << 1))
-    zeros_toward = sum(tree.levels[length + 1][(code << 1) | sigma]
+    zeros_toward = sum(tree_zeros(tree, length + 1, (code << 1) | sigma)
                        for length, code, sigma in records)
     histogram = {}
     for length, _, _ in records:

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,6 @@ import chainbell.adversary
 from chainbell import (
     BoxParams,
     HashFunction,
-    ZeroCountTree,
     and_function,
     bias_box,
     build_attack_partition,
@@ -72,13 +72,21 @@ def test_msb_first_index_convention(worked_example):
     assert worked_example.bits[0] == 0
 
 
+def test_value_checks_string_length(worked_example):
+    """A short x would read the entry of its own shorter code."""
+    for x in [(1,), (0, 1), (0, 1, 0, 0)]:
+        with pytest.raises(ValueError, match=f"x must have 3 bits, got {len(x)}"):
+            worked_example.value(x)
+
+
 def test_hash_function_validation():
     with pytest.raises(ValueError):
         HashFunction(2, (0, 1, 0))  # wrong size
     with pytest.raises(ValueError):
         HashFunction(0, ())
     # -1 and 256 are no byte, 2 is a byte but no bit
-    for bad in [(0, -1), (0, 2), (0, 256), b"\0\2", bytearray(b"\0\2"), "01", (0, 1.0)]:
+    # and the int 4 is a length: bytes(4) would be four zero entries
+    for bad in [(0, -1), (0, 2), (0, 256), b"\0\2", bytearray(b"\0\2"), "01", (0, 1.0), 4]:
         with pytest.raises(ValueError, match="entries must be bits"):
             HashFunction(1, bad)
     # the count-based check still finds a bad entry at the very end
@@ -201,9 +209,10 @@ def test_parse_function_spec():
 # ---------------------------------------------------------------------------
 # zero-count tree
 
-def _pi0(tree: ZeroCountTree, length: int, code: int) -> Fraction:
-    """Pr[f = 0] over a uniform completion of the prefix."""
-    return Fraction(tree_zeros(tree, length, code), 2 ** (tree.n - length))
+def _pi0(tree: list[list[int]], length: int, code: int) -> Fraction:
+    """Pr[f = 0] over a uniform completion of the prefix; the tree has
+    n + 1 levels."""
+    return Fraction(tree_zeros(tree, length, code), 2 ** (len(tree) - 1 - length))
 
 
 @given(hash_functions())
@@ -246,7 +255,9 @@ def test_unbalanced_functions_build_no_tree():
 
 
 def test_tree_type_direct():
-    tree = ZeroCountTree.from_function(xor_function(3))
+    """The tree is a plain list of levels, root first."""
+    tree = xor_function(3).tree
+    assert [len(level) for level in tree] == [1, 2, 4, 8]
     assert tree_zeros(tree, 0, 0) == 4
     assert influence(tree, 3, 0b00) == 1
 
@@ -443,6 +454,38 @@ def test_walk_matches_record_oracle_random_functions(n, seed):
     if not is_almost_balanced(f):
         return
     assert_profile_matches_record_oracle(f)
+
+
+def lines_run_in(function, *args) -> int:
+    """Line events executed in ``function``'s own frame, not in the
+    functions it calls, during one call."""
+    code = function.__code__
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+@pytest.mark.parametrize("build", [xor_function, majority_function], ids=["xor", "majority"])
+def test_walk_runs_a_few_lines_per_level(build):
+    """The walk is bulk operations per tree level, not Python code per
+    node: at n = 16 it runs at most 20 lines per level, where a walk with
+    a line per node runs hundreds of thousands on xor, which pivots only
+    at its last bit.  Counting lines, not seconds, makes the guard
+    deterministic on any machine."""
+    f = build(16)
+    assert len(f.tree) == f.n + 1  # the tree is built before the count
+    assert lines_run_in(build_pivotal_profile, f) <= 20 * f.n
 
 
 @pytest.mark.parametrize("bits", [(0,) * 8, (0,) * 30 + (1, 1)],

@@ -14,7 +14,10 @@ read only by ``boxes.close`` and ``boxes.at_least``, and by
 ``nonsignalling._merge``, which reports it, and no code names an
 ``atol`` of its own.  One guard decides whether a run is too big:
 ``EVAL_CAP`` is read, and ``InfeasibleSizeError`` raised, only in
-``nonsignalling.refuse_over_cap``.
+``nonsignalling.refuse_over_cap``.  One walk states the pivot rule: a
+function's zero-count tree ``.tree`` is read only by
+``adversary.build_pivotal_profile``, and every other pivot is read off
+the records it makes.
 """
 
 import ast
@@ -150,3 +153,7 @@ def test_size_is_refused_only_by_refuse_over_cap():
     owner = "nonsignalling.py:refuse_over_cap"
     assert set(owners_of(PACKAGE, reads("EVAL_CAP"))) == {owner}
     assert owners_of(PACKAGE, raises_infeasible_size) == [owner]
+
+
+def test_zero_count_tree_is_read_only_by_the_pivotal_walk():
+    assert set(owners_of(PACKAGE, reads("tree"))) == {"adversary.py:build_pivotal_profile"}

@@ -97,6 +97,15 @@ def test_attacked_parts_average_to_product(fig_partition):
             assert 2 * base.evaluate(x, y, u, v) - p0 == p1
 
 
+def test_pair_boxes_refuse_a_code_outside_the_strings(fig_partition):
+    """Codes index [0, 2^n): -1 must not wrap to the last string."""
+    _, partition = fig_partition
+    for system in partition.systems:
+        for code in (-1, 2**3):
+            with pytest.raises(ValueError, match=r"string code must be in \[0, 2\^3\)"):
+                system.pair_boxes(code)
+
+
 def test_pivotal_pair_cancellation(fig_partition):
     """P0(x) + P0(x with pivot flipped) matches the unbiased pair sum."""
     f, partition = fig_partition
