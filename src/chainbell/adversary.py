@@ -104,6 +104,9 @@ class HashFunction:
     def value(self, x: Sequence[int]) -> int:
         if len(x) != self.n:
             raise ValueError(f"x must have {self.n} bits, got {len(x)}")
+        for b in x:
+            if b not in (0, 1):
+                raise ValueError(f"x must hold bits, got {b}")
         return self.bits[bits_to_int(x)]
 
     @cached_property

@@ -18,6 +18,16 @@ inputs inside S.  One kernel checks it:
   depend on inputs from the cut onwards;
 - ``check_subset``: S given by the caller, on one side.
 
+Marginals are whole-table passes, never gathered block by block.
+``_sum_out`` sums one output position out of a flat grid that covers
+every input (u, v) at once; S is summed out one position at a time,
+highest position first.  The time-ordered cuts of one side are one
+chain: cut n sums position n out of the table, and cut i sums position
+i out of cut i+1's grid, so all n cuts together sum about one table's
+worth of entries.  Every check sums in this order, so in float tables
+it is the summation order, and a marginal has the same float bits
+whichever check computes it.
+
 Every violation is counted.  A report keeps as witnesses the first
 ``MAX_WITNESSES`` violations in witness order: by side (alice before
 bob), then cut (none counts as 0), then the left settings u and v,
@@ -43,8 +53,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, product
-from operator import add, itemgetter, ne
+from functools import reduce
+from itertools import accumulate, compress, count, cycle, product, repeat
+from operator import add, floordiv, ne
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._coding import int_to_digits
@@ -221,20 +232,23 @@ def _box_product_table(system) -> JointTable:
 
     values = [0] * table_entries(n, N)
     for x, boxes in enumerate(boxes_by_x):
-        rows = [[1]]
+        # All rows of x end to end, each 2^j entries long after position j.
+        rows = [1]
         for j, box in enumerate(boxes):
             bit_pairs = pairs[id(box), (x >> (n - 1 - j)) & 1]
-            rows = [[p * c for p in row for c in pair] for row in rows for pair in bit_pairs]
+            width = 1 << j
+            rows = [p * c for start in range(0, len(rows), width) for pair in bit_pairs
+                    for p in rows[start:start + width] for c in pair]
         start = x * X
-        for offset, row in zip(offsets, rows):
-            values[offset + start:offset + start + X] = row
+        for k, offset in enumerate(offsets):
+            values[offset + start:offset + start + X] = rows[k * X:(k + 1) * X]
 
     if not exact:
         return JointTable(n, N, [float(v) for v in values], None)
     full = D**n
     g = math.gcd(full, *values)
     if g > 1:
-        values = [v // g for v in values]
+        values = list(map(floordiv, values, repeat(g)))
     return JointTable(n, N, values, full // g)
 
 
@@ -252,8 +266,27 @@ def _scatter_codes(positions: Sequence[int], n: int, base: int) -> list[int]:
     return codes
 
 
+def _sum_out(values: list, stride: int) -> list:
+    """``values`` with one binary output position summed out, the position
+    whose two outcomes lie ``stride`` entries apart: in each run of
+    2·stride entries, the first half plus the second.  One pass over the
+    whole flat grid, every (u, v) block at once."""
+    low = (1,) * stride + (0,) * stride
+    return list(map(add, compress(values, cycle(low)), compress(values, cycle(low[::-1]))))
+
+
+def _strides(n: int, side: str, subset: Sequence[int]) -> Iterator[int]:
+    """The ``_sum_out`` strides that sum ``side``'s outputs at ``subset``
+    out of a table, highest position first.  With k kept positions after
+    p (those after p in ``subset`` are summed out already), Alice's
+    outcomes at p lie 2^k·2^n entries apart, Bob's 2^k."""
+    unit = 2**n if side == "alice" else 1
+    return (unit << (n - p - done) for done, p in enumerate(reversed(subset)))
+
+
 def _independence_violations(
     table: JointTable,
+    grid: list,
     side: str,
     subset: tuple[int, ...],
     condition: str,
@@ -263,71 +296,63 @@ def _independence_violations(
     of the other side's outputs, do not depend on ``side``'s inputs inside
     ``subset``.
 
-    For each (u, v) the marginal grid sums ``side``'s outcomes over the
-    subset positions; grids whose ``side`` settings differ only inside the
-    subset are compared with the one that has zeros there.  Both sides are
-    read in place, through the strides of the table layout.  Comparisons
-    run in witness order (see the module docstring), so the first
-    MAX_WITNESSES violations found are the report's witnesses.  Returns
-    (witnesses, total violation count, comparisons performed).
+    ``grid`` is ``table`` with ``side``'s outputs at ``subset`` summed out
+    (by ``_sum_out``, highest position first; in float tables this is the
+    summation order), so it keeps the table's layout with those digits
+    removed: one block of kept outcomes per (u, v), in table order.  The
+    blocks whose ``side`` settings differ only inside the subset are
+    compared with the one that has zeros there, as whole slices, entry by
+    entry only where two slices differ.  Comparisons run in witness order
+    (see the module docstring), so the first MAX_WITNESSES violations
+    found are the report's witnesses.  Returns (witnesses, total violation
+    count, comparisons performed).
     """
     n, N, den = table.n, table.n_settings, table.den
     NS, X = N**n, 2**n
     kept = tuple(p for p in range(1, n + 1) if p not in subset)
     setting_keep = _scatter_codes(kept, n, N)
-    setting_var = _scatter_codes(subset, n, N)
-    outcome_keep = _scatter_codes(kept, n, 2)
-    outcome_var = _scatter_codes(subset, n, 2)
-
-    # Offsets into one (u, v) block of X*X entries (x major, y minor),
-    # summand-major; within a summand in grid order, Alice's x before Bob's y.
+    setting_var = _scatter_codes(subset, n, N)[1:]
     if side == "alice":
-        summands = [[(xk + xs) * X + y for xk in outcome_keep for y in range(X)]
-                    for xs in outcome_var]
         refs = [uk * NS + v for uk in setting_keep for v in range(NS)]
         var_stride = NS
     else:
-        summands = [[x * X + yk + ys for x in range(X) for yk in outcome_keep]
-                    for ys in outcome_var]
         refs = [u * NS + vk for u in range(NS) for vk in setting_keep]
         var_stride = 1
-    G = len(summands[0])
-    gather = itemgetter(*(i for offsets in summands for i in offsets))
-    block = X * X
-    values = table.values
-
-    def marginal(index: int) -> list:
-        """The grid of (u, v) block ``index``, summands added left to right."""
-        cells = gather(values[index * block:(index + 1) * block])
-        grid = cells[:G]
-        for s in range(G, block, G):
-            grid = map(add, grid, cells[s:s + G])
-        return list(grid)
+    G = len(grid) // (NS * NS)
 
     found: list[tuple] = []
     total = 0
     for ref_index in refs:
-        ref = marginal(ref_index)
-        for d in setting_var[1:]:
+        ref = grid[ref_index * G:(ref_index + 1) * G]
+        for d in setting_var:
             index = ref_index + d * var_stride
-            grid = marginal(index)
-            if grid == ref:
+            other = grid[index * G:(index + 1) * G]
+            if other == ref:
                 continue
-            for k in compress(count(), map(ne, ref, grid)):
-                if not close(ref[k], grid[k]):
+            for k in compress(count(), map(ne, ref, other)):
+                if not close(ref[k], other[k]):
                     total += 1
                     if len(found) < MAX_WITNESSES:
-                        found.append((ref_index, index, k, ref[k], grid[k]))
-    checks = len(refs) * (len(setting_var) - 1) * G
+                        found.append((ref_index, index, k, ref[k], other[k]))
+    checks = len(refs) * len(setting_var) * G
 
     def masked(bits: tuple[int, ...]) -> tuple[int | None, ...]:
         return tuple(b if p in kept else None for p, b in enumerate(bits, 1))
 
+    def spread(code: int) -> int:
+        """A code over the kept positions, as an n-bit outcome code."""
+        return sum(((code >> (len(kept) - i)) & 1) << (n - p) for i, p in enumerate(kept, 1))
+
     violations = []
     for left, right, k, lhs, rhs in found:
-        offset = summands[0][k]
-        x, y, u_left, v_left = table.point(left * block + offset)
-        u_right, v_right = table.point(right * block + offset)[2:]
+        if side == "alice":
+            x_code, y_code = divmod(k, X)
+            offset = spread(x_code) * X + y_code
+        else:
+            x_code, y_code = divmod(k, G // X)
+            offset = x_code * X + spread(y_code)
+        x, y, u_left, v_left = table.point(left * X * X + offset)
+        u_right, v_right = table.point(right * X * X + offset)[2:]
         if side == "alice":
             x = masked(x)
         else:
@@ -358,25 +383,41 @@ def _merge(condition: str, parts: Iterable[tuple[list[NsViolation], int, int]],
     )
 
 
+def _marginal(table: JointTable, side: str, subset: tuple[int, ...]) -> list:
+    """``table`` with ``side``'s outputs at ``subset`` summed out, highest
+    position first."""
+    return reduce(_sum_out, _strides(table.n, side, subset), table.values)
+
+
 def check_ab(system: "SystemEvaluator", *, table: JointTable | None = None) -> NsReport:
     """Neither full output marginal may depend on the other side's inputs."""
     t = table if table is not None else materialize(system)
     everything = tuple(range(1, t.n + 1))
-    parts = [_independence_violations(t, side, everything, CONDITION_AB, 1)
+    parts = [_independence_violations(t, _marginal(t, side, everything), side, everything,
+                                      CONDITION_AB, 1)
              for side in ("alice", "bob")]
     return _merge(CONDITION_AB, parts, t.den)
 
 
 def check_time_ordered(system: "SystemEvaluator", *,
                        table: JointTable | None = None) -> NsReport:
-    """Future inputs may not influence past outputs, on either side."""
+    """Future inputs may not influence past outputs, on either side.
+
+    Each side's grids are one chain: cut n sums position n out of the
+    table, and each cut after it sums one more position out of the grid
+    before, so the whole check sums about one table's worth of entries.
+    """
     t = table if table is not None else materialize(system)
-    parts = [
-        _independence_violations(t, side, tuple(range(cut, t.n + 1)),
-                                 f"{CONDITION_TIME_ORDERED}-{side}", cut)
-        for side in ("alice", "bob")
-        for cut in range(1, t.n + 1)
-    ]
+    n = t.n
+    everything = tuple(range(1, n + 1))
+    parts = []
+    for side in ("alice", "bob"):
+        grids = accumulate(_strides(n, side, everything), _sum_out, initial=t.values)
+        next(grids)  # the table itself
+        cuts = [_independence_violations(t, grid, side, everything[cut - 1:],
+                                         f"{CONDITION_TIME_ORDERED}-{side}", cut)
+                for cut, grid in zip(range(n, 0, -1), grids)]
+        parts.extend(reversed(cuts))
     return _merge(CONDITION_TIME_ORDERED, parts, t.den)
 
 
@@ -390,7 +431,7 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
     if not sub or sub[0] < 1 or sub[-1] > system.n:
         raise ValueError(f"subset must be a nonempty subset of 1..{system.n}, got {sub}")
     t = table if table is not None else materialize(system)
-    part = _independence_violations(t, side, sub, CONDITION_SUBSET, None)
+    part = _independence_violations(t, _marginal(t, side, sub), side, sub, CONDITION_SUBSET, None)
     return _merge(CONDITION_SUBSET, [part], t.den)
 
 

@@ -24,8 +24,9 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import mul, truediv
+from functools import partial, reduce
+from itertools import compress, count, repeat
+from operator import add, eq, mul, ne, truediv
 from typing import TYPE_CHECKING, Sequence
 
 from ._coding import bits_to_int
@@ -287,32 +288,46 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
 
     # Pointwise convex combination: on a common integer denominator in
     # exact mode, else in floats (exact tables converted as they are read).
+    # Both sides are lazy chains over whole tables, so the check builds no
+    # table-sized list and walks entries in Python only where one differs.
     if base_table.exact and all(t.exact for t in part_tables) and all_exact(weights):
         den = base_table.den
         for w, t in zip(weights, part_tables):
             den = math.lcm(den, t.den * w.denominator)
         scales = [w.numerator * (den // (t.den * w.denominator))
                   for w, t in zip(weights, part_tables)]
-        wants = map(mul, base_table.values, repeat(den // base_table.den))
-        columns = zip(*(t.values for t in part_tables))
+
+        def wants():
+            return map(mul, base_table.values, repeat(den // base_table.den))
+
+        def column(t: JointTable):
+            return t.values
     else:
-        def as_floats(t: JointTable):
+        def column(t: JointTable):
             return map(truediv, t.values, repeat(t.den)) if t.exact else t.values
 
         den = None
         scales = [float(w) for w in weights]
-        wants = as_floats(base_table)
-        columns = zip(*map(as_floats, part_tables))
+
+        def wants():
+            return column(base_table)
+
+    def combos():
+        """Each entry's sum of scale times part value, added in part order."""
+        return reduce(partial(map, add), [map(mul, repeat(scale), column(t))
+                                          for scale, t in zip(scales, part_tables)])
+
     mismatches = []
     mismatch_total = 0
-    for idx, (want, column) in enumerate(zip(wants, columns)):
-        combo = sum(map(mul, scales, column))
-        if combo != want and not close(combo, want):
-            mismatch_total += 1
-            if len(mismatches) < MAX_WITNESSES:
-                if den is not None:
-                    want, combo = Fraction(want, den), Fraction(combo, den)
-                mismatches.append((*base_table.point(idx), want, combo))
+    if not all(map(eq, combos(), wants())):
+        for idx, combo, want in compress(zip(count(), combos(), wants()),
+                                         map(ne, combos(), wants())):
+            if not close(combo, want):
+                mismatch_total += 1
+                if len(mismatches) < MAX_WITNESSES:
+                    if den is not None:
+                        want, combo = Fraction(want, den), Fraction(combo, den)
+                    mismatches.append((*base_table.point(idx), want, combo))
     checks += table_size
 
     return PartitionReport(

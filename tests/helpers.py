@@ -6,9 +6,12 @@ through the library's closed forms, so they stay valid checks of them.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from typing import Sequence
 
 from chainbell import (
@@ -21,9 +24,10 @@ from chainbell import (
     bias_box,
     build_unbiased_box,
     is_almost_balanced,
+    materialize,
     random_function,
 )
-from chainbell.nonsignalling import CONDITION_SUBSET, NsViolation
+from chainbell.nonsignalling import CONDITION_SUBSET, MAX_WITNESSES, NsViolation
 from chainbell.systems import Partition, SystemEvaluator
 
 
@@ -146,22 +150,28 @@ def oracle_random_bits(n: int, seed) -> bytes:
 
 
 class FuturePeekingSystem(SystemEvaluator):
-    """Two-pair system whose first pair is biased by the *second* output
-    bit -- the prefix property violated on purpose."""
+    """An n-pair system whose pair ``early`` is biased by the *later*
+    output bit at ``late`` -- the prefix property violated on purpose.
+    Every other pair is unbiased.  By default the first of two pairs
+    peeks at the second output bit."""
 
-    n = 2
-
-    def __init__(self, params: BoxParams):
+    def __init__(self, params: BoxParams, n: int = 2, early: int = 1, late: int = 2):
         self.base = build_unbiased_box(params)
         self.biased = (
             bias_box(self.base, 0, params.eps),
             bias_box(self.base, 1, params.eps),
         )
+        self.n = n
         self.n_settings = params.n_settings
+        self.early = early
+        self.late = late
 
     def evaluate(self, x, y, u, v):
-        first = self.biased[x[1]]
-        return first.prob(u[0], v[0], x[0], y[0]) * self.base.prob(u[1], v[1], x[1], y[1])
+        val = 1
+        for j in range(self.n):
+            box = self.biased[x[self.late - 1]] if j == self.early - 1 else self.base
+            val *= box.prob(u[j], v[j], x[j], y[j])
+        return val
 
 
 class MirroredSystem(SystemEvaluator):
@@ -305,6 +315,47 @@ def brute_force_violations(system: SystemEvaluator, side: str, subset, *,
     return violations, len(comparisons)
 
 
+def oracle_convex_mismatches(partition: Partition, base: SystemEvaluator):
+    """(mismatches, mismatch total, entries compared) of the pointwise
+    convex combination of ``partition``'s parts against ``base``, entry by
+    entry: each entry's ``sum(map(mul, scales, column))`` against the
+    base's value, on a common integer denominator when every table and
+    weight is exact, else in floats.  The first MAX_WITNESSES mismatches
+    are kept, in table order."""
+    base_table = materialize(base)
+    part_tables = [materialize(s) for s in partition.systems]
+    weights = partition.weights
+    exact = base_table.exact and all(t.exact for t in part_tables) and all(
+        isinstance(w, (int, Fraction)) for w in weights)
+    if exact:
+        den = base_table.den
+        for w, t in zip(weights, part_tables):
+            den = math.lcm(den, t.den * w.denominator)
+        scales = [w.numerator * (den // (t.den * w.denominator))
+                  for w, t in zip(weights, part_tables)]
+        wants = [v * (den // base_table.den) for v in base_table.values]
+        columns = zip(*(t.values for t in part_tables))
+    else:
+        def as_floats(t):
+            return [v / t.den for v in t.values] if t.exact else t.values
+
+        den = None
+        scales = [float(w) for w in weights]
+        wants = as_floats(base_table)
+        columns = zip(*map(as_floats, part_tables))
+    mismatches = []
+    total = 0
+    for idx, (want, column) in enumerate(zip(wants, columns)):
+        combo = sum(map(mul, scales, column))
+        if combo != want and (exact or abs(combo - want) > FLOAT_ATOL):
+            total += 1
+            if len(mismatches) < MAX_WITNESSES:
+                if exact:
+                    want, combo = Fraction(want, den), Fraction(combo, den)
+                mismatches.append((*base_table.point(idx), want, combo))
+    return mismatches, total, len(base_table.values)
+
+
 def witness_key(v: NsViolation):
     """The witness order of the nonsignalling module docstring, as a sort
     key: side, cut, left and right settings, then the kept outputs."""
@@ -430,3 +481,24 @@ def balanced_two_zero_functions_n2() -> list[HashFunction]:
         bits = tuple(0 if k in zeros else 1 for k in range(4))
         out.append(HashFunction(2, bits, f"n2:{zeros}"))
     return out
+
+
+def lines_run_in(counted, function, *args, **kwargs) -> int:
+    """Line events executed during one call of ``function``, in the frames
+    whose code object ``counted`` accepts.  Counting lines, not seconds,
+    makes a guard against per-element Python deterministic on any
+    machine."""
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if counted(frame.f_code) else None)
+    try:
+        function(*args, **kwargs)
+    finally:
+        sys.settrace(previous)
+    return lines

@@ -1,5 +1,4 @@
 import hashlib
-import sys
 from fractions import Fraction
 from itertools import product
 
@@ -32,6 +31,7 @@ from helpers import (
     constant_function,
     exhaustive_almost_balanced,
     influence,
+    lines_run_in,
     oracle_and_bits,
     oracle_majority_bits,
     oracle_or_bits,
@@ -77,6 +77,14 @@ def test_value_checks_string_length(worked_example):
     for x in [(1,), (0, 1), (0, 1, 0, 0)]:
         with pytest.raises(ValueError, match=f"x must have 3 bits, got {len(x)}"):
             worked_example.value(x)
+
+
+@pytest.mark.parametrize("x", [(0, 2, 0), (0, -1, 0)])
+def test_value_refuses_entries_that_are_not_bits(x):
+    """Such an x would read another string's entry: (0, 2, 0) encodes to
+    4, and (0, -1, 0) to -2, a negative index."""
+    with pytest.raises(ValueError, match=f"x must hold bits, got {x[1]}"):
+        xor_function(3).value(x)
 
 
 def test_hash_function_validation():
@@ -456,26 +464,6 @@ def test_walk_matches_record_oracle_random_functions(n, seed):
     assert_profile_matches_record_oracle(f)
 
 
-def lines_run_in(function, *args) -> int:
-    """Line events executed in ``function``'s own frame, not in the
-    functions it calls, during one call."""
-    code = function.__code__
-    lines = 0
-
-    def count(frame, event, arg):
-        nonlocal lines
-        lines += event == "line"
-        return count
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
-    try:
-        function(*args)
-    finally:
-        sys.settrace(previous)
-    return lines
-
-
 @pytest.mark.parametrize("build", [xor_function, majority_function], ids=["xor", "majority"])
 def test_walk_runs_a_few_lines_per_level(build):
     """The walk is bulk operations per tree level, not Python code per
@@ -485,7 +473,8 @@ def test_walk_runs_a_few_lines_per_level(build):
     deterministic on any machine."""
     f = build(16)
     assert len(f.tree) == f.n + 1  # the tree is built before the count
-    assert lines_run_in(build_pivotal_profile, f) <= 20 * f.n
+    own = build_pivotal_profile.__code__
+    assert lines_run_in(lambda code: code is own, build_pivotal_profile, f) <= 20 * f.n
 
 
 @pytest.mark.parametrize("bits", [(0,) * 8, (0,) * 30 + (1, 1)],

@@ -31,6 +31,7 @@ from helpers import (
     MirroredSystem,
     PerPointSystem,
     brute_force_violations,
+    lines_run_in,
     perturbed_alice_marginal_box,
     perturbed_bob_marginal_box,
     witness_key,
@@ -283,6 +284,19 @@ def subset_cases(draw):
     return system, side, tuple(sorted(subset))
 
 
+def assert_same_witnesses(got, want, *, exact):
+    """Equal witnesses in exact mode; in float mode the same points, with
+    values within FLOAT_ATOL."""
+    if exact:
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert replace(g, left=0, right=0) == replace(w, left=0, right=0)
+        assert abs(g.left - w.left) <= FLOAT_ATOL
+        assert abs(g.right - w.right) <= FLOAT_ATOL
+
+
 @given(subset_cases())
 @settings(max_examples=40, deadline=None)
 # a few violations per marginal grid, in several grids: the witnesses
@@ -301,14 +315,7 @@ def test_subset_kernel_matches_evaluate_oracle(case):
     assert report.violations_total == len(oracle)
     assert report.checks_performed == checks
     expected = sorted(oracle, key=witness_key)[:MAX_WITNESSES]
-    if report.tolerance == 0:
-        assert report.violations == expected
-        return
-    assert len(report.violations) == len(expected)
-    for got, want in zip(report.violations, expected):
-        assert replace(got, left=0, right=0) == replace(want, left=0, right=0)
-        assert abs(got.left - want.left) <= FLOAT_ATOL
-        assert abs(got.right - want.right) <= FLOAT_ATOL
+    assert_same_witnesses(report.violations, expected, exact=report.tolerance == 0)
 
 
 @given(ns_systems())
@@ -327,6 +334,67 @@ def test_time_ordered_cuts_are_subsets(system):
     relabeled = [replace(v, condition=f"time-ordered-{side}", cut=cut)
                  for side, cut, r in parts for v in r.violations]
     assert report.violations == relabeled[:MAX_WITNESSES]
+
+
+class RememberingSystem(PerPointSystem):
+    """Evaluates each point of the wrapped system once: the oracle below
+    sums every point once per cut."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.seen = {}
+
+    def evaluate(self, x, y, u, v):
+        point = (tuple(x), tuple(y), tuple(u), tuple(v))
+        if point not in self.seen:
+            self.seen[point] = self.inner.evaluate(x, y, u, v)
+        return self.seen[point]
+
+
+@pytest.mark.parametrize("params", [_params(n_settings=3), BoxParams.quantum(3)],
+                         ids=["exact", "quantum"])
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
+def test_time_ordered_cuts_match_evaluate_oracle(monkeypatch, params, mirrored):
+    """Every cut of the time-ordered chain, at n = 3 and N = 3, against
+    direct summation of ``evaluate``: the first pair peeks at the third
+    output bit, so Alice's (or, mirrored, Bob's) cuts 2 and 3 fail.  Each
+    cut's count and checks equal the oracle's, and its witnesses are the
+    oracle's first MAX_WITNESSES by witness key."""
+    system = FuturePeekingSystem(params, n=3, early=1, late=3)
+    system = RememberingSystem(MirroredSystem(system) if mirrored else system)
+    kernel = nonsignalling._independence_violations
+    cuts = {}
+
+    def recording(table, grid, side, subset, condition, cut):
+        cuts[side, cut] = kernel(table, grid, side, subset, condition, cut)
+        return cuts[side, cut]
+
+    monkeypatch.setattr(nonsignalling, "_independence_violations", recording)
+    report = check_time_ordered(system)
+    assert sorted(cuts) == [(side, cut) for side in ("alice", "bob") for cut in (1, 2, 3)]
+    failing = "bob" if mirrored else "alice"
+    for (side, cut), (violations, total, checks) in cuts.items():
+        oracle, oracle_checks = brute_force_violations(
+            system, side, range(cut, 4), condition=f"time-ordered-{side}", cut=cut)
+        assert (total, checks) == (len(oracle), oracle_checks)
+        assert (total > 0) == (side == failing and cut > 1)
+        expected = sorted(oracle, key=witness_key)[:MAX_WITNESSES]
+        assert_same_witnesses(violations, expected, exact=params.exact)
+    assert report.violations_total == sum(total for _, total, _ in cuts.values())
+
+
+def test_time_ordered_runs_a_few_lines_per_block():
+    """The chain sums whole tables in C and compares whole blocks: on a
+    passing exact n = 4, N = 2 table it runs at most 16 lines per (u, v)
+    block and cut, where a per-block gather of the marginals runs
+    several times more."""
+    n, N = 4, 2
+    system = build_product_system(build_unbiased_box(_params()), n)
+    table = materialize(system)
+    module = nonsignalling.__file__
+    lines = lines_run_in(lambda code: code.co_filename == module,
+                         check_time_ordered, system, table=table)
+    assert lines <= 16 * n * N ** (2 * n)
 
 
 # ---------------------------------------------------------------------------

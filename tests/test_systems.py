@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbell import (
+    FLOAT_ATOL,
     AttackedSystem,
     BoxParams,
     HashFunction,
@@ -19,12 +20,14 @@ from chainbell import (
     xor_function,
 )
 from chainbell import nonsignalling
+from chainbell.nonsignalling import MAX_WITNESSES
 from chainbell._coding import bits_to_int
 
 from helpers import (
     NegatedPointSystem,
     alice_output_distribution,
     flip_pivotal_bit,
+    oracle_convex_mismatches,
     perturbed_bob_marginal_box,
     x_marginal,
 )
@@ -248,6 +251,44 @@ def test_verify_partition_float_convex_mismatches_are_stable(params, amount, wei
     x, y, u, v, want, got = report.convex_mismatches[0]
     assert (x, y, u, v) == ((0, 0, 0),) * 4
     assert (want.hex(), got.hex()) == first
+
+
+@pytest.mark.parametrize("params, float_weights", [
+    (_params(), False),
+    (BoxParams.quantum(2), False),
+    (_params(), True),  # exact tables under float weights: compared as floats
+], ids=["exact", "quantum", "float-weights"])
+@pytest.mark.parametrize("broken", [False, True], ids=["legal", "perturbed"])
+def test_convex_check_matches_per_entry_oracle(params, float_weights, broken):
+    """The streamed convex check against today's entry-by-entry loop, on
+    three-part partitions: the attack's z = 0 part split in two, one half
+    possibly with a perturbed Bob marginal (hundreds of mismatches, far
+    more than MAX_WITNESSES).  Totals, checks and the kept mismatches are
+    equal, float values to within FLOAT_ATOL."""
+    partition = build_attack_partition(function_from_hex("39"), params)
+    part0, part1 = partition.systems
+    half = part0
+    if broken:
+        half = AttackedSystem(perturbed_bob_marginal_box(params, params.eps / 8),
+                              part0.biased, part0.profile, part0.z)
+    w = Fraction(1, 2) if params.exact else 0.5
+    w = float(w) if float_weights else w
+    three = Partition(((w / 2, part0), (w / 2, half), (w, part1)))
+    base = build_product_system(build_unbiased_box(params), 3)
+    report = verify_partition(three, base, constraint="none")
+    mismatches, total, compared = oracle_convex_mismatches(three, base)
+    assert report.convex_mismatch_total == total
+    assert (total > MAX_WITNESSES) == broken
+    entries = 4**3 * 2**6
+    assert report.checks_performed == len(three.parts) * entries + entries + compared
+    assert len(report.convex_mismatches) == len(mismatches)
+    for got, want in zip(report.convex_mismatches, mismatches):
+        assert got[:4] == want[:4]
+        if params.exact and not float_weights:
+            assert got == want
+        else:
+            assert abs(got[4] - want[4]) <= FLOAT_ATOL
+            assert abs(got[5] - want[5]) <= FLOAT_ATOL
 
 
 def test_verify_partition_respects_eval_cap(fig_partition, monkeypatch):
