@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import analysis, nonsignalling
-from .adversary import build_attack_partition, parse_function_spec
+from .adversary import _table_size, build_attack_partition, parse_function_spec
 from .boxes import (
     MODE_QUANTUM,
     MODE_RATIONAL,
@@ -167,8 +167,9 @@ def _cmd_attack(args) -> int:
 # verify
 
 def _verify_system(args, params: BoxParams):
-    # Refused by table size before any O(2^n) work.  A hex spec's truth
-    # table is on the command line and fixes n, so it is parsed first.
+    # Refused by n, then by table size, before any O(2^n) work and before
+    # (4 N^2)^n is computed.  A hex spec's truth table is on the command
+    # line and fixes n, so it is parsed first.
     f = None
     if args.system == "unbiased":
         if args.n is None:
@@ -179,6 +180,7 @@ def _verify_system(args, params: BoxParams):
         f = parse_function_spec(args.function, args.n)
     n = args.n if f is None else f.n
     if n is not None:
+        _table_size(n)  # the builders' own check: n in 1..MAX_FUNCTION_BITS
         nonsignalling.refuse_over_cap("joint table",
                                       nonsignalling.table_entries(n, params.n_settings))
     if args.system == "unbiased":

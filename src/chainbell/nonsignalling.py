@@ -18,24 +18,29 @@ inputs inside S.  One kernel checks it:
   depend on inputs from the cut onwards;
 - ``check_subset``: S given by the caller, on one side.
 
+The table is indexed by two 2n-digit words (see ``JointTable``): the
+settings word (u_1..u_n, v_1..v_n) in base N and the outcome word
+(x_1..x_n, y_1..y_n) in base 2.  Alice's position p is digit p of both
+words and Bob's is digit n + p; ``_digits`` is the only mapping from a
+side to digits, and everything else works on digits.
+
 Marginals are whole-table passes, never gathered block by block.
-``_sum_out`` sums one output position out of a flat grid that covers
-every input (u, v) at once; S is summed out one position at a time,
-highest position first.  The time-ordered cuts of one side are one
-chain: cut n sums position n out of the table, and cut i sums position
-i out of cut i+1's grid, so all n cuts together sum about one table's
-worth of entries.  Every check sums in this order, so in float tables
-it is the summation order, and a marginal has the same float bits
-whichever check computes it.
+``_sum_out`` sums one outcome digit out of a flat grid that covers
+every settings word at once; S is summed out one digit at a time,
+highest first.  The time-ordered cuts of one side are one chain: cut n
+sums position n out of the table, and cut i sums position i out of cut
+i+1's grid, so all n cuts together sum about one table's worth of
+entries.  Every check sums in this order, so in float tables it is the
+summation order, and a marginal has the same float bits whichever check
+computes it.
 
 Every violation is counted.  A report keeps as witnesses the first
 ``MAX_WITNESSES`` violations in witness order: by side (alice before
-bob), then cut (none counts as 0), then the left settings u and v,
-then the right settings u and v, then the kept outputs x and y, each
-compared digit by digit from position 1 with a summed position before
-either bit.
+bob), then cut (none counts as 0), then the left settings word, then
+the right settings word, then the kept outcome word, compared digit by
+digit from digit 1 with a summed digit before either bit.
 
-Only ``JointTable.point`` decodes the table's index layout; the kernel
+Only ``JointTable.point`` decodes an index into its point; the kernel
 and ``verify_partition`` name witness points through it.
 
 Exact tables (all ints or Fractions) are normalized to integer numerators
@@ -124,9 +129,12 @@ class JointTable:
     """A fully materialized joint distribution.
 
     Exact tables hold integer numerators over ``den``; float tables hold
-    raw floats with ``den`` None.  Index layout, all first-position most
-    significant: ``((u * N^n + v) * 2^n + x) * 2^n + y``.  ``point``
-    decodes an index and ``blocks`` cuts the table by input (u, v).
+    raw floats with ``den`` None.  The index is ``s * 4^n + o``, with s
+    the settings word (u_1..u_n, v_1..v_n) in base N and o the outcome
+    word (x_1..x_n, y_1..y_n) in base 2, digit 1 most significant.
+    Alice's position p is digit p of both words, Bob's digit n + p, and
+    ``_digits`` is the only mapping from a side to digits.  ``point``
+    decodes an index and ``blocks`` cuts the table by settings word.
     """
 
     n: int
@@ -140,15 +148,14 @@ class JointTable:
 
     def point(self, index: int) -> tuple[tuple[int, ...], ...]:
         """The point (x, y, u, v) whose value is ``values[index]``."""
-        n, N = self.n, self.n_settings
-        index, y = divmod(index, 2**n)
-        index, x = divmod(index, 2**n)
-        u, v = divmod(index, N**n)
-        return (int_to_digits(x, n, 2), int_to_digits(y, n, 2),
-                int_to_digits(u, n, N), int_to_digits(v, n, N))
+        n = self.n
+        settings, outcomes = divmod(index, 4**n)
+        xy = int_to_digits(outcomes, 2 * n, 2)
+        uv = int_to_digits(settings, 2 * n, self.n_settings)
+        return xy[:n], xy[n:], uv[:n], uv[n:]
 
     def blocks(self) -> Iterator[list]:
-        """The values at each input (u, v) in index order, 4^n per block."""
+        """The values at each settings word in index order, 4^n per block."""
         size = 4**self.n
         return (self.values[start:start + size] for start in range(0, len(self.values), size))
 
@@ -223,12 +230,11 @@ def _box_product_table(system) -> JointTable:
              for key, box in distinct.items() for bit in (0, 1)}
 
     # Rows are built in (u_1, v_1, u_2, v_2, ...) order; offsets[k] is where
-    # the k-th row's (u, v) block starts in the table's (u, v, x, y) layout.
-    offsets = [0]
-    for j in range(n):
-        step = N ** (n - 1 - j)
-        offsets = [o + (a * N**n + b) * step * X * X
-                   for o in offsets for a in range(N) for b in range(N)]
+    # the k-th row's settings word starts in the table.
+    positions = range(1, n + 1)
+    interleaved = [d for pair in zip(_digits(n, "alice", positions), _digits(n, "bob", positions))
+                   for d in pair]
+    offsets = [code * X * X for code in _scatter_codes(interleaved, 2 * n, N)]
 
     values = [0] * table_entries(n, N)
     for x, boxes in enumerate(boxes_by_x):
@@ -256,10 +262,18 @@ def _scaled(value, den: int | None) -> Prob:
     return value if den is None else Fraction(value, den)
 
 
-def _scatter_codes(positions: Sequence[int], n: int, base: int) -> list[int]:
-    """Codes of all assignments over `positions`, embedded in an n-digit word,
-    in ascending order."""
-    weights = [base ** (n - p) for p in positions]
+def _digits(n: int, side: str, positions: Iterable[int]) -> tuple[int, ...]:
+    """The digits of ``side``'s ``positions`` in the settings and outcome
+    words: Alice's position p is digit p, Bob's digit n + p."""
+    shift = 0 if side == "alice" else n
+    return tuple(p + shift for p in positions)
+
+
+def _scatter_codes(digits: Sequence[int], width: int, base: int) -> list[int]:
+    """Codes of all assignments over ``digits``, embedded in a ``width``-digit
+    word, the last digit varying fastest: in ascending order when
+    ``digits`` is."""
+    weights = [base ** (width - d) for d in digits]
     codes = [0]
     for w in weights:
         codes = [c + d * w for c in codes for d in range(base)]
@@ -267,21 +281,19 @@ def _scatter_codes(positions: Sequence[int], n: int, base: int) -> list[int]:
 
 
 def _sum_out(values: list, stride: int) -> list:
-    """``values`` with one binary output position summed out, the position
-    whose two outcomes lie ``stride`` entries apart: in each run of
-    2·stride entries, the first half plus the second.  One pass over the
-    whole flat grid, every (u, v) block at once."""
+    """``values`` with one outcome digit summed out, the digit whose two
+    outcomes lie ``stride`` entries apart: in each run of 2·stride
+    entries, the first half plus the second.  One pass over the whole
+    flat grid, every settings word at once."""
     low = (1,) * stride + (0,) * stride
     return list(map(add, compress(values, cycle(low)), compress(values, cycle(low[::-1]))))
 
 
-def _strides(n: int, side: str, subset: Sequence[int]) -> Iterator[int]:
-    """The ``_sum_out`` strides that sum ``side``'s outputs at ``subset``
-    out of a table, highest position first.  With k kept positions after
-    p (those after p in ``subset`` are summed out already), Alice's
-    outcomes at p lie 2^k·2^n entries apart, Bob's 2^k."""
-    unit = 2**n if side == "alice" else 1
-    return (unit << (n - p - done) for done, p in enumerate(reversed(subset)))
+def _strides(n: int, digits: Sequence[int]) -> Iterator[int]:
+    """The ``_sum_out`` strides that sum the outcome ``digits`` out of a
+    table, highest digit first: the outcomes at digit q lie 2^k entries
+    apart, k the digits after q not yet summed out."""
+    return (1 << (2 * n - q - done) for done, q in enumerate(reversed(digits)))
 
 
 def _independence_violations(
@@ -296,36 +308,29 @@ def _independence_violations(
     of the other side's outputs, do not depend on ``side``'s inputs inside
     ``subset``.
 
-    ``grid`` is ``table`` with ``side``'s outputs at ``subset`` summed out
-    (by ``_sum_out``, highest position first; in float tables this is the
-    summation order), so it keeps the table's layout with those digits
-    removed: one block of kept outcomes per (u, v), in table order.  The
-    blocks whose ``side`` settings differ only inside the subset are
-    compared with the one that has zeros there, as whole slices, entry by
-    entry only where two slices differ.  Comparisons run in witness order
-    (see the module docstring), so the first MAX_WITNESSES violations
-    found are the report's witnesses.  Returns (witnesses, total violation
-    count, comparisons performed).
+    ``grid`` is ``table`` with the outcome digits of ``subset`` summed out
+    (by ``_sum_out``, highest digit first; in float tables this is the
+    summation order): one block of kept outcome words per settings word,
+    in table order.  The blocks whose settings words differ only at the
+    subset's digits are compared with the one that has zeros there, as
+    whole slices, entry by entry only where two slices differ.
+    Comparisons run in witness order (see the module docstring), so the
+    first MAX_WITNESSES violations found are the report's witnesses.
+    Returns (witnesses, total violation count, comparisons performed).
     """
-    n, N, den = table.n, table.n_settings, table.den
-    NS, X = N**n, 2**n
-    kept = tuple(p for p in range(1, n + 1) if p not in subset)
-    setting_keep = _scatter_codes(kept, n, N)
-    setting_var = _scatter_codes(subset, n, N)[1:]
-    if side == "alice":
-        refs = [uk * NS + v for uk in setting_keep for v in range(NS)]
-        var_stride = NS
-    else:
-        refs = [u * NS + vk for u in range(NS) for vk in setting_keep]
-        var_stride = 1
-    G = len(grid) // (NS * NS)
+    n, den = table.n, table.den
+    digits = _digits(n, side, subset)
+    kept = [q for q in range(1, 2 * n + 1) if q not in digits]
+    refs = _scatter_codes(kept, 2 * n, table.n_settings)
+    deltas = _scatter_codes(digits, 2 * n, table.n_settings)[1:]
+    G = len(grid) // table.n_settings ** (2 * n)
 
     found: list[tuple] = []
     total = 0
     for ref_index in refs:
         ref = grid[ref_index * G:(ref_index + 1) * G]
-        for d in setting_var:
-            index = ref_index + d * var_stride
+        for d in deltas:
+            index = ref_index + d
             other = grid[index * G:(index + 1) * G]
             if other == ref:
                 continue
@@ -334,31 +339,18 @@ def _independence_violations(
                     total += 1
                     if len(found) < MAX_WITNESSES:
                         found.append((ref_index, index, k, ref[k], other[k]))
-    checks = len(refs) * len(setting_var) * G
-
-    def masked(bits: tuple[int, ...]) -> tuple[int | None, ...]:
-        return tuple(b if p in kept else None for p, b in enumerate(bits, 1))
-
-    def spread(code: int) -> int:
-        """A code over the kept positions, as an n-bit outcome code."""
-        return sum(((code >> (len(kept) - i)) & 1) << (n - p) for i, p in enumerate(kept, 1))
+    checks = len(refs) * len(deltas) * G
 
     violations = []
     for left, right, k, lhs, rhs in found:
-        if side == "alice":
-            x_code, y_code = divmod(k, X)
-            offset = spread(x_code) * X + y_code
-        else:
-            x_code, y_code = divmod(k, G // X)
-            offset = x_code * X + spread(y_code)
-        x, y, u_left, v_left = table.point(left * X * X + offset)
-        u_right, v_right = table.point(right * X * X + offset)[2:]
-        if side == "alice":
-            x = masked(x)
-        else:
-            y = masked(y)
+        # the grid index k, a code over the kept outcome digits, spread
+        # into a whole outcome word
+        offset = sum(((k >> (len(kept) - i)) & 1) << (2 * n - q) for i, q in enumerate(kept, 1))
+        x, y, u_left, v_left = table.point(left * 4**n + offset)
+        u_right, v_right = table.point(right * 4**n + offset)[2:]
+        xy = tuple(None if q in digits else b for q, b in enumerate(x + y, 1))
         violations.append(NsViolation(
-            condition, side, cut, subset, x, y, u_left, v_left, u_right, v_right,
+            condition, side, cut, subset, xy[:n], xy[n:], u_left, v_left, u_right, v_right,
             _scaled(lhs, den), _scaled(rhs, den)))
     return violations, total, checks
 
@@ -385,8 +377,8 @@ def _merge(condition: str, parts: Iterable[tuple[list[NsViolation], int, int]],
 
 def _marginal(table: JointTable, side: str, subset: tuple[int, ...]) -> list:
     """``table`` with ``side``'s outputs at ``subset`` summed out, highest
-    position first."""
-    return reduce(_sum_out, _strides(table.n, side, subset), table.values)
+    digit first."""
+    return reduce(_sum_out, _strides(table.n, _digits(table.n, side, subset)), table.values)
 
 
 def check_ab(system: "SystemEvaluator", *, table: JointTable | None = None) -> NsReport:
@@ -412,7 +404,8 @@ def check_time_ordered(system: "SystemEvaluator", *,
     everything = tuple(range(1, n + 1))
     parts = []
     for side in ("alice", "bob"):
-        grids = accumulate(_strides(n, side, everything), _sum_out, initial=t.values)
+        grids = accumulate(_strides(n, _digits(n, side, everything)), _sum_out,
+                           initial=t.values)
         next(grids)  # the table itself
         cuts = [_independence_violations(t, grid, side, everything[cut - 1:],
                                          f"{CONDITION_TIME_ORDERED}-{side}", cut)
@@ -438,25 +431,18 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
 def replay_violation(system: "SystemEvaluator", violation: NsViolation) -> tuple[Prob, Prob]:
     """Recompute both marginal sums of a witness directly from evaluate()."""
     n = system.n
-
-    if violation.side == "alice":
-        template, full = violation.x_kept, violation.y_kept
-    else:
-        template, full = violation.y_kept, violation.x_kept
-    holes = [i for i, b in enumerate(template) if b is None]
-    if sorted(p - 1 for p in violation.summed_positions) != holes:
+    template = violation.x_kept + violation.y_kept
+    holes = [q for q, b in enumerate(template, 1) if b is None]
+    if sorted(_digits(n, violation.side, violation.summed_positions)) != holes:
         raise ValueError("witness summed positions do not match its kept outputs")
 
     def marginal(u, v):
         tot = None
         for combo in product((0, 1), repeat=len(holes)):
             filled = list(template)
-            for pos, bit in zip(holes, combo):
-                filled[pos] = bit
-            if violation.side == "alice":
-                val = system.evaluate(tuple(filled), full, u, v)
-            else:
-                val = system.evaluate(full, tuple(filled), u, v)
+            for q, bit in zip(holes, combo):
+                filled[q - 1] = bit
+            val = system.evaluate(tuple(filled[:n]), tuple(filled[n:]), u, v)
             tot = val if tot is None else tot + val
         return tot
 

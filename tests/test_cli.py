@@ -96,6 +96,19 @@ def test_verify_refuses_by_table_size_before_building(capsys, monkeypatch, syste
                    "evaluations, cap is 67108864\n")
 
 
+def _no_table_size(*args, **kwargs):
+    raise AssertionError("table size computed before n was checked")
+
+
+@pytest.mark.parametrize("n", [5000, 10**12])
+def test_verify_refuses_n_out_of_range_before_the_table_size(capsys, monkeypatch, n):
+    """--n is checked against the builders' range 1..24 before (4 N^2)^n
+    is computed: at n = 10^12 that integer alone would take gigabytes."""
+    monkeypatch.setattr(nonsignalling, "table_entries", _no_table_size)
+    code, out, err = run_cli(capsys, "verify", "--n", str(n))
+    assert (code, out, err) == (2, "", f"error: n must be in 1..24, got {n}\n")
+
+
 def test_verify_takes_n_from_a_hex_spec_before_building(capsys, monkeypatch):
     """A hex spec fixes n from its digits: it is parsed, with its own
     errors, and the attack is refused before it is built."""

@@ -17,7 +17,9 @@ read only by ``boxes.close`` and ``boxes.at_least``, and by
 ``nonsignalling.refuse_over_cap``.  One walk states the pivot rule: a
 function's zero-count tree ``.tree`` is read only by
 ``adversary.build_pivotal_profile``, and every other pivot is read off
-the records it makes.
+the records it makes.  One mapping tells Alice from Bob in the joint
+table: only ``nonsignalling._digits`` compares a side with ``"alice"``
+or ``"bob"``, and everything else works on the digits it returns.
 """
 
 import ast
@@ -157,3 +159,15 @@ def test_size_is_refused_only_by_refuse_over_cap():
 
 def test_zero_count_tree_is_read_only_by_the_pivotal_walk():
     assert set(owners_of(PACKAGE, reads("tree"))) == {"adversary.py:build_pivotal_profile"}
+
+
+def compares_side(node: ast.AST) -> bool:
+    """An ``==`` or ``!=`` comparison with the constant ``"alice"`` or ``"bob"``."""
+    return (isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(isinstance(operand, ast.Constant) and operand.value in ("alice", "bob")
+                    for operand in (node.left, *node.comparators)))
+
+
+def test_sides_are_told_apart_only_by_digits():
+    assert owners_of(PACKAGE, compares_side) == ["nonsignalling.py:_digits"]

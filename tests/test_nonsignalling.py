@@ -305,6 +305,12 @@ def assert_same_witnesses(got, want, *, exact):
                          perturbed_alice_marginal_box(_params()))), "bob", (2,)))
 @example((ProductSystem((build_unbiased_box(_params()),
                          perturbed_bob_marginal_box(_params()))), "alice", (2,)))
+# a gapped subset at n = 3, N = 3, with thousands of violations: each
+# witness's grid index is spread over kept outcome digits with a hole
+@example((ProductSystem((perturbed_bob_marginal_box(_params(n_settings=3)),) * 3),
+          "alice", (1, 3)))
+@example((ProductSystem((perturbed_alice_marginal_box(_params(n_settings=3)),) * 3),
+          "bob", (1, 3)))
 def test_subset_kernel_matches_evaluate_oracle(case):
     """Counts equal the oracle's, and the witnesses are the oracle's
     MAX_WITNESSES smallest violations by witness key: equal in exact
@@ -449,8 +455,15 @@ def test_checks_performed_counts_are_stable(fig_parts):
 
 
 def test_replay_rejects_tampered_witness():
-    system = FuturePeekingSystem(_params())
-    witness = check_time_ordered(system).violations[0]
-    tampered = replace(witness, summed_positions=witness.summed_positions + (1,))
-    with pytest.raises(ValueError, match="summed positions do not match its kept outputs"):
-        replay_violation(system, tampered)
+    """A witness whose summed positions do not match its holes is refused
+    before any evaluation, also when the stray hole is on the other side,
+    on a generic system and on a box product alike."""
+    for system in (FuturePeekingSystem(_params()),
+                   build_product_system(perturbed_bob_marginal_box(_params()), 2)):
+        witness = check_time_ordered(system).violations[0]
+        assert witness.side == "alice"
+        for tampered in (replace(witness, summed_positions=witness.summed_positions + (1,)),
+                         replace(witness, y_kept=(None,) + witness.y_kept[1:])):
+            with pytest.raises(ValueError,
+                               match="summed positions do not match its kept outputs"):
+                replay_violation(system, tampered)
