@@ -82,6 +82,8 @@ def _parse_eps(text: str) -> Fraction:
 
 
 def _box_params(args) -> BoxParams:
+    # A box is the n = 1 joint table, 4 N^2 cells, refused before it is built.
+    nonsignalling.refuse_over_cap("joint table", 4 * args.n_settings**2)
     if args.mode == MODE_QUANTUM:
         if args.eps is not None:
             raise ValueError("quantum mode fixes eps to sin^2(pi/4N); drop --eps")
@@ -281,8 +283,11 @@ def _cmd_scan(args) -> int:
         ])
     text = out.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

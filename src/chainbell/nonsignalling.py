@@ -48,6 +48,8 @@ over a common denominator, so every marginal comparison is exact integer
 arithmetic.  Marginals are compared by ``boxes.close``, under the
 tolerance rule stated in ``boxes``; its float tolerance is far above
 double rounding at desk scale and far below any structural violation.
+``differing`` finds the entries at which two blocks differ, for the
+kernel and ``systems.verify_partition``'s convex check alike.
 
 Every reported violation is replayable: ``replay_violation`` recomputes
 the two marginal sums from the stored witness.
@@ -262,6 +264,11 @@ def _scaled(value, den: int | None) -> Prob:
     return value if den is None else Fraction(value, den)
 
 
+def differing(lhs: list, rhs: list) -> list[int]:
+    """Ascending indices where two equal-length entry lists differ under ``boxes.close``."""
+    return [k for k in compress(count(), map(ne, lhs, rhs)) if not close(lhs[k], rhs[k])]
+
+
 def _digits(n: int, side: str, positions: Iterable[int]) -> tuple[int, ...]:
     """The digits of ``side``'s ``positions`` in the settings and outcome
     words: Alice's position p is digit p, Bob's digit n + p."""
@@ -313,7 +320,7 @@ def _independence_violations(
     summation order): one block of kept outcome words per settings word,
     in table order.  The blocks whose settings words differ only at the
     subset's digits are compared with the one that has zeros there, as
-    whole slices, entry by entry only where two slices differ.
+    whole slices, and through ``differing`` only where two slices differ.
     Comparisons run in witness order (see the module docstring), so the
     first MAX_WITNESSES violations found are the report's witnesses.
     Returns (witnesses, total violation count, comparisons performed).
@@ -334,11 +341,10 @@ def _independence_violations(
             other = grid[index * G:(index + 1) * G]
             if other == ref:
                 continue
-            for k in compress(count(), map(ne, ref, other)):
-                if not close(ref[k], other[k]):
-                    total += 1
-                    if len(found) < MAX_WITNESSES:
-                        found.append((ref_index, index, k, ref[k], other[k]))
+            ks = differing(ref, other)
+            total += len(ks)
+            for k in ks[:MAX_WITNESSES - len(found)]:
+                found.append((ref_index, index, k, ref[k], other[k]))
     checks = len(refs) * len(deltas) * G
 
     violations = []

@@ -23,10 +23,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial, reduce
-from itertools import compress, count, repeat
-from operator import add, eq, mul, ne, truediv
+from itertools import count, repeat
+from operator import add, mul, truediv
 from typing import TYPE_CHECKING, Sequence
 
 from ._coding import bits_to_int
@@ -35,8 +34,10 @@ from .nonsignalling import (
     MAX_WITNESSES,
     JointTable,
     NsReport,
+    _scaled,
     check_ab,  # noqa: F401 -- unused here; bench/harness.py swaps it for a traced one
     check_time_ordered,
+    differing,
     materialize,
     refuse_over_cap,
     table_entries,
@@ -257,6 +258,11 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
     Values are compared under the tolerance rule of ``boxes``, so exact
     systems with zero tolerance.  ``refuse_over_cap`` refuses an
     oversized run before any table is built.
+
+    The convex check goes one settings-word block at a time, the base
+    weighted 1, the parts added in order: exact on a common denominator
+    when every table and weight is exact, else in floats (exact tables
+    divided as read).  Only differing blocks go through ``differing``.
     """
     if constraint not in ("time-ordered", "none"):
         raise ValueError(f"unknown constraint set {constraint!r}")
@@ -286,48 +292,30 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
             checks += ns.checks_performed
         part_reports.append(PartConstraintReport(nonneg, normalized, ns))
 
-    # Pointwise convex combination: on a common integer denominator in
-    # exact mode, else in floats (exact tables converted as they are read).
-    # Both sides are lazy chains over whole tables, so the check builds no
-    # table-sized list and walks entries in Python only where one differs.
-    if base_table.exact and all(t.exact for t in part_tables) and all_exact(weights):
-        den = base_table.den
-        for w, t in zip(weights, part_tables):
-            den = math.lcm(den, t.den * w.denominator)
-        scales = [w.numerator * (den // (t.den * w.denominator))
-                  for w, t in zip(weights, part_tables)]
-
-        def wants():
-            return map(mul, base_table.values, repeat(den // base_table.den))
-
-        def column(t: JointTable):
-            return t.values
+    tables, factors = [base_table, *part_tables], (1, *weights)
+    if all(t.exact for t in tables) and all_exact(weights):
+        den = math.lcm(*(t.den * w.denominator for w, t in zip(factors, tables)))
+        scales = [w.numerator * (den // (t.den * w.denominator)) for w, t in zip(factors, tables)]
     else:
-        def column(t: JointTable):
-            return map(truediv, t.values, repeat(t.den)) if t.exact else t.values
-
         den = None
-        scales = [float(w) for w in weights]
+        scales = list(map(float, factors))
 
-        def wants():
-            return column(base_table)
+    def weighted(scale, t: JointTable, block: list):
+        if den is None and t.exact:
+            block = map(truediv, block, repeat(t.den))
+        return map(mul, repeat(scale), block)
 
-    def combos():
-        """Each entry's sum of scale times part value, added in part order."""
-        return reduce(partial(map, add), [map(mul, repeat(scale), column(t))
-                                          for scale, t in zip(scales, part_tables)])
-
-    mismatches = []
-    mismatch_total = 0
-    if not all(map(eq, combos(), wants())):
-        for idx, combo, want in compress(zip(count(), combos(), wants()),
-                                         map(ne, combos(), wants())):
-            if not close(combo, want):
-                mismatch_total += 1
-                if len(mismatches) < MAX_WITNESSES:
-                    if den is not None:
-                        want, combo = Fraction(want, den), Fraction(combo, den)
-                    mismatches.append((*base_table.point(idx), want, combo))
+    mismatches, mismatch_total = [], 0
+    for start, blocks in zip(count(0, 4**base.n), zip(*(t.blocks() for t in tables))):
+        want, *terms = map(weighted, scales, tables, blocks)
+        want, combo = list(want), list(reduce(partial(map, add), terms))
+        if want == combo:
+            continue
+        ks = differing(want, combo)
+        mismatch_total += len(ks)
+        for k in ks[:MAX_WITNESSES - len(mismatches)]:
+            mismatches.append((*base_table.point(start + k),
+                               _scaled(want[k], den), _scaled(combo[k], den)))
     checks += table_size
 
     return PartitionReport(

@@ -161,6 +161,22 @@ def test_quantum_mode_rejects_explicit_eps(capsys):
     assert "quantum" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("box",),
+    ("attack", "--function", "xor", "--n", "3"),
+    ("scan", "--family", "xor", "--n-from", "3", "--n-to", "3"),
+], ids=["box", "attack", "scan"])
+def test_n_settings_is_refused_by_the_size_guard(capsys, monkeypatch, command):
+    """A box is the n = 1 joint table, 4 N^2 cells: every command that
+    builds one refuses an oversized N through the one guard, before the
+    box is built."""
+    monkeypatch.setattr(nonsignalling, "EVAL_CAP", 100)
+    code, out, err = run_cli(capsys, *command, "--n-settings", "6")
+    assert (code, out, err) == (
+        2, "", "infeasible: joint table needs 144 evaluations, cap is 100\n")
+    assert run_cli(capsys, *command, "--n-settings", "5")[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -184,6 +200,16 @@ def test_scan_stdout_and_error_rows(capsys):
     assert len(lines) == 3
     assert lines[2].split(",")[4] == "error"
     assert "n=4" in err
+
+
+def test_scan_out_into_a_missing_directory_exits_2(capsys, tmp_path):
+    """A file that cannot be written is a usage error, not a failed check."""
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, "scan", "--family", "xor", "--n-from", "3",
+                             "--n-to", "4", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {str(target)!r}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ function's zero-count tree ``.tree`` is read only by
 ``adversary.build_pivotal_profile``, and every other pivot is read off
 the records it makes.  One mapping tells Alice from Bob in the joint
 table: only ``nonsignalling._digits`` compares a side with ``"alice"``
-or ``"bob"``, and everything else works on the digits it returns.
+or ``"bob"``, and everything else works on the digits it returns.  One
+rule finds the entries at which two tables differ: ``operator.ne`` is
+read only by ``nonsignalling.differing``, which the non-signalling
+kernel and the convex check both call.
 """
 
 import ast
@@ -171,3 +174,7 @@ def compares_side(node: ast.AST) -> bool:
 
 def test_sides_are_told_apart_only_by_digits():
     assert owners_of(PACKAGE, compares_side) == ["nonsignalling.py:_digits"]
+
+
+def test_differing_entries_are_found_only_by_differing():
+    assert owners_of(PACKAGE, reads("ne")) == ["nonsignalling.py:differing"]

@@ -256,11 +256,12 @@ def test_verify_partition_float_convex_mismatches_are_stable(params, amount, wei
 @pytest.mark.parametrize("params, float_weights", [
     (_params(), False),
     (BoxParams.quantum(2), False),
+    (BoxParams.quantum(3), False),  # reject-float's field, Q(sqrt 3)
     (_params(), True),  # exact tables under float weights: compared as floats
-], ids=["exact", "quantum", "float-weights"])
+], ids=["exact", "quantum", "quantum-3", "float-weights"])
 @pytest.mark.parametrize("broken", [False, True], ids=["legal", "perturbed"])
 def test_convex_check_matches_per_entry_oracle(params, float_weights, broken):
-    """The streamed convex check against today's entry-by-entry loop, on
+    """The block-by-block convex check against an entry-by-entry loop, on
     three-part partitions: the attack's z = 0 part split in two, one half
     possibly with a perturbed Bob marginal (hundreds of mismatches, far
     more than MAX_WITNESSES).  Totals, checks and the kept mismatches are
@@ -279,7 +280,7 @@ def test_convex_check_matches_per_entry_oracle(params, float_weights, broken):
     mismatches, total, compared = oracle_convex_mismatches(three, base)
     assert report.convex_mismatch_total == total
     assert (total > MAX_WITNESSES) == broken
-    entries = 4**3 * 2**6
+    entries = 4**3 * params.n_settings**6
     assert report.checks_performed == len(three.parts) * entries + entries + compared
     assert len(report.convex_mismatches) == len(mismatches)
     for got, want in zip(report.convex_mismatches, mismatches):
