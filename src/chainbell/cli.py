@@ -14,9 +14,9 @@ iteration orders are fixed, and numbers render deterministically
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import sys
 from fractions import Fraction
@@ -262,34 +262,28 @@ def _cmd_scan(args) -> int:
     if args.step < 1:
         raise ValueError(f"--step must be at least 1, got {args.step}")
     params = _box_params(args)
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     n_values = range(args.n_from, args.n_to + 1, args.step)
-    rows = analysis.scan(args.family, n_values, params)
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        report = row.report
-        if report is None:
-            print(f"n={row.n}: {row.error}", file=sys.stderr)
-            writer.writerow([row.family, row.n, params.n_settings,
-                             _render(params.eps), "error", "", "", "", "", "", ""])
-            continue
-        writer.writerow([
-            row.family, row.n, report.n_settings, _render(report.eps), report.strategy,
-            _render(report.distance), _render(report.bound), _render(report.ratio),
-            _render(row.distance_times_n), _render(row.distance_times_sqrt_n),
-            _render(report.pr_k0_given_z0),
-        ])
-    text = out.getvalue()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+    with out if args.out else contextlib.nullcontext():
+        rows = analysis.scan(args.family, n_values, params)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            report = row.report
+            if report is None:
+                print(f"n={row.n}: {row.error}", file=sys.stderr)
+                writer.writerow([row.family, row.n, params.n_settings,
+                                 _render(params.eps), "error", "", "", "", "", "", ""])
+                continue
+            writer.writerow([
+                row.family, row.n, report.n_settings, _render(report.eps), report.strategy,
+                _render(report.distance), _render(report.bound), _render(report.ratio),
+                _render(row.distance_times_n), _render(row.distance_times_sqrt_n),
+                _render(report.pr_k0_given_z0),
+            ])
 
     if any(row.report is not None and not row.report.passed for row in rows):
         return 1

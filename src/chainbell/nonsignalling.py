@@ -1,10 +1,13 @@
-"""Exhaustive non-signalling verification by exact marginal equality.
+"""Exhaustive checks on joint tables: non-signalling by exact marginal
+equality, and a partition's distribution and convex-combination checks.
 
 All checks share one strategy: materialize the full joint table of a
 system (refused by ``refuse_over_cap`` above the evaluation cap --
-never sampled), then compare marginal sums across input assignments.
-Box products are materialized from their boxes, other systems point by
-point through ``evaluate``.
+never sampled), then compare sums of its entries.  Box products are
+materialized from their boxes, other systems point by point through
+``evaluate``.  ``systems.verify_partition`` does no table arithmetic:
+it calls ``distribution_checks``, ``check_time_ordered`` and
+``convex_mismatches``.
 
 All three conditions are one marginal-independence equation over an
 index subset S of one side: that side's outputs outside S, together
@@ -38,18 +41,16 @@ Every violation is counted.  A report keeps as witnesses the first
 ``MAX_WITNESSES`` violations in witness order: by side (alice before
 bob), then cut (none counts as 0), then the left settings word, then
 the right settings word, then the kept outcome word, compared digit by
-digit from digit 1 with a summed digit before either bit.
-
-Only ``JointTable.point`` decodes an index into its point; the kernel
-and ``verify_partition`` name witness points through it.
+digit from digit 1 with a summed digit before either bit.  The kernel
+and the convex check alike count the entries at which two blocks differ,
+and keep the first ones, through ``_count_differing``; only
+``JointTable.point`` decodes their indices into points.
 
 Exact tables (all ints or Fractions) are normalized to integer numerators
 over a common denominator, so every marginal comparison is exact integer
 arithmetic.  Marginals are compared by ``boxes.close``, under the
 tolerance rule stated in ``boxes``; its float tolerance is far above
 double rounding at desk scale and far below any structural violation.
-``differing`` finds the entries at which two blocks differ, for the
-kernel and ``systems.verify_partition``'s convex check alike.
 
 Every reported violation is replayable: ``replay_violation`` recomputes
 the two marginal sums from the stored witness.
@@ -60,13 +61,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, compress, count, cycle, product, repeat
-from operator import add, floordiv, ne
+from operator import add, floordiv, mul, ne, truediv
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._coding import int_to_digits
-from .boxes import FLOAT_ATOL, Prob, all_exact, close
+from .boxes import FLOAT_ATOL, Prob, all_exact, at_least, close
 
 if TYPE_CHECKING:  # pragma: no cover
     from .systems import SystemEvaluator
@@ -264,9 +265,14 @@ def _scaled(value, den: int | None) -> Prob:
     return value if den is None else Fraction(value, den)
 
 
-def differing(lhs: list, rhs: list) -> list[int]:
-    """Ascending indices where two equal-length entry lists differ under ``boxes.close``."""
-    return [k for k in compress(count(), map(ne, lhs, rhs)) if not close(lhs[k], rhs[k])]
+def _count_differing(lhs: list, rhs: list, found: list, key: tuple) -> int:
+    """The number of entries at which two equal-length blocks differ under
+    ``boxes.close``.  The first ones, ``(*key, k, lhs[k], rhs[k])`` in
+    ascending k, go on ``found`` until it holds MAX_WITNESSES."""
+    ks = [k for k in compress(count(), map(ne, lhs, rhs)) if not close(lhs[k], rhs[k])]
+    for k in ks[:MAX_WITNESSES - len(found)]:
+        found.append((*key, k, lhs[k], rhs[k]))
+    return len(ks)
 
 
 def _digits(n: int, side: str, positions: Iterable[int]) -> tuple[int, ...]:
@@ -320,7 +326,7 @@ def _independence_violations(
     summation order): one block of kept outcome words per settings word,
     in table order.  The blocks whose settings words differ only at the
     subset's digits are compared with the one that has zeros there, as
-    whole slices, and through ``differing`` only where two slices differ.
+    whole slices, and through ``_count_differing`` where two slices differ.
     Comparisons run in witness order (see the module docstring), so the
     first MAX_WITNESSES violations found are the report's witnesses.
     Returns (witnesses, total violation count, comparisons performed).
@@ -339,12 +345,8 @@ def _independence_violations(
         for d in deltas:
             index = ref_index + d
             other = grid[index * G:(index + 1) * G]
-            if other == ref:
-                continue
-            ks = differing(ref, other)
-            total += len(ks)
-            for k in ks[:MAX_WITNESSES - len(found)]:
-                found.append((ref_index, index, k, ref[k], other[k]))
+            if other != ref:
+                total += _count_differing(ref, other, found, (ref_index, index))
     checks = len(refs) * len(deltas) * G
 
     violations = []
@@ -426,12 +428,53 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
     must not depend on the inputs inside ``subset``."""
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-    sub = tuple(sorted(set(subset)))
-    if not sub or sub[0] < 1 or sub[-1] > system.n:
+    positions = tuple(subset)
+    ints = all(isinstance(p, int) for p in positions)
+    sub = tuple(sorted(set(positions))) if ints else positions
+    if not ints or not sub or sub[0] < 1 or sub[-1] > system.n:
         raise ValueError(f"subset must be a nonempty subset of 1..{system.n}, got {sub}")
     t = table if table is not None else materialize(system)
     part = _independence_violations(t, _marginal(t, side, sub), side, sub, CONDITION_SUBSET, None)
     return _merge(CONDITION_SUBSET, [part], t.den)
+
+
+def distribution_checks(table: JointTable) -> tuple[bool, bool]:
+    """Whether ``table`` is nonnegative, and whether each settings word's
+    block sums to one."""
+    one = table.den if table.exact else 1.0
+    return (at_least(min(table.values), 0),
+            all(close(sum(block), one) for block in table.blocks()))
+
+
+def convex_mismatches(base: JointTable, parts: Sequence[JointTable],
+                      weights: Sequence[Prob]) -> tuple[list[tuple], int]:
+    """The first MAX_WITNESSES entries, as (x, y, u, v, base value,
+    weighted sum), at which the weighted ``parts`` do not add up to
+    ``base``, and how many there are.  One settings-word block at a time,
+    the base weighted 1, the parts added in order: exact on a common
+    denominator when every table and weight is exact, else in floats
+    (exact tables divided as read)."""
+    tables, factors = [base, *parts], (1, *weights)
+    if all(t.exact for t in tables) and all_exact(weights):
+        den = math.lcm(*(t.den * w.denominator for w, t in zip(factors, tables)))
+        scales = [w.numerator * (den // (t.den * w.denominator)) for w, t in zip(factors, tables)]
+    else:
+        den = None
+        scales = list(map(float, factors))
+
+    def weighted(scale, t: JointTable, block: list):
+        if den is None and t.exact:
+            block = map(truediv, block, repeat(t.den))
+        return map(mul, repeat(scale), block)
+
+    found, total = [], 0
+    for start, blocks in zip(count(0, 4**base.n), zip(*(t.blocks() for t in tables))):
+        want, *terms = map(weighted, scales, tables, blocks)
+        want, combo = list(want), list(reduce(partial(map, add), terms))
+        if want != combo:
+            total += _count_differing(want, combo, found, (start,))
+    return [(*base.point(start + k), _scaled(lhs, den), _scaled(rhs, den))
+            for start, k, lhs, rhs in found], total
 
 
 def replay_violation(system: "SystemEvaluator", violation: NsViolation) -> tuple[Prob, Prob]:

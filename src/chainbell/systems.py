@@ -20,24 +20,18 @@ time-ordered non-signalling).
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import count, repeat
-from operator import add, mul, truediv
 from typing import TYPE_CHECKING, Sequence
 
 from ._coding import bits_to_int
-from .boxes import Prob, SinglePairBox, all_exact, at_least, close
+from .boxes import Prob, SinglePairBox, at_least, close
 from .nonsignalling import (
-    MAX_WITNESSES,
-    JointTable,
     NsReport,
-    _scaled,
     check_ab,  # noqa: F401 -- unused here; bench/harness.py swaps it for a traced one
     check_time_ordered,
-    differing,
+    convex_mismatches,
+    distribution_checks,
     materialize,
     refuse_over_cap,
     table_entries,
@@ -257,12 +251,8 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
     must fulfil: "time-ordered" or "none" (distribution checks only).
     Values are compared under the tolerance rule of ``boxes``, so exact
     systems with zero tolerance.  ``refuse_over_cap`` refuses an
-    oversized run before any table is built.
-
-    The convex check goes one settings-word block at a time, the base
-    weighted 1, the parts added in order: exact on a common denominator
-    when every table and weight is exact, else in floats (exact tables
-    divided as read).  Only differing blocks go through ``differing``.
+    oversized run before any table is built.  The tables are compared
+    only in ``nonsignalling``.
     """
     if constraint not in ("time-ordered", "none"):
         raise ValueError(f"unknown constraint set {constraint!r}")
@@ -280,43 +270,16 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
 
     base_table = materialize(base)
     part_tables = [materialize(s) for s in partition.systems]
-    checks = budget
+    checks = budget + table_size  # every entry built, then one convex pass
 
     part_reports = []
     for system, table in zip(partition.systems, part_tables):
-        nonneg = at_least(min(table.values), 0)
-        one = table.den if table.exact else 1.0
-        normalized = all(close(sum(block), one) for block in table.blocks())
         ns = None if constraint == "none" else check_time_ordered(system, table=table)
         if ns is not None:
             checks += ns.checks_performed
-        part_reports.append(PartConstraintReport(nonneg, normalized, ns))
+        part_reports.append(PartConstraintReport(*distribution_checks(table), ns))
 
-    tables, factors = [base_table, *part_tables], (1, *weights)
-    if all(t.exact for t in tables) and all_exact(weights):
-        den = math.lcm(*(t.den * w.denominator for w, t in zip(factors, tables)))
-        scales = [w.numerator * (den // (t.den * w.denominator)) for w, t in zip(factors, tables)]
-    else:
-        den = None
-        scales = list(map(float, factors))
-
-    def weighted(scale, t: JointTable, block: list):
-        if den is None and t.exact:
-            block = map(truediv, block, repeat(t.den))
-        return map(mul, repeat(scale), block)
-
-    mismatches, mismatch_total = [], 0
-    for start, blocks in zip(count(0, 4**base.n), zip(*(t.blocks() for t in tables))):
-        want, *terms = map(weighted, scales, tables, blocks)
-        want, combo = list(want), list(reduce(partial(map, add), terms))
-        if want == combo:
-            continue
-        ks = differing(want, combo)
-        mismatch_total += len(ks)
-        for k in ks[:MAX_WITNESSES - len(mismatches)]:
-            mismatches.append((*base_table.point(start + k),
-                               _scaled(want[k], den), _scaled(combo[k], den)))
-    checks += table_size
+    mismatches, mismatch_total = convex_mismatches(base_table, part_tables, weights)
 
     return PartitionReport(
         weights_ok=weights_ok,

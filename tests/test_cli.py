@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chainbell import cli, nonsignalling
+from chainbell import analysis, cli, nonsignalling
 from chainbell.cli import CSV_COLUMNS, main
 
 
@@ -202,8 +202,13 @@ def test_scan_stdout_and_error_rows(capsys):
     assert "n=4" in err
 
 
-def test_scan_out_into_a_missing_directory_exits_2(capsys, tmp_path):
-    """A file that cannot be written is a usage error, not a failed check."""
+def test_scan_out_into_a_missing_directory_exits_2(capsys, monkeypatch, tmp_path):
+    """A file that cannot be written is a usage error, not a failed check,
+    and is refused before the scan computes any row."""
+    def scan(*args):
+        raise AssertionError("scan ran before --out was opened")
+
+    monkeypatch.setattr(analysis, "scan", scan)
     target = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli(capsys, "scan", "--family", "xor", "--n-from", "3",
                              "--n-to", "4", "--out", str(target))

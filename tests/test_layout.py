@@ -21,8 +21,11 @@ the records it makes.  One mapping tells Alice from Bob in the joint
 table: only ``nonsignalling._digits`` compares a side with ``"alice"``
 or ``"bob"``, and everything else works on the digits it returns.  One
 rule finds the entries at which two tables differ: ``operator.ne`` is
-read only by ``nonsignalling.differing``, which the non-signalling
-kernel and the convex check both call.
+read only by ``nonsignalling._count_differing``, which the
+non-signalling kernel and the convex check both call.  One module does
+arithmetic on joint tables: ``systems`` imports nothing private and no
+``MAX_WITNESSES`` from ``nonsignalling``, and reads no table attribute
+(``values``, ``den``, ``exact``, ``blocks``, ``point``).
 """
 
 import ast
@@ -177,4 +180,23 @@ def test_sides_are_told_apart_only_by_digits():
 
 
 def test_differing_entries_are_found_only_by_differing():
-    assert owners_of(PACKAGE, reads("ne")) == ["nonsignalling.py:differing"]
+    assert owners_of(PACKAGE, reads("ne")) == ["nonsignalling.py:_count_differing"]
+
+
+def _systems_tree() -> ast.Module:
+    return ast.parse((PACKAGE / "systems.py").read_text(encoding="utf-8"))
+
+
+def test_systems_imports_nothing_private_from_nonsignalling():
+    imported = [alias.name for node in ast.walk(_systems_tree())
+                if isinstance(node, ast.ImportFrom) and node.module == "nonsignalling"
+                for alias in node.names]
+    assert "check_time_ordered" in imported
+    assert [name for name in imported
+            if name.startswith("_") or name == "MAX_WITNESSES"] == []
+
+
+def test_systems_reads_no_table_attribute():
+    table_attributes = {"values", "den", "exact", "blocks", "point"}
+    assert [node.attr for node in ast.walk(_systems_tree())
+            if isinstance(node, ast.Attribute) and node.attr in table_attributes] == []

@@ -235,6 +235,13 @@ def test_subset_validated_before_materializing(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("subset", [[1.5], [2.0], ["2"], [1, 2.0]])
+def test_subset_positions_must_be_ints(subset):
+    system = build_product_system(build_unbiased_box(_params()), 3)
+    with pytest.raises(ValueError, match="nonempty subset of 1..3"):
+        check_subset(system, "alice", subset)
+
+
 def test_subset_of_everything_equals_ab_direction():
     system = build_product_system(perturbed_bob_marginal_box(_params()), 2)
     alice_oracle = len(brute_force_violations(system, "alice", (1, 2))[0])
