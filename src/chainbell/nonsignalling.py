@@ -4,9 +4,14 @@ equality, and a partition's distribution and convex-combination checks.
 All checks share one strategy: materialize the full joint table of a
 system (refused by ``refuse_over_cap`` above the evaluation cap --
 never sampled), then compare sums of its entries.  Box products are
-materialized from their boxes, other systems point by point through
-``evaluate``.  ``systems.verify_partition`` does no table arithmetic:
-it calls ``distribution_checks``, ``check_time_ordered`` and
+built from their boxes in n whole-table append passes, one position
+each, every entry the left fold in position order that ``evaluate``
+takes; an exact table's denominator is reduced by a gcd read off the
+cells, the gcd of a set of products being the product of the factors'
+gcds.  Other systems are materialized point by point through
+``evaluate``.
+``systems.verify_partition`` does no table arithmetic: it calls
+``distribution_checks``, ``check_time_ordered`` and
 ``convex_mismatches``.
 
 All three conditions are one marginal-independence equation over an
@@ -62,8 +67,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, compress, count, cycle, product, repeat
-from operator import add, floordiv, mul, ne, truediv
+from itertools import accumulate, chain, compress, count, cycle, product, repeat
+from operator import add, mul, ne, truediv
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._coding import int_to_digits
@@ -178,11 +183,11 @@ def materialize(system: "SystemEvaluator") -> JointTable:
     """The full joint table of a system.
 
     A ``BoxProductSystem`` that keeps the shared ``evaluate`` is built from
-    its boxes (``_box_product_table``); every other system, including a
-    subclass that overrides ``evaluate``, is evaluated at every
-    (x, y, u, v) point.  Both paths give the same table: same ``den``,
-    same values, same float bits.  The table is exact when every value
-    is an int or a Fraction.
+    its boxes in n append passes (``_box_product_table``); every other
+    system, including a subclass that overrides ``evaluate``, is evaluated
+    at every (x, y, u, v) point.  Both paths give the same table: same
+    ``den``, same values and value types, same float bits.  The table is
+    exact when every value is an int or a Fraction.
 
     ``refuse_over_cap`` raises InfeasibleSizeError, before any work, when
     the table has more than EVAL_CAP entries -- on either path.
@@ -207,58 +212,69 @@ def materialize(system: "SystemEvaluator") -> JointTable:
 
 
 def _box_product_table(system) -> JointTable:
-    """Joint table of a box product, built from its boxes.
+    """Joint table of a box product, built from its boxes in n append passes.
 
-    For fixed x the row over Bob's y at (u, v) is the Kronecker product of
-    each position's pair box_j[u_j, v_j][x_j, :].  Each distinct box is read
-    through ``prob`` once per bit x_j, into N^2 (y = 0, y = 1) pairs in (a, b)
-    order; the rows of one x are built from them position by position for all
-    (u_j, v_j) at once, so each entry costs about one multiplication.  Exact
-    cells are scaled to integers over one common denominator D; the table's
-    ``den`` is D^n over the gcd of D^n and every numerator, the lcm of the
-    entries' reduced denominators, as on the per-point path.  Float entries
-    are products taken in position order starting from 1, as ``evaluate``
-    takes them.
+    Pass k turns P_{k-1}, indexed by (u_1..u_{k-1}, v_1..v_{k-1}, x_1..x_n,
+    y_1..y_{k-1}), into P_k: each entry is doubled for y_k and each
+    settings block repeated over (u_k, v_k), then multiplied entry by entry
+    with position k's cells, one block per (u_k, v_k).  P_0 is 1 at every
+    x, and P_n is the table, so every x is carried from the start and a
+    box may depend on any bit of x.  Each entry is the left fold, in
+    position order from 1, that ``evaluate`` takes, so float entries have
+    its bits; a float table takes ``float`` of each entry in the last pass,
+    so an entry whose cells are all exact is rounded once, as on the
+    per-point path.  Each distinct box is read through ``prob`` once per
+    bit x_j.
+
+    Exact cells are scaled to integers over one common denominator D.  The
+    table's ``den`` is D^n over g, the gcd of D^n and every entry: the lcm
+    of the entries' reduced denominators, as on the per-point path.  The
+    gcd of a set of products is the product of the factors' gcds, so g is
+    read off the cells: it is the gcd of D^n and, over x, the product of
+    each position's cell gcd at x.  g divides each x's product, so it is
+    divided out of that x's cells position by position, before any entry
+    is built.
     """
     n, N = system.n, system.n_settings
-    X = 2**n
-    boxes_by_x = [system.pair_boxes(x) for x in range(X)]
+    boxes_by_x = [system.pair_boxes(x) for x in range(2**n)]
+    keys_by_x = [[(id(box), (x >> (n - 1 - j)) & 1) for j, box in enumerate(boxes)]
+                 for x, boxes in enumerate(boxes_by_x)]
     distinct = {id(box): box for boxes in boxes_by_x for box in boxes}
-    exact = all(box.exact for box in distinct.values())
-    if exact:
-        D = math.lcm(*(c.denominator for box in distinct.values() for c in box.cells))
-    pairs = {(key, bit): [tuple(c.numerator * (D // c.denominator) if exact else c
-                                for c in (box.prob(a, b, bit, 0), box.prob(a, b, bit, 1)))
+    # each box at each bit: its N^2 (y = 0, y = 1) pairs in (a, b) order
+    pairs = {(key, bit): [(box.prob(a, b, bit, 0), box.prob(a, b, bit, 1))
                           for a in range(N) for b in range(N)]
              for key, box in distinct.items() for bit in (0, 1)}
+    den = None
+    if all(box.exact for box in distinct.values()):
+        D = math.lcm(*(c.denominator for box in distinct.values() for c in box.cells))
+        pairs = {key: [(c0.numerator * (D // c0.denominator), c1.numerator * (D // c1.denominator))
+                       for c0, c1 in cells]
+                 for key, cells in pairs.items()}
+        gcds = {key: math.gcd(*chain.from_iterable(cells)) for key, cells in pairs.items()}
+        g = math.gcd(D**n, *(math.prod(map(gcds.get, keys)) for keys in keys_by_x))
+        den = D**n // g
+        for keys in keys_by_x:
+            rest = g
+            for j, key in enumerate(keys):
+                h = math.gcd(rest, gcds[key])
+                keys[j] = key, h
+                rest //= h
+        pairs = {(key, h): [(c0 // h, c1 // h) for c0, c1 in pairs[key]]
+                 for key, h in set(chain.from_iterable(keys_by_x))}
 
-    # Rows are built in (u_1, v_1, u_2, v_2, ...) order; offsets[k] is where
-    # the k-th row's settings word starts in the table.
-    positions = range(1, n + 1)
-    interleaved = [d for pair in zip(_digits(n, "alice", positions), _digits(n, "bob", positions))
-                   for d in pair]
-    offsets = [code * X * X for code in _scatter_codes(interleaved, 2 * n, N)]
-
-    values = [0] * table_entries(n, N)
-    for x, boxes in enumerate(boxes_by_x):
-        # All rows of x end to end, each 2^j entries long after position j.
-        rows = [1]
-        for j, box in enumerate(boxes):
-            bit_pairs = pairs[id(box), (x >> (n - 1 - j)) & 1]
-            width = 1 << j
-            rows = [p * c for start in range(0, len(rows), width) for pair in bit_pairs
-                    for p in rows[start:start + width] for c in pair]
-        start = x * X
-        for k, offset in enumerate(offsets):
-            values[offset + start:offset + start + X] = rows[k * X:(k + 1) * X]
-
-    if not exact:
-        return JointTable(n, N, [float(v) for v in values], None)
-    full = D**n
-    g = math.gcd(full, *values)
-    if g > 1:
-        values = list(map(floordiv, values, repeat(g)))
-    return JointTable(n, N, values, full // g)
+    values = [1] * 2**n  # P_0
+    for j, column in enumerate(zip(*keys_by_x)):
+        # position j + 1's cells at every x, one block per (u_{j+1}, v_{j+1})
+        cells = [list(chain.from_iterable(pairs[key][s] * 2**j for key in column))
+                 for s in range(N * N)]
+        size = len(values) // N ** (2 * j)
+        doubled = [list(chain.from_iterable(zip(block, block)))
+                   for block in (values[i:i + size] for i in range(0, len(values), size))]
+        order = list(product(range(N**j), range(N), range(N**j), range(N)))
+        products = map(mul, chain.from_iterable(doubled[U * N**j + V] for U, _, V, _ in order),
+                       chain.from_iterable(cells[a * N + b] for _, a, _, b in order))
+        values = list(products if den is not None or j < n - 1 else map(float, products))
+    return JointTable(n, N, values, den)
 
 
 def _scaled(value, den: int | None) -> Prob:

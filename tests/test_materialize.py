@@ -34,6 +34,7 @@ from chainbell import (
 )
 from chainbell import nonsignalling
 from chainbell.nonsignalling import MAX_WITNESSES
+from chainbell.systems import BoxProductSystem
 
 from helpers import (
     FuturePeekingSystem,
@@ -55,6 +56,7 @@ def _params(n_settings, eps) -> BoxParams:
 def assert_same_table(fast, slow):
     assert fast.den == slow.den
     assert len(fast.values) == len(slow.values)
+    assert list(map(type, fast.values)) == list(map(type, slow.values))
     if slow.den is None:
         assert [v.hex() for v in fast.values] == [v.hex() for v in slow.values]
     else:
@@ -141,6 +143,69 @@ def test_product_systems_match_per_point_tables(shape, directions):
     slow = materialize(PerPointSystem(ProductSystem(boxes)))
     assert_same_table(fast, slow)
     assert_entries_are_prob_products((fast, slow), boxes)
+
+
+class BoxesByX(BoxProductSystem):
+    """A box product given by its n boxes at every x."""
+
+    def __init__(self, boxes_by_x):
+        self.boxes_by_x = boxes_by_x
+        self.n = len(boxes_by_x[0])
+        self.n_settings = boxes_by_x[0][0].n_settings
+
+    def pair_boxes(self, x_code):
+        return self.boxes_by_x[x_code]
+
+
+class PerPointBoxesByX(BoxesByX):
+    """Overrides ``evaluate``, so ``materialize`` takes the per-point path."""
+
+    def evaluate(self, x, y, u, v):
+        return super().evaluate(x, y, u, v)
+
+
+def _mixed(n, N):
+    """x = 0 holds exact boxes only; every other x holds one float box, at
+    position x mod n.  Fifths are not dyadic, so a float product of exact
+    cells can differ from the float of their exact product."""
+    exact = build_unbiased_box(_params(N, Fraction(1, 5)))
+    quantum = build_unbiased_box(_params(N, "quantum"))
+    return [(exact,) * n] + [tuple(quantum if j == x % n else exact for j in range(n))
+                             for x in range(1, 2**n)]
+
+
+def _reads_last_bit(n, eps):
+    """Position 1's box is biased towards x_n: no prefix property."""
+    params = _params(2, eps)
+    box = build_unbiased_box(params)
+    biased = (bias_box(box, 0, params.eps), bias_box(box, 1, params.eps))
+    return [(biased[x & 1],) + (box,) * (n - 1) for x in range(2**n)]
+
+
+def _attacked(spec, n, eps):
+    part = build_attack_partition(parse_function_spec(spec, n), _params(2, eps)).systems[1]
+    return [part.pair_boxes(x) for x in range(2**n)]
+
+
+@pytest.mark.parametrize("boxes_by_x", [
+    _mixed(4, 2),
+    _mixed(3, 3),
+    _reads_last_bit(3, Fraction(1, 8)),
+    _reads_last_bit(3, "quantum"),
+    _attacked("majority", 3, Fraction(0)),
+    _attacked("majority", 3, Fraction(1, 2)),
+    _attacked("random:9", 4, Fraction(1, 8)),
+    _attacked("xor", 1, Fraction(1, 8)),
+    _attacked("xor", 1, "quantum"),
+], ids=["mixed-N2-n4", "mixed-N3-n3", "last-bit-exact", "last-bit-quantum", "eps-0",
+        "eps-half", "pivot-varies-with-x", "n1-exact", "n1-quantum"])
+def test_box_product_build_matches_per_point_path_at_edge_cases(boxes_by_x):
+    """Same ``den``, values, value types and float bits as ``evaluate`` at
+    every point: exact x among float ones (their entries are
+    ``float(evaluate(...))``), a box that reads a later bit of x, zero
+    cells, a factor 2 of the gcd at a pivot that moves with x, and n = 1."""
+    fast = materialize(BoxesByX(boxes_by_x))
+    assert_same_table(fast, materialize(PerPointBoxesByX(boxes_by_x)))
 
 
 def test_max_evals_refuses_before_any_work(monkeypatch):

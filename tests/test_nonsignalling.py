@@ -34,6 +34,7 @@ from helpers import (
     lines_run_in,
     perturbed_alice_marginal_box,
     perturbed_bob_marginal_box,
+    seeded_almost_balanced,
     witness_key,
 )
 
@@ -408,6 +409,21 @@ def test_time_ordered_runs_a_few_lines_per_block():
     lines = lines_run_in(lambda code: code.co_filename == module,
                          check_time_ordered, system, table=table)
     assert lines <= 16 * n * N ** (2 * n)
+
+
+@pytest.mark.parametrize("n, N", [(4, 2), (3, 3)])
+def test_materialize_runs_a_few_lines_per_table(n, N):
+    """The box-product build multiplies whole tables in C: for an attacked
+    part and a product system it runs at most 8 lines per position and
+    settings block or cell pattern, where a per-x row build runs about
+    one line per entry."""
+    params = _params(n_settings=N)
+    systems = (build_attack_partition(seeded_almost_balanced(n, 1)[0], params).systems[0],
+               build_product_system(build_unbiased_box(params), n))
+    module = nonsignalling.__file__
+    for system in systems:
+        lines = lines_run_in(lambda code: code.co_filename == module, materialize, system)
+        assert lines <= 8 * n * (N ** (2 * n) + N**2 * 2**n)
 
 
 # ---------------------------------------------------------------------------
