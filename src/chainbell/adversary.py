@@ -329,11 +329,11 @@ def function_from_hex(digits: str, n: int | None = None) -> HashFunction:
 
     Only the characters 0-9, a-f and A-F are digits; signs, a ``0x``
     prefix, underscores and spaces are refused.  The digit count fixes n
-    via 4 * len(digits) = 2^n, so only n >= 2 is representable.
+    via 4 * len(digits) = 2^n, so only n >= 2 is representable; an n
+    outside 1..MAX_FUNCTION_BITS is refused before the digits are converted.
     """
     if not digits or not set(digits) <= set(string.hexdigits):
         raise ValueError(f"not a hex truth table: {digits!r}")
-    value = int(digits, 16)
     total = 4 * len(digits)
     inferred = total.bit_length() - 1
     if 2**inferred != total:
@@ -344,7 +344,8 @@ def function_from_hex(digits: str, n: int | None = None) -> HashFunction:
         raise ValueError(
             f"hex table encodes n={inferred}, but n={n} was requested"
         )
-    bits = format(value, f"0{total}b").encode("ascii").translate(_ASCII_BIT)
+    _table_size(inferred)
+    bits = format(int(digits, 16), f"0{total}b").encode("ascii").translate(_ASCII_BIT)
     return HashFunction(inferred, bits, f"hex:{digits}")
 
 

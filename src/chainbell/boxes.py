@@ -143,10 +143,6 @@ class SinglePairBox:
     def bob_marginal(self, a: int, b: int, y: int) -> Prob:
         return self.prob(a, b, 0, y) + self.prob(a, b, 1, y)
 
-    @property
-    def exact(self) -> bool:
-        return all_exact(self.cells)
-
     def validate(self) -> None:
         """Check nonnegativity, per-square normalization, Bob-marginal
         uniformity and setting-independence of Alice's marginal.

@@ -261,6 +261,8 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"--n-to ({args.n_to}) must be at least --n-from ({args.n_from})")
     if args.step < 1:
         raise ValueError(f"--step must be at least 1, got {args.step}")
+    for n in (args.n_from, args.n_to):
+        _table_size(n)  # the builders' own check: n in 1..MAX_FUNCTION_BITS
     params = _box_params(args)
     try:
         out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

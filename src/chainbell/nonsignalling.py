@@ -223,49 +223,44 @@ def _box_product_table(system) -> JointTable:
     position order from 1, that ``evaluate`` takes, so float entries have
     its bits; a float table takes ``float`` of each entry in the last pass,
     so an entry whose cells are all exact is rounded once, as on the
-    per-point path.  Each distinct box is read through ``prob`` once per
-    bit x_j.
+    per-point path.
 
-    Exact cells are scaled to integers over one common denominator D.  The
-    table's ``den`` is D^n over g, the gcd of D^n and every entry: the lcm
-    of the entries' reduced denominators, as on the per-point path.  The
-    gcd of a set of products is the product of the factors' gcds, so g is
-    read off the cells: it is the gcd of D^n and, over x, the product of
-    each position's cell gcd at x.  g divides each x's product, so it is
-    divided out of that x's cells position by position, before any entry
-    is built.
+    Each string x gives one row per position k: x's box at k read through
+    ``prob`` at x_k only, its N^2 (y = 0, y = 1) pairs in (a, b) order --
+    at most 2^n n 2N^2 reads, against the (4N^2)^n entries built.  The
+    table is exact when every cell read is, the per-point path's rule.
+
+    Exact cells are scaled to integers over D, the lcm of their
+    denominators.  The table's ``den`` is D^n over g, the gcd of D^n and
+    every entry: the lcm of the entries' reduced denominators, as on the
+    per-point path.  The gcd of a set of products is the product of the
+    factors' gcds, so g is read off the rows: it is the gcd of D^n and,
+    over x, the product of x's row gcds.  g divides each x's product, so
+    it is divided out of x's rows one by one, before any entry is built.
     """
     n, N = system.n, system.n_settings
-    boxes_by_x = [system.pair_boxes(x) for x in range(2**n)]
-    keys_by_x = [[(id(box), (x >> (n - 1 - j)) & 1) for j, box in enumerate(boxes)]
-                 for x, boxes in enumerate(boxes_by_x)]
-    distinct = {id(box): box for boxes in boxes_by_x for box in boxes}
-    # each box at each bit: its N^2 (y = 0, y = 1) pairs in (a, b) order
-    pairs = {(key, bit): [(box.prob(a, b, bit, 0), box.prob(a, b, bit, 1))
-                          for a in range(N) for b in range(N)]
-             for key, box in distinct.items() for bit in (0, 1)}
+    rows = [[[box.prob(a, b, bit, y) for a in range(N) for b in range(N) for y in (0, 1)]
+             for box, bit in zip(system.pair_boxes(x), int_to_digits(x, n, 2))]
+            for x in range(2**n)]
+    read = [c for x_rows in rows for row in x_rows for c in row]
     den = None
-    if all(box.exact for box in distinct.values()):
-        D = math.lcm(*(c.denominator for box in distinct.values() for c in box.cells))
-        pairs = {key: [(c0.numerator * (D // c0.denominator), c1.numerator * (D // c1.denominator))
-                       for c0, c1 in cells]
-                 for key, cells in pairs.items()}
-        gcds = {key: math.gcd(*chain.from_iterable(cells)) for key, cells in pairs.items()}
-        g = math.gcd(D**n, *(math.prod(map(gcds.get, keys)) for keys in keys_by_x))
+    if all_exact(read):
+        D = math.lcm(*{c.denominator for c in read})
+        rows = [[[c.numerator * (D // c.denominator) for c in row] for row in x_rows]
+                for x_rows in rows]
+        g = math.gcd(D**n, *(math.prod(math.gcd(*row) for row in x_rows) for x_rows in rows))
         den = D**n // g
-        for keys in keys_by_x:
+        for x_rows in rows:
             rest = g
-            for j, key in enumerate(keys):
-                h = math.gcd(rest, gcds[key])
-                keys[j] = key, h
+            for j, row in enumerate(x_rows):
+                h = math.gcd(rest, *row)
+                x_rows[j] = [c // h for c in row]
                 rest //= h
-        pairs = {(key, h): [(c0 // h, c1 // h) for c0, c1 in pairs[key]]
-                 for key, h in set(chain.from_iterable(keys_by_x))}
 
     values = [1] * 2**n  # P_0
-    for j, column in enumerate(zip(*keys_by_x)):
+    for j in range(n):
         # position j + 1's cells at every x, one block per (u_{j+1}, v_{j+1})
-        cells = [list(chain.from_iterable(pairs[key][s] * 2**j for key in column))
+        cells = [list(chain.from_iterable(x_rows[j][2 * s:2 * s + 2] * 2**j for x_rows in rows))
                  for s in range(N * N)]
         size = len(values) // N ** (2 * j)
         doubled = [list(chain.from_iterable(zip(block, block)))

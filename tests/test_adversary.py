@@ -127,6 +127,19 @@ def test_from_hex_errors():
         function_from_hex("39", n=4)  # encodes n=3
 
 
+def _no_format(*args, **kwargs):
+    raise AssertionError("digits converted before n was checked")
+
+
+def test_from_hex_refuses_n_out_of_range_before_converting(monkeypatch):
+    """An n over MAX_FUNCTION_BITS is refused from the digit count alone:
+    a 2^24-digit string would otherwise be converted, at 160 MiB, first."""
+    monkeypatch.setattr(chainbell.adversary, "MAX_FUNCTION_BITS", 3)
+    monkeypatch.setattr(chainbell.adversary, "format", _no_format, raising=False)
+    with pytest.raises(ValueError, match=r"n must be in 1\.\.3, got 4"):
+        function_from_hex("0000")
+
+
 def test_from_hex_takes_hex_digits_of_either_case_only():
     assert function_from_hex("AbCd").bits == function_from_hex("abcd").bits
     assert function_from_hex("AbCd").bits == bytes(int(b) for b in format(0xABCD, "016b"))

@@ -17,7 +17,7 @@ from chainbell import (
     cross_probability,
     quantum_eps,
 )
-from chainbell.boxes import at_least, close
+from chainbell.boxes import all_exact, at_least, close
 
 EIGHTH = Fraction(1, 8)
 
@@ -186,7 +186,7 @@ def test_bias_alice_marginal_example_n3():
 def test_bias_with_int_eps_stays_exact():
     box = build_unbiased_box(BoxParams.rational(2, EIGHTH))
     biased = bias_box(box, 0, 0)
-    assert biased.exact
+    assert all_exact(biased.cells)
     assert biased.cells == box.cells
     assert all(isinstance(c, Fraction) for c in biased.cells)
 

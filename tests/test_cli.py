@@ -329,6 +329,8 @@ def test_verify_subset_check_takes_side_alice_by_default(capsys, monkeypatch, fl
     (("--n-from", "3", "--n-to", "2"), "--n-to (2) must be at least --n-from (3)"),
     (("--n-from", "2", "--n-to", "3", "--step", "0"), "--step must be at least 1, got 0"),
     (("--n-from", "2", "--n-to", "3", "--step", "-1"), "--step must be at least 1, got -1"),
+    (("--n-from", "0", "--n-to", "3"), "n must be in 1..24, got 0"),
+    (("--n-from", "2", "--n-to", "25"), "n must be in 1..24, got 25"),
 ])
 def test_scan_refuses_an_empty_or_invalid_range(capsys, bounds, message):
     code, out, err = run_cli(capsys, "scan", "--family", "xor", *bounds)

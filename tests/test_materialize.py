@@ -33,6 +33,7 @@ from chainbell import (
     verify_partition,
 )
 from chainbell import nonsignalling
+from chainbell.boxes import all_exact
 from chainbell.nonsignalling import MAX_WITNESSES
 from chainbell.systems import BoxProductSystem
 
@@ -182,6 +183,16 @@ def _reads_last_bit(n, eps):
     return [(biased[x & 1],) + (box,) * (n - 1) for x in range(2**n)]
 
 
+def _unread_float_cell(n):
+    """Position 1's box, for strings with x_1 = 0, holds one float cell at
+    x = 1, which no string reads: the table stays exact."""
+    box = build_unbiased_box(_params(2, Fraction(1, 8)))
+    cells = list(box.cells)
+    cells[2] = float(cells[2])  # (a, b, x, y) = (0, 0, 1, 0)
+    unread = SinglePairBox(2, tuple(cells))
+    return [(unread if x < 2 ** (n - 1) else box,) + (box,) * (n - 1) for x in range(2**n)]
+
+
 def _attacked(spec, n, eps):
     part = build_attack_partition(parse_function_spec(spec, n), _params(2, eps)).systems[1]
     return [part.pair_boxes(x) for x in range(2**n)]
@@ -197,13 +208,15 @@ def _attacked(spec, n, eps):
     _attacked("random:9", 4, Fraction(1, 8)),
     _attacked("xor", 1, Fraction(1, 8)),
     _attacked("xor", 1, "quantum"),
+    _unread_float_cell(2),
 ], ids=["mixed-N2-n4", "mixed-N3-n3", "last-bit-exact", "last-bit-quantum", "eps-0",
-        "eps-half", "pivot-varies-with-x", "n1-exact", "n1-quantum"])
+        "eps-half", "pivot-varies-with-x", "n1-exact", "n1-quantum", "unread-float-cell"])
 def test_box_product_build_matches_per_point_path_at_edge_cases(boxes_by_x):
     """Same ``den``, values, value types and float bits as ``evaluate`` at
     every point: exact x among float ones (their entries are
     ``float(evaluate(...))``), a box that reads a later bit of x, zero
-    cells, a factor 2 of the gcd at a pivot that moves with x, and n = 1."""
+    cells, a factor 2 of the gcd at a pivot that moves with x, n = 1, and
+    a float cell that no string reads."""
     fast = materialize(BoxesByX(boxes_by_x))
     assert_same_table(fast, materialize(PerPointBoxesByX(boxes_by_x)))
 
@@ -309,7 +322,7 @@ def test_int_valued_tables_stay_exact():
 def test_box_with_int_cells_is_exact():
     box = build_unbiased_box(_params(2, Fraction(0)))
     int_box = SinglePairBox(2, tuple(0 if c == 0 else c for c in box.cells))
-    assert any(type(c) is int for c in int_box.cells) and int_box.exact
+    assert any(type(c) is int for c in int_box.cells) and all_exact(int_box.cells)
     system = build_product_system(int_box, 2)
     table = materialize(system)
     assert table.exact
