@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import add, itemgetter, sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._coding import bits_to_int
 from .boxes import BoxParams, bias_box, build_unbiased_box
@@ -133,6 +133,11 @@ def is_almost_balanced(f: HashFunction) -> bool:
     return 3 * abs(2 * f.zeros_total - size) <= size
 
 
+def _first_string(n: int) -> Callable[[tuple[int, int, int]], int]:
+    """Records' order key: the code of the first string a record covers."""
+    return lambda record: record[1] << (n - record[0])
+
+
 class PivotalProfile:
     """The pivotal prefixes of an almost balanced function.
 
@@ -159,7 +164,7 @@ class PivotalProfile:
         if not 0 <= x_code < 1 << n:
             raise ValueError(f"string code must be in [0, 2^{n}), got {x_code}")
         # the last record whose first string is at or before x_code
-        at = bisect_right(self.records, x_code, key=lambda record: record[1] << (n - record[0]))
+        at = bisect_right(self.records, x_code, key=_first_string(n))
         prefix_len, _, sigma = self.records[at - 1]
         return prefix_len + 1, sigma
 
@@ -226,7 +231,7 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
     else:
         raise AssertionError("no pivotal index on a path of an almost balanced function")
     if records[0][0] != records[-1][0]:  # more than one level has pivots
-        records.sort(key=lambda record: record[1] << (n - record[0]))
+        records.sort(key=_first_string(n))
     return PivotalProfile(f, tuple(records), zeros_toward)
 
 

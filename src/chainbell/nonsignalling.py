@@ -361,12 +361,11 @@ def _independence_violations(
     checks = len(refs) * len(deltas) * G
 
     violations = []
+    # grid index k, a code over the kept outcome digits, as an outcome word
+    offsets = _scatter_codes(kept, 2 * n, 2) if found else []
     for left, right, k, lhs, rhs in found:
-        # the grid index k, a code over the kept outcome digits, spread
-        # into a whole outcome word
-        offset = sum(((k >> (len(kept) - i)) & 1) << (2 * n - q) for i, q in enumerate(kept, 1))
-        x, y, u_left, v_left = table.point(left * 4**n + offset)
-        u_right, v_right = table.point(right * 4**n + offset)[2:]
+        x, y, u_left, v_left = table.point(left * 4**n + offsets[k])
+        u_right, v_right = table.point(right * 4**n + offsets[k])[2:]
         xy = tuple(None if q in digits else b for q, b in enumerate(x + y, 1))
         violations.append(NsViolation(
             condition, side, cut, subset, xy[:n], xy[n:], u_left, v_left, u_right, v_right,

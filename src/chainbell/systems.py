@@ -192,22 +192,18 @@ class Partition:
 class PartConstraintReport:
     nonnegative: bool
     normalized: bool
-    ns_report: NsReport | None
+    ns_report: NsReport
 
     @property
     def passed(self) -> bool:
-        return (
-            self.nonnegative
-            and self.normalized
-            and (self.ns_report is None or self.ns_report.passed)
-        )
+        return self.nonnegative and self.normalized and self.ns_report.passed
 
 
 @dataclass
 class PartitionReport:
     """Outcome of the three partition legality checks: the weights form a
-    distribution, every part is a valid system fulfilling the constraint
-    set, and the weighted parts average to the base pointwise."""
+    distribution, every part is a valid time-ordered non-signalling
+    system, and the weighted parts average to the base pointwise."""
 
     weights_ok: bool
     weight_sum: Prob
@@ -229,10 +225,9 @@ class PartitionReport:
             f"weights: {'ok' if self.weights_ok else 'FAIL'} (sum {self.weight_sum})",
         ]
         for i, part in enumerate(self.part_reports):
-            ns = "skipped" if part.ns_report is None else str(part.ns_report)
             lines.append(
                 f"part {i}: nonnegative={'ok' if part.nonnegative else 'FAIL'} "
-                f"normalized={'ok' if part.normalized else 'FAIL'} ns={ns}"
+                f"normalized={'ok' if part.normalized else 'FAIL'} ns={part.ns_report}"
             )
         lines.append(
             f"convex combination: {'ok' if self.convex_ok else 'FAIL'} "
@@ -247,14 +242,14 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
                      constraint: str = "time-ordered") -> PartitionReport:
     """Exhaustively check partition legality against a base system.
 
-    ``constraint`` selects the non-signalling condition set every part
-    must fulfil: "time-ordered" or "none" (distribution checks only).
-    Values are compared under the tolerance rule of ``boxes``, so exact
-    systems with zero tolerance.  ``refuse_over_cap`` refuses an
-    oversized run before any table is built.  The tables are compared
-    only in ``nonsignalling``.
+    Every part must be a time-ordered non-signalling distribution, the
+    one constraint set: ``constraint`` takes only "time-ordered", and
+    stays because the benchmark harness passes it.  Values are compared
+    under the tolerance rule of ``boxes``, so exact systems with zero
+    tolerance.  ``refuse_over_cap`` refuses an oversized run before any
+    table is built.  The tables are compared only in ``nonsignalling``.
     """
-    if constraint not in ("time-ordered", "none"):
+    if constraint != "time-ordered":
         raise ValueError(f"unknown constraint set {constraint!r}")
     for system in partition.systems:
         if (system.n, system.n_settings) != (base.n, base.n_settings):
@@ -274,9 +269,8 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
 
     part_reports = []
     for system, table in zip(partition.systems, part_tables):
-        ns = None if constraint == "none" else check_time_ordered(system, table=table)
-        if ns is not None:
-            checks += ns.checks_performed
+        ns = check_time_ordered(system, table=table)
+        checks += ns.checks_performed
         part_reports.append(PartConstraintReport(*distribution_checks(table), ns))
 
     mismatches, mismatch_total = convex_mismatches(base_table, part_tables, weights)

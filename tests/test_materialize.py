@@ -260,7 +260,7 @@ def test_negated_point_over_product_system_fails_nonnegative():
     table = materialize(negated)
     assert Fraction(table.values[_index(point, 2, 2)], table.den) == -base.evaluate(*point) < 0
     partition = Partition(((Fraction(1, 2), negated), (Fraction(1, 2), base)))
-    report = verify_partition(partition, base, constraint="none")
+    report = verify_partition(partition, base)
     assert not report.part_reports[0].nonnegative
     assert report.part_reports[1].nonnegative
     assert not report.passed
@@ -335,7 +335,7 @@ def test_int_weights_keep_the_convex_check_exact():
     box = build_unbiased_box(_params(2, eps))
     base = build_product_system(box, 1)
     shifted = build_product_system(bias_box(box, 0, eps), 1)
-    report = verify_partition(Partition(((1, shifted), (0, base))), base, constraint="none")
+    report = verify_partition(Partition(((1, shifted), (0, base))), base)
     assert report.weights_ok
     assert not report.convex_ok and report.convex_mismatch_total == 16
     # Every one of the 16 entries differs; the first MAX_WITNESSES are kept.

@@ -180,7 +180,7 @@ def test_verify_partition_passes_on_attack(fig_partition):
     assert report.convex_ok and report.convex_mismatch_total == 0
     for part in report.part_reports:
         assert part.nonnegative and part.normalized
-        assert part.ns_report is not None and part.ns_report.passed
+        assert part.ns_report.passed
 
 
 def test_verify_partition_flags_bad_weights(fig_partition):
@@ -190,7 +190,7 @@ def test_verify_partition_flags_bad_weights(fig_partition):
         (Fraction(3, 5), partition.systems[0]),
         (Fraction(1, 2), partition.systems[1]),
     ))
-    report = verify_partition(skewed, base, constraint="none")
+    report = verify_partition(skewed, base)
     assert not report.weights_ok
     assert not report.passed
 
@@ -203,7 +203,7 @@ def test_verify_partition_flags_negative_entry(fig_partition):
         (Fraction(1, 2), NegatedPointSystem(partition.systems[0], point)),
         (Fraction(1, 2), partition.systems[1]),
     ))
-    report = verify_partition(broken, base, constraint="none")
+    report = verify_partition(broken, base)
     assert not report.part_reports[0].nonnegative
     assert not report.part_reports[0].normalized
     assert not report.passed
@@ -216,7 +216,7 @@ def test_verify_partition_flags_convex_mismatch(fig_partition):
         (Fraction(1, 2), partition.systems[0]),
         (Fraction(1, 2), partition.systems[0]),
     ))
-    report = verify_partition(lopsided, base, constraint="none")
+    report = verify_partition(lopsided, base)
     assert report.weights_ok
     assert not report.convex_ok
     assert report.convex_mismatches
@@ -245,7 +245,7 @@ def test_verify_partition_float_convex_mismatches_are_stable(params, amount, wei
     weights = partition.weights if weight is None else (weight, weight)
     perturbed = Partition(((weights[0], broken), (weights[1], partition.systems[1])))
     base = build_product_system(build_unbiased_box(params), 3)
-    report = verify_partition(perturbed, base, constraint="none")
+    report = verify_partition(perturbed, base)
     assert report.weights_ok
     assert report.convex_mismatch_total == total
     x, y, u, v, want, got = report.convex_mismatches[0]
@@ -276,12 +276,17 @@ def test_convex_check_matches_per_entry_oracle(params, float_weights, broken):
     w = float(w) if float_weights else w
     three = Partition(((w / 2, part0), (w / 2, half), (w, part1)))
     base = build_product_system(build_unbiased_box(params), 3)
-    report = verify_partition(three, base, constraint="none")
+    report = verify_partition(three, base)
     mismatches, total, compared = oracle_convex_mismatches(three, base)
     assert report.convex_mismatch_total == total
     assert (total > MAX_WITNESSES) == broken
-    entries = 4**3 * params.n_settings**6
-    assert report.checks_performed == len(three.parts) * entries + entries + compared
+    N = params.n_settings
+    entries = 4**3 * N**6
+    # each part's time-ordered check: on each side, the cut that varies m
+    # inputs compares N^m - 1 settings words with each of N^(6-m)
+    # reference words, over 2^(6-m) kept outcome words
+    ns_checks = 2 * sum((2 * N) ** (6 - m) * (N**m - 1) for m in (1, 2, 3))
+    assert report.checks_performed == len(three.parts) * (entries + ns_checks) + entries + compared
     assert len(report.convex_mismatches) == len(mismatches)
     for got, want in zip(report.convex_mismatches, mismatches):
         assert got[:4] == want[:4]
@@ -309,8 +314,7 @@ def test_weight_signs_follow_the_tolerance_rule(weights, ok):
     within FLOAT_ATOL below zero counts as nonnegative, an exact negative
     weight never does."""
     base = build_product_system(build_unbiased_box(_params()), 1)
-    report = verify_partition(Partition(tuple((w, base) for w in weights)), base,
-                              constraint="none")
+    report = verify_partition(Partition(tuple((w, base) for w in weights)), base)
     assert (report.weights_ok, report.convex_ok) == (ok, True)
 
 
@@ -368,7 +372,7 @@ def test_partition_rejects_no_parts():
         Partition(())
 
 
-@pytest.mark.parametrize("constraint", ["ab", "subset"])
+@pytest.mark.parametrize("constraint", ["ab", "subset", "none"])
 def test_verify_partition_rejects_unknown_constraint(fig_partition, constraint):
     _, partition = fig_partition
     base = build_product_system(build_unbiased_box(_params()), 3)
@@ -388,10 +392,10 @@ def test_partition_report_text(fig_partition):
     ]
     skewed = Partition(((Fraction(3, 4), partition.systems[0]),
                         (Fraction(1, 2), partition.systems[1])))
-    assert str(verify_partition(skewed, base, constraint="none")).splitlines() == [
+    assert str(verify_partition(skewed, base)).splitlines() == [
         "weights: FAIL (sum 5/4)",
-        "part 0: nonnegative=ok normalized=ok ns=skipped",
-        "part 1: nonnegative=ok normalized=ok ns=skipped",
+        "part 0: nonnegative=ok normalized=ok ns=time-ordered: pass [4480 checks]",
+        "part 1: nonnegative=ok normalized=ok ns=time-ordered: pass [4480 checks]",
         "convex combination: FAIL (3072 mismatches)",
-        "overall: FAIL [16384 checks]",
+        "overall: FAIL [25344 checks]",
     ]
