@@ -10,6 +10,11 @@ The adversary machinery, for a hash f:
 
 - ``HashFunction.tree`` is the zero-count tree: ``tree[L][p]`` counts
   the completions of the length-L prefix with code p that map to 0.
+  It is a list of ``array`` levels, root first, each of the narrowest
+  unsigned type that holds its largest count, 2^(n-L).  A level is
+  summed from the one below as two whole integers: the even and the odd
+  entries, each read as one int over its bytes, add lane by lane, and
+  no lane carries into the next because each is wide enough for its sum.
   The influence of bit i given a prefix is the gap between the
   probabilities of f = 0 when bit i is 0 versus 1; the first position
   where it reaches 2/(3n) is the string's pivotal index.  For almost
@@ -29,9 +34,9 @@ The adversary machinery, for a hash f:
 
 The built-in families' truth tables (xor, majority, and, or, random),
 the tree's levels and the pivotal walk are bulk sequence operations
-(``bytes.translate``, ``bytes`` repetition, ``map`` over ``islice``,
-``compress``), not per-index or per-node Python loops; they give the
-same results as the plain loops.
+(``bytes.translate``, ``bytes`` repetition, whole-level integer adds,
+``map`` over slices, ``compress``), not per-index or per-node Python
+loops; they give the same results as the plain loops.
 ``random_function`` keeps the exact ``randrange(2)`` stream:
 ``randrange(2)`` is rejection sampling on
 ``getrandbits(2)``, the top two bits of one 32-bit Mersenne Twister
@@ -44,12 +49,14 @@ from __future__ import annotations
 
 import random
 import string
+import sys
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import add, itemgetter, sub
 from typing import Callable, Sequence
 
@@ -73,6 +80,13 @@ _INCREMENT = bytes(range(1, 256)) + b"\0"
 _PARITY = bytes(b & 1 for b in range(256))
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 _ASCII_BIT = bytes.maketrans(b"01", b"\0\1")
+
+#: Typecode of a tree level ``height`` steps above the leaves, whose
+#: counts reach 2^height: the narrowest unsigned ``array`` type holding it.
+_LEVEL_TYPECODES = tuple(
+    next(t for t in "BHILQ" if height < 8 * array(t).itemsize)
+    for height in range(MAX_FUNCTION_BITS + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -114,15 +128,22 @@ class HashFunction:
         return self.bits.count(0)
 
     @cached_property
-    def tree(self) -> list[list[int]]:
+    def tree(self) -> list[array]:
         """The zero-count tree: ``tree[L][p]`` is the number of
         length-(n-L) completions s with f(p.s) = 0, for the length-L
-        prefix with code p."""
-        levels = [list(self.bits.translate(_FLIP))]
-        # islice, not slicing: a slice would copy each level twice more.
-        while len(levels[-1]) > 1:
-            prev = levels[-1]
-            levels.append(list(map(add, islice(prev, 0, None, 2), islice(prev, 1, None, 2))))
+        prefix with code p.  Each level is an ``array`` of the narrowest
+        unsigned type that holds its largest possible count, 2^(n-L)."""
+        level = array("B", self.bits.translate(_FLIP))
+        levels = [level]
+        for height in range(1, self.n + 1):
+            typecode = _LEVEL_TYPECODES[height]
+            if typecode != level.typecode:
+                level = array(typecode, level)  # entry by entry, not raw words
+            even, odd = level[0::2], level[1::2]
+            # one lane per entry, each wide enough for its sum: no carries
+            total = int.from_bytes(even, sys.byteorder) + int.from_bytes(odd, sys.byteorder)
+            level = array(typecode, total.to_bytes(len(even) * level.itemsize, sys.byteorder))
+            levels.append(level)
         levels.reverse()
         return levels
 

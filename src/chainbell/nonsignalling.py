@@ -225,9 +225,10 @@ def _box_product_table(system) -> JointTable:
     so an entry whose cells are all exact is rounded once, as on the
     per-point path.
 
-    Each string x gives one row per position k: x's box at k read through
-    ``prob`` at x_k only, its N^2 (y = 0, y = 1) pairs in (a, b) order --
-    at most 2^n n 2N^2 reads, against the (4N^2)^n entries built.  The
+    Each string x reads one row per position k: x's box at k at bit x_k,
+    its N^2 (y = 0, y = 1) pairs in (a, b) order.  Each distinct (box,
+    bit) row is read through ``prob`` once per build and shared by every
+    string that reads it; a cell that no string reads is never read.  The
     table is exact when every cell read is, the per-point path's rule.
 
     Exact cells are scaled to integers over D, the lcm of their
@@ -239,28 +240,36 @@ def _box_product_table(system) -> JointTable:
     it is divided out of x's rows one by one, before any entry is built.
     """
     n, N = system.n, system.n_settings
-    rows = [[[box.prob(a, b, bit, y) for a in range(N) for b in range(N) for y in (0, 1)]
-             for box, bit in zip(system.pair_boxes(x), int_to_digits(x, n, 2))]
-            for x in range(2**n)]
-    read = [c for x_rows in rows for row in x_rows for c in row]
+    boxes_by_x = [system.pair_boxes(x) for x in range(2**n)]
+    keys_by_x = [list(zip(map(id, boxes), int_to_digits(x, n, 2)))
+                 for x, boxes in enumerate(boxes_by_x)]
+    distinct = {key: box for boxes, keys in zip(boxes_by_x, keys_by_x)
+                for key, box in zip(keys, boxes)}
+    rows = {key: [box.prob(a, b, key[1], y) for a in range(N) for b in range(N) for y in (0, 1)]
+            for key, box in distinct.items()}
+    cells_read = list(chain.from_iterable(rows.values()))
     den = None
-    if all_exact(read):
-        D = math.lcm(*{c.denominator for c in read})
-        rows = [[[c.numerator * (D // c.denominator) for c in row] for row in x_rows]
-                for x_rows in rows]
-        g = math.gcd(D**n, *(math.prod(math.gcd(*row) for row in x_rows) for x_rows in rows))
+    if all_exact(cells_read):
+        D = math.lcm(*{c.denominator for c in cells_read})
+        rows = {key: [c.numerator * (D // c.denominator) for c in row]
+                for key, row in rows.items()}
+        gcds = {key: math.gcd(*row) for key, row in rows.items()}
+        g = math.gcd(D**n, *(math.prod(map(gcds.get, keys)) for keys in keys_by_x))
         den = D**n // g
-        for x_rows in rows:
+        for keys in keys_by_x:
             rest = g
-            for j, row in enumerate(x_rows):
-                h = math.gcd(rest, *row)
-                x_rows[j] = [c // h for c in row]
+            for j, key in enumerate(keys):
+                h = math.gcd(rest, gcds[key])
+                keys[j] = key, h
                 rest //= h
+        rows = {(key, h): [c // h for c in rows[key]]
+                for key, h in set(chain.from_iterable(keys_by_x))}
 
     values = [1] * 2**n  # P_0
     for j in range(n):
         # position j + 1's cells at every x, one block per (u_{j+1}, v_{j+1})
-        cells = [list(chain.from_iterable(x_rows[j][2 * s:2 * s + 2] * 2**j for x_rows in rows))
+        column = [rows[keys[j]] for keys in keys_by_x]
+        cells = [list(chain.from_iterable(row[2 * s:2 * s + 2] * 2**j for row in column))
                  for s in range(N * N)]
         size = len(values) // N ** (2 * j)
         doubled = [list(chain.from_iterable(zip(block, block)))

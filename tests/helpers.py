@@ -35,12 +35,20 @@ def pivotal_threshold(n: int) -> Fraction:
     return Fraction(2, 3 * n)
 
 
-def tree_zeros(tree: list[list[int]], prefix_len: int, prefix_code: int) -> int:
+def tree_zeros(tree: Sequence[Sequence[int]], prefix_len: int, prefix_code: int) -> int:
     """Completions of the prefix that map to 0, read off the tree's levels."""
     return tree[prefix_len][prefix_code]
 
 
-def influence(tree: list[list[int]], i: int, prefix_code: int) -> Fraction:
+def oracle_tree_level(f: HashFunction, prefix_len: int) -> list[int]:
+    """Level ``prefix_len`` of the zero-count tree, each node's count read
+    off the truth table: the zeros among the 2^(n - prefix_len) entries
+    under its prefix."""
+    w = 2 ** (f.n - prefix_len)
+    return [f.bits[start:start + w].count(0) for start in range(0, 2**f.n, w)]
+
+
+def influence(tree: Sequence[Sequence[int]], i: int, prefix_code: int) -> Fraction:
     """|Pr[f=0 | prefix.0] - Pr[f=0 | prefix.1]| for a length-(i-1)
     prefix, over uniform completions; the tree has n + 1 levels."""
     n = len(tree) - 1

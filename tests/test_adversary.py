@@ -1,6 +1,8 @@
 import hashlib
+from array import array
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from helpers import (
     oracle_or_bits,
     oracle_pivotal_profile,
     oracle_random_bits,
+    oracle_tree_level,
     oracle_xor_bits,
     pivotal_index,
     pivotal_threshold,
@@ -230,7 +233,7 @@ def test_parse_function_spec():
 # ---------------------------------------------------------------------------
 # zero-count tree
 
-def _pi0(tree: list[list[int]], length: int, code: int) -> Fraction:
+def _pi0(tree: Sequence[Sequence[int]], length: int, code: int) -> Fraction:
     """Pr[f = 0] over a uniform completion of the prefix; the tree has
     n + 1 levels."""
     return Fraction(tree_zeros(tree, length, code), 2 ** (len(tree) - 1 - length))
@@ -276,11 +279,63 @@ def test_unbalanced_functions_build_no_tree():
 
 
 def test_tree_type_direct():
-    """The tree is a plain list of levels, root first."""
+    """The tree is a list of ``array`` levels, root first, each of the
+    narrowest unsigned width: bytes while the counts stay below 256."""
     tree = xor_function(3).tree
     assert [len(level) for level in tree] == [1, 2, 4, 8]
     assert tree_zeros(tree, 0, 0) == 4
     assert influence(tree, 3, 0b00) == 1
+    assert all(isinstance(level, array) for level in tree)
+    assert [level.typecode for level in tree] == ["B"] * 4
+
+
+def _level_itemsizes(n: int) -> list[int]:
+    """Bytes per entry of each level, root first: a level whose counts
+    reach 2^h needs 1 byte up to h = 7, 2 up to h = 15, else 4."""
+    return [1 if h <= 7 else 2 if h <= 15 else 4 for h in range(n, -1, -1)]
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 17])
+def test_tree_widens_at_the_lane_boundaries(n):
+    """The constant-zero function fills every node: its root is 2^n, the
+    largest count a lane of the root's width must hold.  A widening step
+    one level late overflows there."""
+    f = constant_function(n, 0)
+    tree = f.tree
+    assert tree[0][0] == 2**n
+    assert [level.itemsize for level in tree] == _level_itemsizes(n)
+    for length, level in enumerate(tree):
+        assert list(level) == oracle_tree_level(f, length)
+
+
+@pytest.mark.parametrize("build", [xor_function, majority_function,
+                                   lambda n: random_function(n, 3)],
+                         ids=["xor", "majority", "random"])
+def test_tree_matches_truth_table_counts(build):
+    """At n = 17 the levels span all three widths."""
+    f = build(17)
+    tree = f.tree
+    assert [level.itemsize for level in tree] == _level_itemsizes(17)
+    for length, level in enumerate(tree):
+        assert list(level) == oracle_tree_level(f, length)
+
+
+def test_tree_root_at_the_widest_table():
+    """n = MAX_FUNCTION_BITS = 24: the constant-zero root is 2^24."""
+    tree = constant_function(24, 0).tree
+    assert tree[0][0] == 2**24
+    assert [level.itemsize for level in tree] == _level_itemsizes(24)
+
+
+def test_tree_runs_a_few_lines_per_level():
+    """Each level is summed from the one below by whole-level integer
+    adds, not Python code per node: at n = 16 the build runs at most 10
+    lines per level, where a loop over nodes runs tens of thousands.
+    Counting lines, not seconds, makes the guard deterministic."""
+    f = xor_function(16)
+    own = HashFunction.tree.func.__code__
+    assert lines_run_in(lambda code: code is own, getattr, f, "tree") <= 10 * f.n
+    assert "tree" in vars(f)
 
 
 # ---------------------------------------------------------------------------
