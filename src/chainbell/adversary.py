@@ -25,9 +25,9 @@ The adversary machinery, for a hash f:
   pivot rule.  At each level it tests, in bulk, only the prefixes that
   have not pivoted yet, and it keeps the children of those that do not
   pivot for the next level.  It records each pivotal prefix as a plain
-  ``(prefix_len, prefix_code, sigma)`` tuple of ints and sums the zeros
-  of the branches sigma points at as it goes.  A string's pivot is
-  read off the record whose range holds it.
+  ``(prefix_len, prefix_code, sigma)`` tuple of ints and sums the gap
+  |z0 - z1| at each, which fixes the zeros of the branches sigma points
+  at.  A string's pivot is read off the record whose range holds it.
 - ``build_attack_partition(f, params)`` assembles the two half-weight
   parts that bias each string's pivotal pair towards (or away from) a
   zero of f, which is the whole attack.
@@ -166,10 +166,10 @@ class PivotalProfile:
     ints per prefix after which the next bit is pivotal, in ascending
     order of the strings they cover: their string ranges are disjoint,
     contiguous and cover [0, 2^n).  ``zeros_toward`` is the number of
-    zeros of f in the branches the records' sigmas point at; the other
-    branches hold the rest of the zeros.  The pivotal data of a string
-    depends on the prefix before the pivot only (the prefix property),
-    so ``pivot`` finds it in the record whose range holds the string.
+    zeros of f in the branches the records' sigmas point at: (zeros_total
+    + gap) / 2, for the records' summed gap |z0 - z1|.  A string's pivotal
+    data depends on the prefix before the pivot only (the prefix
+    property), so ``pivot`` finds it in the record whose range holds it.
     """
 
     def __init__(self, function: HashFunction,
@@ -204,10 +204,11 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
     that is the whole level, read by slices.  For each, z0 and z1 are
     the zeros below its 0 and 1 children; it pivots when
     3n*|z0 - z1| >= 2^(n - L), towards sigma = 1 if z1 > z0 else 0, and
-    the zeros below sigma's child add to ``zeros_toward``.  The children
-    of the prefixes that do not pivot are live at level L + 1.  Records
-    ascend by string within a level, and are sorted by the first string
-    they cover when more than one level has pivots.
+    |z0 - z1| adds to the gap, 2·zeros_toward - zeros_total: sigma's
+    child holds max(z0, z1) zeros and the pivots partition the strings.
+    The children of the prefixes that do not pivot are live at level
+    L + 1.  Records ascend by string within a level, and are sorted by
+    the first string they cover when more than one level has pivots.
     """
     if not is_almost_balanced(f):
         raise ValueError(
@@ -217,28 +218,27 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
     n = f.n
     tree = f.tree
     records = []
-    zeros_toward = 0
+    gap = 0
     live = None  # every prefix of the level, until one pivots
     for length in range(n):
         above, below = tree[length], tree[length + 1]
         if live is None:
             codes = range(len(above))
-            z0 = below[0::2]
-            diff = list(map(sub, z0, below[1::2]))
+            diff = list(map(sub, below[0::2], below[1::2]))
         else:
             codes = live
             z0 = list(map(below.__getitem__, map(add, live, live)))
             # z0 - z1 = 2*z0 - (z0 + z1), the parent's count
             diff = list(map(sub, map(add, z0, z0), map(above.__getitem__, live)))
+            del z0
         # 3n*|diff| >= 2^(n - L) exactly when |diff| >= ceil(2^(n - L) / 3n)
         threshold = -(-(1 << (n - length)) // (3 * n))
         pivots = bytes(map(threshold.__le__, map(abs, diff)))
         if 1 in pivots:
             hit = list(compress(diff, pivots))
             sigmas = bytes(map((0).__gt__, hit))
-            # sigma's child holds z0 zeros, or z1 = z0 - diff when sigma is 1
-            zeros_toward += sum(compress(z0, pivots)) - sum(compress(hit, sigmas))
-            del z0, diff, hit  # the level's counts go before its records are made
+            gap += sum(map(abs, hit))
+            del diff, hit  # the level's counts go before its records are made
             records.extend(zip(repeat(length), compress(codes, pivots), sigmas))
             live = list(compress(codes, pivots.translate(_FLIP)))
             if not live:
@@ -253,7 +253,7 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
         raise AssertionError("no pivotal index on a path of an almost balanced function")
     if records[0][0] != records[-1][0]:  # more than one level has pivots
         records.sort(key=_first_string(n))
-    return PivotalProfile(f, tuple(records), zeros_toward)
+    return PivotalProfile(f, tuple(records), (f.zeros_total + gap) // 2)
 
 
 def trivial_strategy(f: HashFunction) -> tuple[int, Fraction]:

@@ -12,9 +12,9 @@ bound to check is eps * 2/(3n).
 Each part's Pr[f(X) = 0] comes from one of two paths:
 
 - the closed form, for ``AttackedSystem`` parts only.  It weights
-  f's zeros towards sigma (the profile's ``zeros_toward``, summed by
-  the pivotal walk) and away from it by the biased box's Alice
-  marginal, so it scales to large n.  It rests on three premises, each
+  f's zeros towards sigma (the profile's ``zeros_toward``, read off
+  the gap the pivotal walk sums) and away from it by the biased box's
+  Alice marginal, so it scales to large n.  It rests on three premises, each
   checked first: the base box's Alice marginal is 1/2 at every
   setting, ``biased[0]``'s Alice marginal is the same at every
   setting, and ``biased[1]``'s mirrors it.  Then the part's X-marginal

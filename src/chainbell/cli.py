@@ -72,7 +72,10 @@ def _jsonify(value):
 
 
 def _parse_eps(text: str) -> Fraction:
+    """``--eps`` in (0, 1/2]: a fraction or decimal, in plain ASCII."""
     try:
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise ValueError
         eps = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"eps must be a fraction like 1/8, got {text!r}") from None
@@ -83,7 +86,7 @@ def _parse_eps(text: str) -> Fraction:
 
 def _box_params(args) -> BoxParams:
     # A box is the n = 1 joint table, 4 N^2 cells, refused before it is built.
-    nonsignalling.refuse_over_cap("joint table", 4 * args.n_settings**2)
+    nonsignalling.refuse_over_cap("joint table", nonsignalling.table_entries(1, args.n_settings))
     if args.mode == MODE_QUANTUM:
         if args.eps is not None:
             raise ValueError("quantum mode fixes eps to sin^2(pi/4N); drop --eps")

@@ -7,7 +7,7 @@ never sampled), then compare sums of its entries.  Box products are
 built from their boxes in n whole-table append passes, one position
 each, every entry the left fold in position order that ``evaluate``
 takes; an exact table's denominator is reduced by a gcd read off the
-cells, the gcd of a set of products being the product of the factors'
+rows, since the gcd of one string's entries is the product of its row
 gcds.  Other systems are materialized point by point through
 ``evaluate``.
 ``systems.verify_partition`` does no table arithmetic: it calls
@@ -217,13 +217,13 @@ def _box_product_table(system) -> JointTable:
     Pass k turns P_{k-1}, indexed by (u_1..u_{k-1}, v_1..v_{k-1}, x_1..x_n,
     y_1..y_{k-1}), into P_k: each entry is doubled for y_k and each
     settings block repeated over (u_k, v_k), then multiplied entry by entry
-    with position k's cells, one block per (u_k, v_k).  P_0 is 1 at every
-    x, and P_n is the table, so every x is carried from the start and a
-    box may depend on any bit of x.  Each entry is the left fold, in
-    position order from 1, that ``evaluate`` takes, so float entries have
-    its bits; a float table takes ``float`` of each entry in the last pass,
-    so an entry whose cells are all exact is rounded once, as on the
-    per-point path.
+    with position k's cells, one block per (u_k, v_k).  P_0 holds one
+    entry per x: 1 in a float table, x's scale (below) in an exact one.
+    P_n is the table, so every x is carried from the start and a box may
+    depend on any bit of x.  A float entry is the left fold, in position
+    order from 1, that ``evaluate`` takes, so it has its bits; a float
+    table takes ``float`` of each entry in the last pass, so an entry
+    whose cells are all exact is rounded once, as on the per-point path.
 
     Each string x reads one row per position k: x's box at k at bit x_k,
     its N^2 (y = 0, y = 1) pairs in (a, b) order.  Each distinct (box,
@@ -232,16 +232,16 @@ def _box_product_table(system) -> JointTable:
     table is exact when every cell read is, the per-point path's rule.
 
     Exact cells are scaled to integers over D, the lcm of their
-    denominators.  The table's ``den`` is D^n over g, the gcd of D^n and
-    every entry: the lcm of the entries' reduced denominators, as on the
-    per-point path.  The gcd of a set of products is the product of the
-    factors' gcds, so g is read off the rows: it is the gcd of D^n and,
-    over x, the product of x's row gcds.  g divides each x's product, so
-    it is divided out of x's rows one by one, before any entry is built.
+    denominators, and each row is divided by its own gcd (an all-zero
+    row, gcd 0, is kept).  The table's ``den`` is D^n over g, the gcd of
+    D^n and every entry: the lcm of the entries' reduced denominators, as
+    on the per-point path.  The gcd of one string's entries is the product
+    of its row gcds, its scale, so g is the gcd of D^n and every scale,
+    and P_0 at x is x's scale over g.
     """
     n, N = system.n, system.n_settings
     boxes_by_x = [system.pair_boxes(x) for x in range(2**n)]
-    keys_by_x = [list(zip(map(id, boxes), int_to_digits(x, n, 2)))
+    keys_by_x = [tuple(zip(map(id, boxes), int_to_digits(x, n, 2)))
                  for x, boxes in enumerate(boxes_by_x)]
     distinct = {key: box for boxes, keys in zip(boxes_by_x, keys_by_x)
                 for key, box in zip(keys, boxes)}
@@ -249,23 +249,18 @@ def _box_product_table(system) -> JointTable:
             for key, box in distinct.items()}
     cells_read = list(chain.from_iterable(rows.values()))
     den = None
+    values = [1] * 2**n  # P_0
     if all_exact(cells_read):
         D = math.lcm(*{c.denominator for c in cells_read})
         rows = {key: [c.numerator * (D // c.denominator) for c in row]
                 for key, row in rows.items()}
         gcds = {key: math.gcd(*row) for key, row in rows.items()}
-        g = math.gcd(D**n, *(math.prod(map(gcds.get, keys)) for keys in keys_by_x))
+        rows = {key: [c // (gcds[key] or 1) for c in row] for key, row in rows.items()}
+        scales = [math.prod(map(gcds.get, keys)) for keys in keys_by_x]
+        g = math.gcd(D**n, *scales)
         den = D**n // g
-        for keys in keys_by_x:
-            rest = g
-            for j, key in enumerate(keys):
-                h = math.gcd(rest, gcds[key])
-                keys[j] = key, h
-                rest //= h
-        rows = {(key, h): [c // h for c in rows[key]]
-                for key, h in set(chain.from_iterable(keys_by_x))}
+        values = [scale // g for scale in scales]
 
-    values = [1] * 2**n  # P_0
     for j in range(n):
         # position j + 1's cells at every x, one block per (u_{j+1}, v_{j+1})
         column = [rows[keys[j]] for keys in keys_by_x]

@@ -96,15 +96,22 @@ def test_verify_refuses_by_table_size_before_building(capsys, monkeypatch, syste
                    "evaluations, cap is 67108864\n")
 
 
-def _no_table_size(*args, **kwargs):
-    raise AssertionError("table size computed before n was checked")
+_TABLE_ENTRIES = nonsignalling.table_entries
+
+
+def _box_size_only(n, n_settings):
+    """``table_entries`` for the n = 1 table, the box, alone."""
+    if n != 1:
+        raise AssertionError("table size computed before n was checked")
+    return _TABLE_ENTRIES(n, n_settings)
 
 
 @pytest.mark.parametrize("n", [5000, 10**12])
 def test_verify_refuses_n_out_of_range_before_the_table_size(capsys, monkeypatch, n):
     """--n is checked against the builders' range 1..24 before (4 N^2)^n
-    is computed: at n = 10^12 that integer alone would take gigabytes."""
-    monkeypatch.setattr(nonsignalling, "table_entries", _no_table_size)
+    is computed: at n = 10^12 that integer alone would take gigabytes.
+    The box's own size, the n = 1 table, is checked first."""
+    monkeypatch.setattr(nonsignalling, "table_entries", _box_size_only)
     code, out, err = run_cli(capsys, "verify", "--n", str(n))
     assert (code, out, err) == (2, "", f"error: n must be in 1..24, got {n}\n")
 
@@ -257,11 +264,19 @@ def test_bad_eps_exits_2(capsys):
     assert "eps" in err
 
 
-@pytest.mark.parametrize("eps", ["abc", "1/0"])
+@pytest.mark.parametrize("eps", ["abc", "1/0", "\u0661/\u0668", "1_0/80", " 1/8 "])
 def test_unparsable_eps_exits_2(capsys, eps):
+    """Digits are ASCII only: no other scripts' digits, underscores or
+    surrounding whitespace, as for ``--subset`` and ``hex:``."""
     code, _, err = run_cli(capsys, "box", "--eps", eps)
     assert code == 2
     assert f"eps must be a fraction like 1/8, got {eps!r}" in err
+
+
+def test_decimal_eps_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "box", "--eps", "0.125", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["eps"] == {"num": 1, "den": 8, "decimal": "0.125"}
 
 
 def test_verify_attack_part_needs_function(capsys):

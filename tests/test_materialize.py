@@ -121,6 +121,7 @@ DISTINCT = "distinct"
 @settings(max_examples=8, deadline=None)
 @example((2, 4, Fraction(1, 3)), [None, 1, None, 0])
 @example((2, 2, Fraction(1, 8)), [None, 1, None, None])
+@example((2, 3, Fraction(1, 8)), [0, 0, None, None])  # g = 4, split over two rows
 @example((3, 3, "quantum"), [None, None, None, None])
 @example((3, 2, Fraction(1, 8)), [DISTINCT, 0, None, None])
 @example((2, 3, "quantum"), [1, DISTINCT, DISTINCT, None])
