@@ -24,18 +24,22 @@ The adversary machinery, for a hash f:
   the package's only reader of the tree and its only statement of the
   pivot rule.  At each level it tests, in bulk, only the prefixes that
   have not pivoted yet, and it keeps the children of those that do not
-  pivot for the next level.  It records each pivotal prefix as a plain
-  ``(prefix_len, prefix_code, sigma)`` tuple of ints and sums the gap
-  |z0 - z1| at each, which fixes the zeros of the branches sigma points
-  at.  A string's pivot is read off the record whose range holds it.
+  pivot for the next level.  Until the first pivot that is the whole
+  level, decided in whole-integer lanes as the tree is summed.  Each
+  level with pivots is kept as one ``bytes`` of marks, one per prefix:
+  0 for no pivot, 1 + sigma for a pivot.  The walk sums the gap
+  |z0 - z1| at each pivot, which fixes the zeros of the branches sigma
+  points at.  A string's pivot is the first level that marks its prefix;
+  ``PivotalProfile.records`` builds ``(prefix_len, prefix_code, sigma)``
+  tuples of ints from the marks only when read.
 - ``build_attack_partition(f, params)`` assembles the two half-weight
   parts that bias each string's pivotal pair towards (or away from) a
   zero of f, which is the whole attack.
 
 The built-in families' truth tables (xor, majority, and, or, random),
 the tree's levels and the pivotal walk are bulk sequence operations
-(``bytes.translate``, ``bytes`` repetition, whole-level integer adds,
-``map`` over slices, ``compress``), not per-index or per-node Python
+(``bytes.translate``, ``bytes`` repetition, whole-level integer adds and
+masks, ``map`` over slices, ``compress``), not per-index or per-node Python
 loops; they give the same results as the plain loops.
 ``random_function`` keeps the exact ``randrange(2)`` stream:
 ``randrange(2)`` is rejection sampling on
@@ -51,14 +55,13 @@ import random
 import string
 import sys
 from array import array
-from bisect import bisect_right
-from collections import Counter
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, itemgetter, sub
-from typing import Callable, Sequence
+from operator import add, sub
 
 from ._coding import bits_to_int
 from .boxes import BoxParams, bias_box, build_unbiased_box
@@ -154,29 +157,30 @@ def is_almost_balanced(f: HashFunction) -> bool:
     return 3 * abs(2 * f.zeros_total - size) <= size
 
 
-def _first_string(n: int) -> Callable[[tuple[int, int, int]], int]:
-    """Records' order key: the code of the first string a record covers."""
-    return lambda record: record[1] << (n - record[0])
-
-
 class PivotalProfile:
     """The pivotal prefixes of an almost balanced function.
 
-    ``records`` holds one ``(prefix_len, prefix_code, sigma)`` tuple of
-    ints per prefix after which the next bit is pivotal, in ascending
-    order of the strings they cover: their string ranges are disjoint,
-    contiguous and cover [0, 2^n).  ``zeros_toward`` is the number of
-    zeros of f in the branches the records' sigmas point at: (zeros_total
-    + gap) / 2, for the records' summed gap |z0 - z1|.  A string's pivotal
-    data depends on the prefix before the pivot only (the prefix
-    property), so ``pivot`` finds it in the record whose range holds it.
+    ``levels`` holds, for each prefix length L at which some prefix
+    pivots, ascending, the pair ``(L, marks)``: ``marks`` is ``bytes`` of
+    2^L marks, one per length-L prefix code, 0 where that prefix does not
+    pivot and 1 + sigma where it does.  The pivotal prefixes' string
+    ranges are disjoint and cover [0, 2^n), and a string's pivotal data
+    depends on the prefix before the pivot only (the prefix property), so
+    ``pivot`` reads it at the first level that marks the string's prefix.
+    ``counts`` holds the pivots per level.  ``records`` views the pivots
+    as ``(prefix_len, prefix_code, sigma)`` tuples in string order, built
+    on demand.  ``zeros_toward`` is the number of zeros of f in the
+    branches the sigmas point at: (zeros_total + gap) / 2, for the pivots'
+    summed gap |z0 - z1|.
     """
 
     def __init__(self, function: HashFunction,
-                 records: tuple[tuple[int, int, int], ...], zeros_toward: int):
+                 levels: tuple[tuple[int, bytes], ...], zeros_toward: int):
         self.function = function
         self.n = function.n
-        self.records = records
+        self.levels = levels
+        self.counts = tuple(len(marks) - marks.count(0) for _, marks in levels)
+        self.records = _Records(self)
         self.zeros_toward = zeros_toward
 
     def pivot(self, x_code: int) -> tuple[int, int]:
@@ -184,31 +188,109 @@ class PivotalProfile:
         n = self.n
         if not 0 <= x_code < 1 << n:
             raise ValueError(f"string code must be in [0, 2^{n}), got {x_code}")
-        # the last record whose first string is at or before x_code
-        at = bisect_right(self.records, x_code, key=_first_string(n))
-        prefix_len, _, sigma = self.records[at - 1]
-        return prefix_len + 1, sigma
+        for length, marks in self.levels:
+            mark = marks[x_code >> (n - length)]
+            if mark:
+                return length + 1, mark - 1
 
     def histogram(self) -> dict[int, int]:
         """Count of input strings per pivotal index, in index order: a
-        record with a length-L prefix covers 2^(n - L) strings."""
-        counts = sorted(Counter(map(itemgetter(0), self.records)).items())
-        return {length + 1: count << (self.n - length) for length, count in counts}
+        pivot with a length-L prefix covers 2^(n - L) strings."""
+        return {length + 1: count << (self.n - length)
+                for (length, _), count in zip(self.levels, self.counts)}
+
+
+class _Records(Sequence):
+    """``PivotalProfile.records``: one ``(prefix_len, prefix_code, sigma)``
+    tuple of ints per pivotal prefix, in ascending order of the strings
+    they cover, each built when it is read.  The length is the sum of the
+    levels' pivot counts and builds none."""
+
+    def __init__(self, profile: PivotalProfile):
+        self._profile = profile
+
+    def __len__(self) -> int:
+        return sum(self._profile.counts)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        profile = self._profile
+        start = 0
+        while start < 1 << profile.n:
+            index, sigma = profile.pivot(start)
+            span = profile.n - index + 1
+            yield index - 1, start >> span, sigma
+            start += 1 << span
+
+    def __getitem__(self, index):
+        return tuple(self)[index]  # builds every record
+
+
+#: The top byte of a lane of ``_level_marks`` -> the prefix's mark: bit 7
+#: is set where sigma = 0 pivots, else bit 6 where sigma = 1 does.
+_TOP_BYTE_MARK = bytes(64) + b"\2" * 64 + b"\1" * 128
+
+#: sigma -> its mark, and marks -> 1 where a prefix does not pivot.
+_SIGMA_MARK = bytes.maketrans(b"\0\1", b"\1\2")
+_UNMARKED = bytes.maketrans(b"\0\1\2", b"\1\0\0")
+
+
+def _level_marks(above: array, below: array, threshold: int) -> tuple[bytes, int]:
+    """The marks of every prefix of a tree level, and their summed gap.
+
+    Each prefix gets one lane of w bits, the width of ``above``, whose
+    counts reach 2^(h + 1) for the height h of ``below``: so w >= h + 2.
+    With |z0 - z1| <= 2^h and t = ``threshold`` = ceil(2^(h + 1) / 3n)
+    <= 2^h, the lanes z0 - z1 - t + 2^(w - 1) and z1 - z0 - t + 2^(w - 1)
+    lie in [0, 2^w), so adding and subtracting the levels as whole
+    integers makes them lane by lane, with no carry or borrow between
+    lanes.  A lane's top
+    bit is set exactly when its difference reaches t, which is a pivot
+    towards sigma = 0 in the first and sigma = 1 in the second; below the
+    top bit such a lane holds |z0 - z1| - t, and the masked lane sums
+    give the gap.
+    """
+    typecode, itemsize = above.typecode, above.itemsize
+    width, size = 8 * itemsize, len(above) * itemsize
+    top_byte = itemsize - 1 if sys.byteorder == "little" else 0
+    z0 = below[0::2]
+    if z0.typecode != typecode:
+        z0 = array(typecode, z0)  # entry by entry, not raw words
+    ones = int.from_bytes((1).to_bytes(itemsize, sys.byteorder) * len(above), sys.byteorder)
+    top = ones << (width - 1)
+    offset = top - threshold * ones
+    # z0 - z1 = 2*z0 - (z0 + z1), the parent's count
+    toward0 = (2 * int.from_bytes(z0, sys.byteorder) + offset
+               - int.from_bytes(above, sys.byteorder))
+    del z0, ones
+    toward1 = 2 * offset - toward0
+    flags0, flags1 = toward0 & top, toward1 & top
+    lanes = (flags0 | (flags1 >> 1)).to_bytes(size, sys.byteorder)
+    marks = lanes[top_byte::itemsize].translate(_TOP_BYTE_MARK)
+    del lanes
+    pivots = len(marks) - marks.count(0)
+    if not pivots:
+        return marks, 0
+    # flags - (flags >> (w - 1)) sets every bit below the top one of a flagged lane
+    excess = ((toward0 & (flags0 - (flags0 >> (width - 1))))
+              | (toward1 & (flags1 - (flags1 >> (width - 1)))))
+    excess_lanes = memoryview(excess.to_bytes(size, sys.byteorder)).cast(typecode)
+    return marks, threshold * pivots + sum(excess_lanes)
 
 
 def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
     """Locate the pivotal prefix above every string of an almost balanced f.
 
-    One pass per tree level L over the codes of the length-L prefixes
-    that have not pivoted yet, in ascending order; until one pivots,
-    that is the whole level, read by slices.  For each, z0 and z1 are
-    the zeros below its 0 and 1 children; it pivots when
-    3n*|z0 - z1| >= 2^(n - L), towards sigma = 1 if z1 > z0 else 0, and
-    |z0 - z1| adds to the gap, 2·zeros_toward - zeros_total: sigma's
-    child holds max(z0, z1) zeros and the pivots partition the strings.
-    The children of the prefixes that do not pivot are live at level
-    L + 1.  Records ascend by string within a level, and are sorted by
-    the first string they cover when more than one level has pivots.
+    One pass per tree level L over the length-L prefixes that have not
+    pivoted yet.  For each, z0 and z1 are the zeros below its 0 and 1
+    children; it pivots when 3n*|z0 - z1| >= 2^(n - L), towards
+    sigma = 1 if z1 > z0 else 0, and |z0 - z1| adds to the gap,
+    2·zeros_toward - zeros_total: sigma's child holds max(z0, z1) zeros
+    and the pivots partition the strings.  Until a prefix pivots, every
+    prefix of the level is live and ``_level_marks`` decides them all in
+    whole-integer lanes.  From then on the codes of the live prefixes,
+    the children of those that did not pivot, are tested in bulk with
+    ``map`` and ``compress``, and the pivots' marks are set in a zeroed
+    level.  Each level with pivots is kept as its marks.
     """
     if not is_almost_balanced(f):
         raise ValueError(
@@ -217,43 +299,47 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
         )
     n = f.n
     tree = f.tree
-    records = []
+    levels = []
     gap = 0
     live = None  # every prefix of the level, until one pivots
     for length in range(n):
         above, below = tree[length], tree[length + 1]
+        # 3n*|diff| >= 2^(n - L) exactly when |diff| >= ceil(2^(n - L) / 3n)
+        threshold = -(-(1 << (n - length)) // (3 * n))
         if live is None:
-            codes = range(len(above))
-            diff = list(map(sub, below[0::2], below[1::2]))
+            marks, level_gap = _level_marks(above, below, threshold)
+            if not level_gap:  # a pivot adds at least threshold >= 1
+                continue
+            # the prefixes that did not pivot: none if every one did
+            live = (list(compress(range(len(above)), marks.translate(_UNMARKED)))
+                    if 0 in marks else [])
         else:
-            codes = live
             z0 = list(map(below.__getitem__, map(add, live, live)))
             # z0 - z1 = 2*z0 - (z0 + z1), the parent's count
             diff = list(map(sub, map(add, z0, z0), map(above.__getitem__, live)))
             del z0
-        # 3n*|diff| >= 2^(n - L) exactly when |diff| >= ceil(2^(n - L) / 3n)
-        threshold = -(-(1 << (n - length)) // (3 * n))
-        pivots = bytes(map(threshold.__le__, map(abs, diff)))
-        if 1 in pivots:
+            pivots = bytes(map(threshold.__le__, map(abs, diff)))
             hit = list(compress(diff, pivots))
-            sigmas = bytes(map((0).__gt__, hit))
-            gap += sum(map(abs, hit))
-            del diff, hit  # the level's counts go before its records are made
-            records.extend(zip(repeat(length), compress(codes, pivots), sigmas))
-            live = list(compress(codes, pivots.translate(_FLIP)))
+            level_gap = sum(map(abs, hit))
+            if level_gap:
+                marks = bytearray(len(above))
+                sigmas = bytes(map((0).__gt__, hit))
+                # a deque of length 0 runs the setitems and keeps nothing
+                deque(map(marks.__setitem__, compress(live, pivots),
+                          sigmas.translate(_SIGMA_MARK)), 0)
+                live = list(compress(live, pivots.translate(_FLIP)))
+        if level_gap:
+            gap += level_gap
+            levels.append((length, bytes(marks)))
             if not live:
                 break
-        elif live is None:
-            continue
         children = [0] * (2 * len(live))
         children[0::2] = map(add, live, live)
         children[1::2] = map(add, children[0::2], repeat(1))
         live = children
     else:
         raise AssertionError("no pivotal index on a path of an almost balanced function")
-    if records[0][0] != records[-1][0]:  # more than one level has pivots
-        records.sort(key=_first_string(n))
-    return PivotalProfile(f, tuple(records), (f.zeros_total + gap) // 2)
+    return PivotalProfile(f, tuple(levels), (f.zeros_total + gap) // 2)
 
 
 def trivial_strategy(f: HashFunction) -> tuple[int, Fraction]:
@@ -389,6 +475,8 @@ def parse_function_spec(spec: str, n: int | None = None) -> HashFunction:
             raise ValueError(f"function {spec!r} needs an explicit n")
         return plain[spec](n)
     if spec.startswith("random:"):
+        if spec == "random:":
+            raise ValueError("function spec 'random:' needs a seed, as in random:0")
         if n is None:
             raise ValueError("random functions need an explicit n")
         return random_function(n, spec.split(":", 1)[1])

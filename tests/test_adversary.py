@@ -412,7 +412,7 @@ def test_pivot_records_hold_prefix_and_direction_only(worked_example):
     """Zero counts live in the tree alone; a record names its prefix and
     the direction of the more-zeros branch after it."""
     profile = build_pivotal_profile(worked_example)
-    assert profile.records == ((1, 0, 0), (2, 2, 1), (2, 3, 0))
+    assert tuple(profile.records) == ((1, 0, 0), (2, 2, 1), (2, 3, 0))
     assert all(type(field) is int for record in profile.records for field in record)
     assert profile.zeros_toward == 2 + 1 + 1
 
@@ -502,7 +502,7 @@ def assert_profile_matches_record_oracle(f):
     field is an int: a bool sigma would serialise as true/false."""
     profile = build_pivotal_profile(f)
     records, zeros_toward, histogram = oracle_pivotal_profile(f)
-    assert profile.records == records
+    assert tuple(profile.records) == records
     assert all(type(field) is int for record in profile.records for field in record)
     assert profile.zeros_toward == zeros_toward
     assert list(profile.histogram().items()) == list(histogram.items())
@@ -530,6 +530,41 @@ def test_walk_matches_record_oracle_random_functions(n, seed):
     if not is_almost_balanced(f):
         return
     assert_profile_matches_record_oracle(f)
+
+
+def _dictator(n: int, k: int, negated: bool) -> HashFunction:
+    """f = x_k, or its negation: blocks of 2^(n - k) zeros and as many
+    ones, alternating from the start, or from the ones for the negation."""
+    block = 1 << (n - k)
+    zeros, ones = bytes(block), b"\1" * block
+    return HashFunction(n, ((ones + zeros) if negated else (zeros + ones)) * (1 << (k - 1)))
+
+
+@pytest.mark.parametrize("negated", [False, True], ids=["x_k", "not-x_k"])
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17])
+def test_walk_pivots_every_prefix_before_a_dictator_bit(n, negated):
+    """f = x_k pivots at every length-(k - 1) prefix, and nowhere before:
+    there |z0 - z1| = 2^(n - k), the widest difference a lane of that
+    level must hold, so every k covers the lane widths on both sides of
+    the switches at heights 6/7 and 14/15.  Sigma is 0 for x_k and 1 for
+    its negation, and the sigma branches hold all 2^(n - 1) zeros."""
+    sigma = int(negated)
+    for k in range(1, n + 1):
+        profile = build_pivotal_profile(_dictator(n, k, negated))
+        expected = tuple((k - 1, code, sigma) for code in range(1 << (k - 1)))
+        assert tuple(profile.records) == expected
+        assert profile.zeros_toward == 2 ** (n - 1)
+        assert profile.histogram() == {k: 2**n}
+
+
+def test_record_count_builds_no_records():
+    """``len(profile.records)`` sums the levels' pivot counts: at xor
+    n = 16, with 2^15 pivotal prefixes, it runs a line or two in the
+    package, where building the records runs lines per record."""
+    profile = build_pivotal_profile(xor_function(16))
+    in_package = lambda code: code.co_filename == chainbell.adversary.__file__
+    assert lines_run_in(in_package, len, profile.records) <= 5
+    assert len(profile.records) == 2**15
 
 
 @pytest.mark.parametrize("build", [xor_function, majority_function], ids=["xor", "majority"])

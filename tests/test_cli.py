@@ -244,9 +244,11 @@ def test_scan_files_are_byte_identical(capsys, tmp_path):
 
 
 def test_bad_function_spec_exits_2(capsys):
-    code, _, err = run_cli(capsys, "attack", "--function", "bogus", "--n", "3")
-    assert code == 2
-    assert "function spec" in err
+    """An unknown family, and ``random:`` without its seed."""
+    for spec in ("bogus", "random:"):
+        code, _, err = run_cli(capsys, "attack", "--function", spec, "--n", "3")
+        assert code == 2
+        assert "function spec" in err
 
 
 @pytest.mark.parametrize("spec", ["hex:-3", "hex:+39", "hex:0x39", "hex:3_99",
