@@ -21,17 +21,18 @@ The adversary machinery, for a hash f:
   balanced f one always exists, and the direction sigma points at the
   more-zeros branch.
 - ``build_pivotal_profile(f)`` walks the tree level by level; it is
-  the package's only reader of the tree and its only statement of the
-  pivot rule.  At each level it tests, in bulk, only the prefixes that
-  have not pivoted yet, and it keeps the children of those that do not
-  pivot for the next level.  Until the first pivot that is the whole
-  level, decided in whole-integer lanes as the tree is summed.  Each
-  level with pivots is kept as one ``bytes`` of marks, one per prefix:
-  0 for no pivot, 1 + sigma for a pivot.  The walk sums the gap
-  |z0 - z1| at each pivot, which fixes the zeros of the branches sigma
-  points at.  A string's pivot is the first level that marks its prefix;
-  ``PivotalProfile.records`` builds ``(prefix_len, prefix_code, sigma)``
-  tuples of ints from the marks only when read.
+  the package's only reader of the tree.  At each level it tests, in
+  bulk, only the prefixes that have not pivoted yet, and it keeps the
+  children of those that do not pivot for the next level.
+  ``_level_marks``, the only statement of the pivot rule, decides them
+  in whole-integer lanes: the whole level until the first pivot, then
+  the live prefixes' gathered counts.  Each level with pivots is kept
+  as one ``bytes`` of marks, one per prefix: 0 for no pivot, 1 + sigma
+  for a pivot.  The walk sums the gap |z0 - z1| at each pivot, which
+  fixes the zeros of the branches sigma points at.  A string's pivot is
+  the first level that marks its prefix; ``PivotalProfile.records``
+  builds ``(prefix_len, prefix_code, sigma)`` tuples of ints from the
+  marks only when read.
 - ``build_attack_partition(f, params)`` assembles the two half-weight
   parts that bias each string's pivotal pair towards (or away from) a
   zero of f, which is the whole attack.
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, sub
+from operator import add
 
 from ._coding import bits_to_int
 from .boxes import BoxParams, bias_box, build_unbiased_box
@@ -200,7 +201,7 @@ class PivotalProfile:
                 for (length, _), count in zip(self.levels, self.counts)}
 
 
-class _Records(Sequence):
+class _Records:
     """``PivotalProfile.records``: one ``(prefix_len, prefix_code, sigma)``
     tuple of ints per pivotal prefix, in ascending order of the strings
     they cover, each built when it is read.  The length is the sum of the
@@ -221,38 +222,34 @@ class _Records(Sequence):
             yield index - 1, start >> span, sigma
             start += 1 << span
 
-    def __getitem__(self, index):
-        return tuple(self)[index]  # builds every record
-
 
 #: The top byte of a lane of ``_level_marks`` -> the prefix's mark: bit 7
 #: is set where sigma = 0 pivots, else bit 6 where sigma = 1 does.
 _TOP_BYTE_MARK = bytes(64) + b"\2" * 64 + b"\1" * 128
 
-#: sigma -> its mark, and marks -> 1 where a prefix does not pivot.
-_SIGMA_MARK = bytes.maketrans(b"\0\1", b"\1\2")
+#: marks -> 1 where a prefix does not pivot.
 _UNMARKED = bytes.maketrans(b"\0\1\2", b"\1\0\0")
 
 
-def _level_marks(above: array, below: array, threshold: int) -> tuple[bytes, int]:
-    """The marks of every prefix of a tree level, and their summed gap.
+def _level_marks(above: array, z0: array, threshold: int) -> tuple[bytes, int]:
+    """The marks of the given prefixes of a tree level, and their summed
+    gap: the package's only statement of the pivot rule.
 
-    Each prefix gets one lane of w bits, the width of ``above``, whose
-    counts reach 2^(h + 1) for the height h of ``below``: so w >= h + 2.
-    With |z0 - z1| <= 2^h and t = ``threshold`` = ceil(2^(h + 1) / 3n)
-    <= 2^h, the lanes z0 - z1 - t + 2^(w - 1) and z1 - z0 - t + 2^(w - 1)
-    lie in [0, 2^w), so adding and subtracting the levels as whole
-    integers makes them lane by lane, with no carry or borrow between
-    lanes.  A lane's top
-    bit is set exactly when its difference reaches t, which is a pivot
-    towards sigma = 0 in the first and sigma = 1 in the second; below the
-    top bit such a lane holds |z0 - z1| - t, and the masked lane sums
-    give the gap.
+    ``above`` holds the prefixes' counts and ``z0`` their 0-children's,
+    entry for entry.  Each prefix gets one lane of w bits, the width of
+    ``above``, whose counts reach 2^(h + 1) for the height h of the level
+    below: so w >= h + 2.  With |z0 - z1| <= 2^h and t = ``threshold`` =
+    ceil(2^(h + 1) / 3n) <= 2^h, the lanes z0 - z1 - t + 2^(w - 1) and
+    z1 - z0 - t + 2^(w - 1) lie in [0, 2^w), so adding and subtracting
+    the counts as whole integers makes them lane by lane, with no carry
+    or borrow between lanes.  A lane's top bit is set exactly when its
+    difference reaches t, which is a pivot towards sigma = 0 in the first
+    and sigma = 1 in the second; below the top bit such a lane holds
+    |z0 - z1| - t, and the masked lane sums give the gap.
     """
     typecode, itemsize = above.typecode, above.itemsize
     width, size = 8 * itemsize, len(above) * itemsize
     top_byte = itemsize - 1 if sys.byteorder == "little" else 0
-    z0 = below[0::2]
     if z0.typecode != typecode:
         z0 = array(typecode, z0)  # entry by entry, not raw words
     ones = int.from_bytes((1).to_bytes(itemsize, sys.byteorder) * len(above), sys.byteorder)
@@ -281,16 +278,16 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
     """Locate the pivotal prefix above every string of an almost balanced f.
 
     One pass per tree level L over the length-L prefixes that have not
-    pivoted yet.  For each, z0 and z1 are the zeros below its 0 and 1
-    children; it pivots when 3n*|z0 - z1| >= 2^(n - L), towards
-    sigma = 1 if z1 > z0 else 0, and |z0 - z1| adds to the gap,
+    pivoted yet, which ``_level_marks`` decides in whole-integer lanes:
+    a prefix pivots when 3n*|z0 - z1| >= 2^(n - L) for the zeros z0 and
+    z1 below its children, and |z0 - z1| adds to the gap,
     2·zeros_toward - zeros_total: sigma's child holds max(z0, z1) zeros
     and the pivots partition the strings.  Until a prefix pivots, every
-    prefix of the level is live and ``_level_marks`` decides them all in
-    whole-integer lanes.  From then on the codes of the live prefixes,
-    the children of those that did not pivot, are tested in bulk with
-    ``map`` and ``compress``, and the pivots' marks are set in a zeroed
-    level.  Each level with pivots is kept as its marks.
+    prefix of the level is live, and the walk passes the level and its
+    0-children as they stand.  From then on it gathers the counts of the
+    live prefixes, the children of those that did not pivot, and writes
+    the pivots' marks into a zeroed level.  Each level with pivots is
+    kept as its marks.
     """
     if not is_almost_balanced(f):
         raise ValueError(
@@ -307,32 +304,29 @@ def build_pivotal_profile(f: HashFunction) -> PivotalProfile:
         # 3n*|diff| >= 2^(n - L) exactly when |diff| >= ceil(2^(n - L) / 3n)
         threshold = -(-(1 << (n - length)) // (3 * n))
         if live is None:
-            marks, level_gap = _level_marks(above, below, threshold)
-            if not level_gap:  # a pivot adds at least threshold >= 1
-                continue
-            # the prefixes that did not pivot: none if every one did
-            live = (list(compress(range(len(above)), marks.translate(_UNMARKED)))
-                    if 0 in marks else [])
+            codes = range(len(above))
+            found, level_gap = _level_marks(above, below[0::2], threshold)
+            marks = found
         else:
-            z0 = list(map(below.__getitem__, map(add, live, live)))
-            # z0 - z1 = 2*z0 - (z0 + z1), the parent's count
-            diff = list(map(sub, map(add, z0, z0), map(above.__getitem__, live)))
-            del z0
-            pivots = bytes(map(threshold.__le__, map(abs, diff)))
-            hit = list(compress(diff, pivots))
-            level_gap = sum(map(abs, hit))
+            codes = live
+            found, level_gap = _level_marks(
+                array(above.typecode, map(above.__getitem__, live)),
+                array(above.typecode, map(below.__getitem__, map(add, live, live))),
+                threshold)
             if level_gap:
                 marks = bytearray(len(above))
-                sigmas = bytes(map((0).__gt__, hit))
                 # a deque of length 0 runs the setitems and keeps nothing
-                deque(map(marks.__setitem__, compress(live, pivots),
-                          sigmas.translate(_SIGMA_MARK)), 0)
-                live = list(compress(live, pivots.translate(_FLIP)))
-        if level_gap:
+                deque(map(marks.__setitem__, compress(live, found),
+                          found.translate(None, b"\0")), 0)
+        if level_gap:  # a pivot adds at least threshold >= 1
             gap += level_gap
             levels.append((length, bytes(marks)))
+            # the prefixes that did not pivot: none if every one did
+            live = list(compress(codes, found.translate(_UNMARKED))) if 0 in found else []
             if not live:
                 break
+        elif live is None:
+            continue
         children = [0] * (2 * len(live))
         children[0::2] = map(add, live, live)
         children[1::2] = map(add, children[0::2], repeat(1))

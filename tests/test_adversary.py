@@ -557,6 +557,54 @@ def test_walk_pivots_every_prefix_before_a_dictator_bit(n, negated):
         assert profile.histogram() == {k: 2**n}
 
 
+def _half_dictator(n: int) -> HashFunction:
+    """f = x_2 where x_1 = 0, and the xor of x_2..x_n where x_1 = 1.  The
+    prefix 0 pivots at L = 1 and the prefix 1 does not, so the levels
+    from L = 2 on are walked over the live half only, down to L = n - 1,
+    where the xor half pivots."""
+    quarter = 1 << (n - 2)
+    return HashFunction(n, bytes(quarter) + b"\1" * quarter + xor_function(n - 1).bits,
+                        "half-dictator")
+
+
+@pytest.mark.parametrize("n", [10, 18])
+def test_walk_decides_the_live_half_of_a_half_dictator(n):
+    """The half-dictator's profile matches the oracle.  Its first pivot is
+    at L = 1 and its last at L = n - 1, so the levels in between are
+    walked over the live prefixes only, and at n = 18 they cross both
+    lane-width switches: the 16/8-bit level pair at L = n - 8 and the
+    32/16-bit pair at L = n - 16."""
+    f = _half_dictator(n)
+    assert_profile_matches_record_oracle(f)
+    levels = build_pivotal_profile(f).levels
+    assert [length for length, _ in levels] == [1, n - 1]
+    live = {(f.tree[length].typecode, f.tree[length + 1].typecode)
+            for length in range(2, n)}
+    assert ("H", "B") in live
+    if n == 18:
+        assert ("I", "H") in live
+
+
+@pytest.mark.parametrize("build", [xor_function, majority_function,
+                                   lambda n: random_function(n, 1), _half_dictator],
+                         ids=["xor", "majority", "random:1", "half-dictator"])
+def test_every_walked_level_is_decided_by_level_marks(monkeypatch, build):
+    """``_level_marks`` states the pivot rule for every level the walk
+    visits, whether every prefix of it is live or only some are: one
+    call per level, from the root to the deepest level with a pivot."""
+    profile = build_pivotal_profile(build(16))
+    calls = []
+    level_marks = chainbell.adversary._level_marks
+
+    def counted(above, z0, threshold):
+        calls.append(len(above))
+        return level_marks(above, z0, threshold)
+
+    monkeypatch.setattr(chainbell.adversary, "_level_marks", counted)
+    build_pivotal_profile(profile.function)
+    assert len(calls) == profile.levels[-1][0] + 1
+
+
 def test_record_count_builds_no_records():
     """``len(profile.records)`` sums the levels' pivot counts: at xor
     n = 16, with 2^15 pivotal prefixes, it runs a line or two in the
@@ -567,13 +615,15 @@ def test_record_count_builds_no_records():
     assert len(profile.records) == 2**15
 
 
-@pytest.mark.parametrize("build", [xor_function, majority_function], ids=["xor", "majority"])
+@pytest.mark.parametrize("build", [xor_function, majority_function, _half_dictator],
+                         ids=["xor", "majority", "half-dictator"])
 def test_walk_runs_a_few_lines_per_level(build):
     """The walk is bulk operations per tree level, not Python code per
     node: at n = 16 it runs at most 20 lines per level, where a walk with
     a line per node runs hundreds of thousands on xor, which pivots only
-    at its last bit.  Counting lines, not seconds, makes the guard
-    deterministic on any machine."""
+    at its last bit.  The half-dictator walks its levels from L = 2 on
+    over the live prefixes only.  Counting lines, not seconds, makes the
+    guard deterministic on any machine."""
     f = build(16)
     assert len(f.tree) == f.n + 1  # the tree is built before the count
     own = build_pivotal_profile.__code__

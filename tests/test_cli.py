@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import chainbell
 from chainbell import analysis, cli, nonsignalling
 from chainbell.cli import CSV_COLUMNS, main
 
@@ -361,3 +366,19 @@ def test_usage_error_exits_2(capsys):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize("n, expected", [("3", 0), ("0", 2)])
+def test_module_run_matches_main(capsys, n, expected):
+    """``python -m chainbell.cli`` runs the same command as ``main``: the
+    same stdout and exit code, with the package found where the tests
+    import it from."""
+    args = ["attack", "--function", "xor", "--n", n]
+    code, out, _ = run_cli(capsys, *args)
+    path = str(Path(chainbell.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [path, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "chainbell.cli", *args],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout) == (code, out)
+    assert code == expected

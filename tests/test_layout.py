@@ -16,8 +16,9 @@ read only by ``boxes.close`` and ``boxes.at_least``, and by
 ``EVAL_CAP`` is read, and ``InfeasibleSizeError`` raised, only in
 ``nonsignalling.refuse_over_cap``.  One walk states the pivot rule: a
 function's zero-count tree ``.tree`` is read only by
-``adversary.build_pivotal_profile``, and every other pivot is read off
-the records it makes.  One mapping tells Alice from Bob in the joint
+``adversary.build_pivotal_profile``, whose every level is decided by
+``adversary._level_marks``, and every other pivot is read off the
+marks it makes.  One mapping tells Alice from Bob in the joint
 table: only ``nonsignalling._digits`` compares a side with ``"alice"``
 or ``"bob"``, and everything else works on the digits it returns.  One
 rule finds the entries at which two tables differ: ``operator.ne`` is
