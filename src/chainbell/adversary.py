@@ -4,7 +4,11 @@ Truth tables use a fixed bit order: ``index(x) = sum x_i * 2^(n-i)``,
 i.e. the first bit x_1 is most significant.  A prefix of length L is
 then the top L bits, and the strings sharing it form one contiguous
 index range.  ``HashFunction.bits`` holds the table as ``bytes``, one
-0 or 1 per entry.
+0 or 1 per entry.  The bit check and the zero count are one pass of
+whole-word popcounts over fixed-size chunks, each read as one int: a
+chunk is refused if any byte has a bit above bit 0, and its bit count
+is its ones.  ``bytes.count`` would branch once per byte, and on a
+random table that branch is mispredicted about half the time.
 
 The adversary machinery, for a hash f:
 
@@ -15,6 +19,10 @@ The adversary machinery, for a hash f:
   summed from the one below as two whole integers: the even and the odd
   entries, each read as one int over its bytes, add lane by lane, and
   no lane carries into the next because each is wide enough for its sum.
+  One-byte levels (heights 1-7) are sliced as ``bytes``, which copy a
+  byte at a time where an ``array`` slice copies an item at a time, and
+  level 1 is 2 minus the summed ones of each pair of ``bits``, so no
+  second table-sized copy of the flipped leaves is made.
   The influence of bit i given a prefix is the gap between the
   probabilities of f = 0 when bit i is 0 versus 1; the first position
   where it reaches 2/(3n) is the string's pivotal index.  For almost
@@ -84,6 +92,12 @@ _INCREMENT = bytes(range(1, 256)) + b"\0"
 _PARITY = bytes(b & 1 for b in range(256))
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 _ASCII_BIT = bytes.maketrans(b"01", b"\0\1")
+_PAIR_ZEROS = bytes.maketrans(b"\0\1\2", b"\2\1\0")
+
+#: Table bytes per int in ``HashFunction``'s bit check, and the mask of
+#: every bit above bit 0 of each of them.
+_CHECK_CHUNK = 1 << 14
+_NOT_BITS = int.from_bytes(b"\xfe" * _CHECK_CHUNK, "little")
 
 #: Typecode of a tree level ``height`` steps above the leaves, whose
 #: counts reach 2^height: the narrowest unsigned ``array`` type holding it.
@@ -98,7 +112,9 @@ class HashFunction:
     """A function {0,1}^n -> {0,1} as a truth table (x_1 most significant).
 
     ``bits`` may be given as any sequence of 0/1 ints; it is stored as
-    ``bytes``.
+    ``bytes``.  ``zeros_total``, the number of entries that are 0, is
+    counted by the same chunked whole-word pass that checks the entries
+    are bits, so reading it builds no tree.
     """
 
     n: int
@@ -116,8 +132,16 @@ class HashFunction:
                 raise ValueError("truth table entries must be bits") from None
         if len(self.bits) != size:
             raise ValueError(f"truth table needs {size} bits, got {len(self.bits)}")
-        if self.zeros_total + self.bits.count(1) != size:
-            raise ValueError("truth table entries must be bits")
+        # one int per chunk: a bit above bit 0 of any byte refuses the table,
+        # and the int's bit count is the chunk's ones
+        ones = 0
+        for start in range(0, size, _CHECK_CHUNK):
+            chunk = int.from_bytes(self.bits[start:start + _CHECK_CHUNK], "little")
+            if chunk & _NOT_BITS:
+                raise ValueError("truth table entries must be bits")
+            ones += chunk.bit_count()
+            del chunk  # not kept while the next chunk is read
+        object.__setattr__(self, "zeros_total", size - ones)
 
     def value(self, x: Sequence[int]) -> int:
         if len(x) != self.n:
@@ -128,26 +152,30 @@ class HashFunction:
         return self.bits[bits_to_int(x)]
 
     @cached_property
-    def zeros_total(self) -> int:
-        return self.bits.count(0)
-
-    @cached_property
     def tree(self) -> list[array]:
         """The zero-count tree: ``tree[L][p]`` is the number of
         length-(n-L) completions s with f(p.s) = 0, for the length-L
         prefix with code p.  Each level is an ``array`` of the narrowest
-        unsigned type that holds its largest possible count, 2^(n-L)."""
-        level = array("B", self.bits.translate(_FLIP))
-        levels = [level]
-        for height in range(1, self.n + 1):
+        unsigned type that holds its largest possible count, 2^(n-L).
+        Level 1 is 2 minus the summed ones of each pair of ``bits``; the
+        other one-byte levels are summed from their level below sliced as
+        ``bytes``, the wider ones from it sliced as an ``array``."""
+        bits, order = self.bits, sys.byteorder
+        levels = [array("B", bits.translate(_FLIP))]
+        # level 1 from the ones: no bytes copy of the flipped leaves is made
+        level = int.from_bytes(bits[0::2], order) + int.from_bytes(bits[1::2], order)
+        level = level.to_bytes(len(bits) // 2, order).translate(_PAIR_ZEROS)
+        levels.append(array("B", level))
+        for height in range(2, self.n + 1):
             typecode = _LEVEL_TYPECODES[height]
-            if typecode != level.typecode:
-                level = array(typecode, level)  # entry by entry, not raw words
-            even, odd = level[0::2], level[1::2]
+            if typecode != levels[-1].typecode:
+                level = array(typecode, levels[-1])  # entry by entry, not raw words
             # one lane per entry, each wide enough for its sum: no carries
-            total = int.from_bytes(even, sys.byteorder) + int.from_bytes(odd, sys.byteorder)
-            level = array(typecode, total.to_bytes(len(even) * level.itemsize, sys.byteorder))
-            levels.append(level)
+            level = int.from_bytes(level[0::2], order) + int.from_bytes(level[1::2], order)
+            level = level.to_bytes(len(levels[-1]) // 2 * array(typecode).itemsize, order)
+            levels.append(array(typecode, level))
+            if typecode != "B":  # one-byte levels are sliced as bytes
+                level = levels[-1]
         levels.reverse()
         return levels
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from array import array
 from fractions import Fraction
 from itertools import product
@@ -100,11 +101,64 @@ def test_hash_function_validation():
     for bad in [(0, -1), (0, 2), (0, 256), b"\0\2", bytearray(b"\0\2"), "01", (0, 1.0), 4]:
         with pytest.raises(ValueError, match="entries must be bits"):
             HashFunction(1, bad)
-    # the count-based check still finds a bad entry at the very end
+    # the chunked check still finds a bad entry at the very end
     with pytest.raises(ValueError, match="entries must be bits"):
         HashFunction(17, (0, 1) * (2**16 - 1) + (0, 2))
     with pytest.raises(ValueError, match="entries must be bits"):
         HashFunction(17, b"\0\1" * (2**16 - 1) + b"\0\2")
+
+
+@pytest.mark.parametrize("bad", [2, 0x80, 0xFE, 0xFF])
+def test_bit_check_refuses_a_bad_entry_on_either_side_of_a_chunk_boundary(bad):
+    """The check reads the table as one int per chunk: a non-bit entry
+    is found at the first and last index of every chunk, not only in
+    its inside.  At n = 18 the table spans several chunks."""
+    chunk = chainbell.adversary._CHECK_CHUNK
+    size = 2**18
+    assert size >= 4 * chunk
+    edges = [0, size - 1]
+    for boundary in range(chunk, size, chunk):
+        edges += [boundary - 1, boundary]
+    good = random_function(18, 1).bits
+    table = bytearray(good)
+    for index in edges:
+        table[index] = bad
+        with pytest.raises(ValueError, match="entries must be bits"):
+            HashFunction(18, bytes(table))
+        table[index] = good[index]
+    assert HashFunction(18, bytes(table)).bits == good
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_zeros_total_matches_counting_zero_bytes(n):
+    """The chunked popcount pass gives the per-byte count, from tables
+    shorter than a chunk to several chunks long."""
+    for f in (xor_function(n), majority_function(n), random_function(n, 1),
+              and_function(n), or_function(n),
+              HashFunction(n, b"\0" * 2**n), HashFunction(n, b"\1" * 2**n)):
+        assert f.zeros_total == f.bits.count(0), f.name
+
+
+def test_bit_check_and_tree_add_no_table_sized_copy():
+    """At random:1, n = 20, the check and zero count read the table a
+    chunk at a time and peak near 3% of the table's bytes; a pass
+    holding a table-sized copy peaks above its size.  The tree, whose
+    levels alone take about twice the table's bytes, peaks near 2.9
+    times them, and a second table-sized copy of the flipped leaves held
+    while level 1 is built takes it near 3.9."""
+    bits = random_function(20, 1).bits
+    tracemalloc.start()
+    try:
+        f = HashFunction(20, bits)
+        assert f.zeros_total == bits.count(0)
+        check_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        f.tree
+        tree_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check_peak < len(bits) / 4
+    assert tree_peak < 3.5 * len(bits)
 
 
 def test_truth_tables_are_stored_as_bytes():
