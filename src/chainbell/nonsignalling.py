@@ -57,6 +57,30 @@ arithmetic.  Marginals are compared by ``boxes.close``, under the
 tolerance rule stated in ``boxes``; its float tolerance is far above
 double rounding at desk scale and far below any structural violation.
 
+A table has one of two layouts, chosen from the table itself:
+
+- *Lanes.*  An exact table with no negative entry holds its numerators
+  in an ``array`` of unsigned W-bit lanes, W the narrowest of 8, 16, 32
+  and 64 with B < 2^W, B an upper bound on every settings block's sum.
+  A box product takes B from the rows it reads (``_box_product_table``),
+  a per-point table from its block sums; never from ``den``, which an
+  unnormalized system's block sums exceed.  Every marginal entry sums
+  nonnegative entries of one block, so it is at most B and fits a lane.
+  ``_sum_out`` reads all first halves of its runs as one int, all second
+  halves as another, and adds the two: lane i of the sum is the sum of
+  the two lanes i, below 2^W, so no carry crosses into the next lane.
+- *Lists.*  Float tables, exact tables with a negative entry, and exact
+  tables whose B needs more than 64 bits hold a ``list``, summed entry
+  by entry.
+
+The convex check reads each settings block of each lane table as one
+int, its lanes widened to W' bits with 2^W' at least Σ|scale|·2^W, and
+compares the base's scaled int with the sum of the parts' scaled ints.
+Equal ints mean equal entries: their difference is Σ_i d_i·2^(W'i) with
+every |d_i| < 2^W', and were it zero with some d_i nonzero, the lowest
+such d_i would be a nonzero multiple of 2^W'.  Only blocks whose ints
+differ are compared entry by entry.
+
 Every reported violation is replayable: ``replay_violation`` recomputes
 the two marginal sums from the stored witness.
 """
@@ -64,6 +88,8 @@ the two marginal sums from the stored witness.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -142,12 +168,18 @@ class JointTable:
     word (x_1..x_n, y_1..y_n) in base 2, digit 1 most significant.
     Alice's position p is digit p of both words, Bob's digit n + p, and
     ``_digits`` is the only mapping from a side to digits.  ``point``
-    decodes an index and ``blocks`` cuts the table by settings word.
+    decodes an index.
+
+    ``values`` is an ``array`` of unsigned lanes when the table is exact,
+    nonnegative and its settings blocks' sums have an upper bound below
+    2^64; the lane is the narrowest of 1, 2, 4 or 8 bytes that holds the
+    bound.  Every other table -- float, with a negative entry, or with a
+    wider bound -- holds a ``list`` (see the module docstring).
     """
 
     n: int
     n_settings: int
-    values: list
+    values: array | list
     den: int | None
 
     @property
@@ -161,11 +193,6 @@ class JointTable:
         xy = int_to_digits(outcomes, 2 * n, 2)
         uv = int_to_digits(settings, 2 * n, self.n_settings)
         return xy[:n], xy[n:], uv[:n], uv[n:]
-
-    def blocks(self) -> Iterator[list]:
-        """The values at each settings word in index order, 4^n per block."""
-        size = 4**self.n
-        return (self.values[start:start + size] for start in range(0, len(self.values), size))
 
 
 def table_entries(n: int, n_settings: int) -> int:
@@ -186,8 +213,10 @@ def materialize(system: "SystemEvaluator") -> JointTable:
     its boxes in n append passes (``_box_product_table``); every other
     system, including a subclass that overrides ``evaluate``, is evaluated
     at every (x, y, u, v) point.  Both paths give the same table: same
-    ``den``, same values and value types, same float bits.  The table is
-    exact when every value is an int or a Fraction.
+    ``den``, same values and value types, same float bits.  Only an exact
+    table's layout may differ (see ``JointTable``), since each path bounds
+    the block sums its own way.  The table is exact when every value is
+    an int or a Fraction.
 
     ``refuse_over_cap`` raises InfeasibleSizeError, before any work, when
     the table has more than EVAL_CAP entries -- on either path.
@@ -208,7 +237,44 @@ def materialize(system: "SystemEvaluator") -> JointTable:
     den = 1
     for d in {v.denominator for v in raw}:
         den = math.lcm(den, d)
-    return JointTable(n, N, [v.numerator * (den // v.denominator) for v in raw], den)
+    values = [v.numerator * (den // v.denominator) for v in raw]
+    size = 4**n
+    bound = max(sum(values[i:i + size]) for i in range(0, len(values), size))
+    return JointTable(n, N, _lanes(values, bound if min(values) >= 0 else None), den)
+
+
+#: The unsigned ``array`` typecode of each lane width in bytes.
+_LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _lanes(values: Iterable[int], bound: int | None) -> array | list:
+    """Exact numerators in the narrowest of 1, 2, 4 or 8-byte unsigned
+    lanes that holds ``bound``, an upper bound on every settings block's
+    sum; in a list when ``bound`` is None (a negative entry) or needs
+    more than 64 bits."""
+    size = next((size for size in (1, 2, 4, 8)
+                 if bound is not None and bound >> 8 * size == 0), None)
+    if size is None:
+        return list(values)
+    # 'B' and 'H' parse each item slowly: fill 4-byte lanes, then narrow
+    lanes = array(_LANE_CODES[max(size, 4)], values)
+    if size < 4:
+        narrow = array(_LANE_CODES[size])
+        narrow.frombytes(_relaned(lanes.tobytes(), 4, size))
+        lanes = narrow
+    return lanes
+
+
+def _relaned(data: bytes, item: int, width: int) -> bytearray:
+    """The ``item``-byte lanes of ``data`` copied into ``width``-byte
+    lanes, a byte column at a time: widened with zero bytes, or narrowed
+    to their low bytes."""
+    keep = min(item, width)
+    src, dst = (0, 0) if sys.byteorder == "little" else (item - keep, width - keep)
+    out = bytearray(len(data) // item * width)
+    for b in range(keep):
+        out[dst + b::width] = data[src + b::item]
+    return out
 
 
 def _box_product_table(system) -> JointTable:
@@ -238,6 +304,12 @@ def _box_product_table(system) -> JointTable:
     on the per-point path.  The gcd of one string's entries is the product
     of its row gcds, its scale, so g is the gcd of D^n and every scale,
     and P_0 at x is x's scale over g.
+
+    When no cell read is negative, the last pass writes the exact table
+    into lanes (``_lanes``) wide enough for B, the sum over x of P_0 at
+    x times, at each position, the largest y = 0 plus y = 1 pair of x's
+    row there: a settings block's sum is that sum with each position's
+    pair taken at the block's (a, b).
     """
     n, N = system.n, system.n_settings
     boxes_by_x = [system.pair_boxes(x) for x in range(2**n)]
@@ -248,7 +320,7 @@ def _box_product_table(system) -> JointTable:
     rows = {key: [box.prob(a, b, key[1], y) for a in range(N) for b in range(N) for y in (0, 1)]
             for key, box in distinct.items()}
     cells_read = list(chain.from_iterable(rows.values()))
-    den = None
+    den = bound = None
     values = [1] * 2**n  # P_0
     if all_exact(cells_read):
         D = math.lcm(*{c.denominator for c in cells_read})
@@ -260,6 +332,11 @@ def _box_product_table(system) -> JointTable:
         g = math.gcd(D**n, *scales)
         den = D**n // g
         values = [scale // g for scale in scales]
+        if min(cells_read) >= 0:
+            # a block sums, at each x, P_0 times each position's y = 0 plus
+            # y = 1 cells at its (a, b): at most their largest pair sum
+            widest = {key: max(map(add, row[::2], row[1::2])) for key, row in rows.items()}
+            bound = sum(map(mul, values, map(math.prod, map(partial(map, widest.get), keys_by_x))))
 
     for j in range(n):
         # position j + 1's cells at every x, one block per (u_{j+1}, v_{j+1})
@@ -272,7 +349,12 @@ def _box_product_table(system) -> JointTable:
         order = list(product(range(N**j), range(N), range(N**j), range(N)))
         products = map(mul, chain.from_iterable(doubled[U * N**j + V] for U, _, V, _ in order),
                        chain.from_iterable(cells[a * N + b] for _, a, _, b in order))
-        values = list(products if den is not None or j < n - 1 else map(float, products))
+        if j < n - 1:
+            values = list(products)
+        elif den is None:
+            values = list(map(float, products))
+        else:
+            values = _lanes(products, bound)
     return JointTable(n, N, values, den)
 
 
@@ -308,13 +390,30 @@ def _scatter_codes(digits: Sequence[int], width: int, base: int) -> list[int]:
     return codes
 
 
-def _sum_out(values: list, stride: int) -> list:
+def _sum_out(values: array | list, stride: int) -> array | list:
     """``values`` with one outcome digit summed out, the digit whose two
     outcomes lie ``stride`` entries apart: in each run of 2·stride
     entries, the first half plus the second.  One pass over the whole
-    flat grid, every settings word at once."""
-    low = (1,) * stride + (0,) * stride
-    return list(map(add, compress(values, cycle(low)), compress(values, cycle(low[::-1]))))
+    flat grid, every settings word at once.
+
+    Lanes stay in their width: the first halves of all runs and the
+    second halves are read as two ints and added, which adds every lane
+    to its partner with no carry between lanes (see the module
+    docstring)."""
+    if isinstance(values, list):
+        low = (1,) * stride + (0,) * stride
+        return list(map(add, compress(values, cycle(low)), compress(values, cycle(low[::-1]))))
+    if stride == 1:
+        halves = values[::2], values[1::2]
+    else:
+        view, run = memoryview(values).cast("B"), stride * values.itemsize
+        halves = [b"".join(map(view.__getitem__, map(slice, range(first, len(view), 2 * run),
+                                                     range(first + run, len(view) + run, 2 * run))))
+                  for first in (0, run)]
+    total = int.from_bytes(halves[0], sys.byteorder) + int.from_bytes(halves[1], sys.byteorder)
+    out = array(values.typecode)
+    out.frombytes(total.to_bytes(len(values) // 2 * values.itemsize, sys.byteorder))
+    return out
 
 
 def _strides(n: int, digits: Sequence[int]) -> Iterator[int]:
@@ -443,7 +542,7 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
     positions = tuple(subset)
-    ints = all(isinstance(p, int) for p in positions)
+    ints = all(isinstance(p, int) and not isinstance(p, bool) for p in positions)
     sub = tuple(sorted(set(positions))) if ints else positions
     if not ints or not sub or sub[0] < 1 or sub[-1] > system.n:
         raise ValueError(f"subset must be a nonempty subset of 1..{system.n}, got {sub}")
@@ -454,10 +553,20 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
 
 def distribution_checks(table: JointTable) -> tuple[bool, bool]:
     """Whether ``table`` is nonnegative, and whether each settings word's
-    block sums to one."""
+    block sums to one.  Lanes are nonnegative by construction; the block
+    sums are the table with every outcome digit summed out."""
+    n, values = table.n, table.values
     one = table.den if table.exact else 1.0
-    return (at_least(min(table.values), 0),
-            all(close(sum(block), one) for block in table.blocks()))
+    sums = reduce(_sum_out, _strides(n, range(1, 2 * n + 1)), values)
+    return (isinstance(values, array) or at_least(min(values), 0),
+            all(close(s, one) for s in sums))
+
+
+def _widened(values: array, start: int, size: int, width: int) -> int:
+    """Entries ``start`` to ``start + size`` of a lane table read as one
+    int of ``width``-byte lanes."""
+    block = values[start:start + size].tobytes()
+    return int.from_bytes(_relaned(block, values.itemsize, width), sys.byteorder)
 
 
 def convex_mismatches(base: JointTable, parts: Sequence[JointTable],
@@ -476,13 +585,25 @@ def convex_mismatches(base: JointTable, parts: Sequence[JointTable],
         den = None
         scales = list(map(float, factors))
 
-    def weighted(scale, t: JointTable, block: list):
+    def weighted(scale, t: JointTable, block):
         if den is None and t.exact:
             block = map(truediv, block, repeat(t.den))
         return map(mul, repeat(scale), block)
 
+    size = 4**base.n
+    packed = den is not None and all(isinstance(t.values, array) for t in tables)
+    if packed:
+        # a wide lane holds sum |scale| * 2^(lane bits) > any lane's difference
+        lane_bits = 8 * max(t.values.itemsize for t in tables)
+        width = -(-(lane_bits + sum(map(abs, scales)).bit_length()) // 8)
     found, total = [], 0
-    for start, blocks in zip(count(0, 4**base.n), zip(*(t.blocks() for t in tables))):
+    for start in range(0, len(base.values), size):
+        if packed:
+            want, *terms = (scale * _widened(t.values, start, size, width)
+                            for scale, t in zip(scales, tables))
+            if want == sum(terms):
+                continue
+        blocks = [t.values[start:start + size] for t in tables]
         want, *terms = map(weighted, scales, tables, blocks)
         want, combo = list(want), list(reduce(partial(map, add), terms))
         if want != combo:

@@ -491,6 +491,17 @@ def balanced_two_zero_functions_n2() -> list[HashFunction]:
     return out
 
 
+def acceptance_corpus() -> list[HashFunction]:
+    """Fifty almost balanced functions spread over n = 1..4."""
+    n1 = [HashFunction(1, (0, 1), "identity"), HashFunction(1, (1, 0), "negation")]
+    n2 = balanced_two_zero_functions_n2()
+    n3 = seeded_almost_balanced(3, 30)
+    n4 = seeded_almost_balanced(4, 12)
+    functions = n1 + n2 + n3 + n4
+    assert len(functions) == 50
+    return functions
+
+
 def lines_run_in(counted, function, *args, **kwargs) -> int:
     """Line events executed during one call of ``function``, in the frames
     whose code object ``counted`` accepts.  Counting lines, not seconds,

@@ -34,6 +34,7 @@ from chainbell.adversary import HashFunction, build_pivotal_profile
 
 from helpers import (
     FuturePeekingSystem,
+    acceptance_corpus,
     balanced_two_zero_functions_n2,
     exhaustive_almost_balanced,
     exhaustive_functions,
@@ -53,24 +54,13 @@ def _announce(number, name, detail=""):
     print(f"\nACCEPTANCE {number} {name}: PASS{suffix}")
 
 
-def _corpus_functions():
-    """Fifty almost balanced functions spread over n = 1..4."""
-    n1 = [HashFunction(1, (0, 1), "identity"), HashFunction(1, (1, 0), "negation")]
-    n2 = balanced_two_zero_functions_n2()
-    n3 = seeded_almost_balanced(3, 30)
-    n4 = seeded_almost_balanced(4, 12)
-    functions = n1 + n2 + n3 + n4
-    assert len(functions) == 50
-    return functions
-
-
 @pytest.fixture(scope="module")
 def corpus_reports():
     """(f, eps) -> (partition, verify_partition report with time-ordered
     constraint); shared by the partition-legality and non-signalling
     criteria."""
     out = {}
-    for f in _corpus_functions():
+    for f in acceptance_corpus():
         for eps in CORPUS_EPS:
             params = BoxParams.rational(2, eps)
             partition = build_attack_partition(f, params)

@@ -1,0 +1,187 @@
+"""Exact tables in unsigned lanes against the same numerators in a list.
+
+``materialize`` packs an exact, nonnegative table into an ``array`` of
+the narrowest lane that holds a bound on every settings block's sum; a
+table with a negative entry stays a list.  Every check must read the
+same verdicts, counts, witnesses and ``den`` from both layouts, and a
+table whose block sums exceed ``den`` must get lanes wide enough for
+them.
+"""
+
+from __future__ import annotations
+
+from array import array
+from dataclasses import replace
+from functools import cache
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from chainbell import (
+    BoxParams,
+    Partition,
+    ProductSystem,
+    SinglePairBox,
+    bias_box,
+    build_attack_partition,
+    build_product_system,
+    build_unbiased_box,
+    check_ab,
+    check_subset,
+    check_time_ordered,
+    materialize,
+    parse_function_spec,
+)
+from chainbell.nonsignalling import MAX_WITNESSES, convex_mismatches, distribution_checks
+from chainbell.systems import BoxProductSystem
+
+from helpers import (
+    NegatedPointSystem,
+    PerPointSystem,
+    acceptance_corpus,
+    brute_force_violations,
+    witness_key,
+)
+
+EIGHTH = Fraction(1, 8)
+
+
+def _rational(eps):
+    return BoxParams.rational(2, eps)
+
+
+def _base(n, eps=EIGHTH, off=Fraction(0)):
+    box = build_unbiased_box(_rational(eps))
+    return build_product_system(bias_box(box, 0, off) if off else box, n)
+
+
+def _as_list(table):
+    return replace(table, values=list(table.values))
+
+
+class FlippedSigma(BoxProductSystem):
+    """An attack part whose string ``x_code`` takes the box biased the
+    other way at its pivot."""
+
+    def __init__(self, part, x_code):
+        self.part, self.x_code = part, x_code
+        self.n, self.n_settings = part.n, part.n_settings
+
+    def pair_boxes(self, x_code):
+        boxes = self.part.pair_boxes(x_code)
+        if x_code != self.x_code:
+            return boxes
+        index, sigma = self.part.profile.pivot(x_code)
+        flipped = self.part.biased[sigma ^ self.part.z ^ 1]
+        return boxes[:index - 1] + (flipped,) + boxes[index:]
+
+
+def _results(partition, base, tables):
+    """Everything the checks report on ``tables`` (the base's first, then
+    the parts'), as one ``repr``."""
+    base_table, *part_tables = tables
+    subsets = sorted({(1,), (1, base.n)})  # (n,) and (1..n) are a cut and ab
+    out = [convex_mismatches(base_table, part_tables, partition.weights)]
+    for system, table in zip((base, *partition.systems), tables):
+        out.append((table.den, distribution_checks(table),
+                    check_time_ordered(system, table=table), check_ab(system, table=table)))
+        out.extend(check_subset(system, side, subset, table=table)
+                   for side in ("alice", "bob") for subset in subsets)
+    return repr(out)
+
+
+def _assert_layouts_agree(partition, base, tables):
+    listed = [_as_list(t) for t in tables]
+    assert _results(partition, base, tables) == _results(partition, base, listed)
+
+
+CORPUS = [(f, eps) for f in acceptance_corpus() for eps in (EIGHTH, Fraction(1, 3))] + [
+    (parse_function_spec("random:1", 5), EIGHTH)]
+
+
+@pytest.mark.parametrize("f, eps", CORPUS, ids=[f"{f.name}-n{f.n}-eps{eps}" for f, eps in CORPUS])
+def test_layouts_agree_on_the_corpus(f, eps):
+    partition, base = build_attack_partition(f, _rational(eps)), _base(f.n, eps)
+    tables = [materialize(s) for s in (base, *partition.systems)]
+    assert all(isinstance(t.values, array) for t in tables)
+    _assert_layouts_agree(partition, base, tables)
+
+
+@cache
+def _mutants():
+    """name -> (partition, base, their tables, base first)."""
+    n = 4
+    f = parse_function_spec("random:1", n)
+    attack = build_attack_partition(f, _rational(EIGHTH))
+    part0, part1 = attack.systems
+    wide = build_attack_partition(f, _rational(Fraction(1, 3)))
+    tenth = Fraction(1, 10)
+    point = ((0,) * n,) * 4
+    mutants = {
+        "base-off-by-a-twentieth": (attack, _base(n, off=Fraction(1, 20))),
+        "flipped-sigma": (Partition(((attack.weights[0], FlippedSigma(part0, 5)),
+                                     (attack.weights[1], part1))), _base(n)),
+        "weights-half-plus-minus-a-tenth": (
+            Partition(((Fraction(1, 2) + tenth, part0), (Fraction(1, 2) - tenth, part1))), _base(n)),
+        "eps-third-parts-eighth-base": (wide, _base(n)),
+        "negative-entry": (Partition(((attack.weights[0], NegatedPointSystem(part0, point)),
+                                      (attack.weights[1], part1))), _base(n)),
+    }
+    return {name: (partition, base, [materialize(s) for s in (base, *partition.systems)])
+            for name, (partition, base) in mutants.items()}
+
+
+@pytest.mark.parametrize("name", ["base-off-by-a-twentieth", "flipped-sigma",
+                                  "weights-half-plus-minus-a-tenth",
+                                  "eps-third-parts-eighth-base", "negative-entry"])
+def test_layouts_agree_on_mutants(name):
+    partition, base, tables = _mutants()[name]
+    negative = name == "negative-entry"
+    assert [isinstance(t.values, list) for t in tables] == [False, negative, False]
+    _assert_layouts_agree(partition, base, tables)
+
+
+def test_mutants_fail():
+    """Each mutant fails the convex check, and some fail more: the
+    layouts above agree on failures, not only on passes.  The flipped
+    string moves mass across a pivot, and the negated point changes
+    both its block's sum and its marginals."""
+    failing = {}
+    for name, (partition, base, tables) in _mutants().items():
+        _, total = convex_mismatches(tables[0], tables[1:], partition.weights)
+        time_ordered = [check_time_ordered(s, table=t).passed
+                        for s, t in zip(partition.systems, tables[1:])]
+        failing[name] = (total > 0, all(time_ordered),
+                         all(all(distribution_checks(t)) for t in tables[1:]))
+    assert failing == {
+        "base-off-by-a-twentieth": (True, True, True),
+        "flipped-sigma": (True, False, False),
+        "weights-half-plus-minus-a-tenth": (True, True, True),
+        "eps-third-parts-eighth-base": (True, True, True),
+        "negative-entry": (True, False, False),
+    }
+
+
+def test_block_sums_above_den_take_a_wider_lane():
+    """Unnormalized boxes: ``den`` is 9 and every entry fits one byte, but
+    a settings block sums to as much as 36^2 = 1296 ninths, so the table
+    takes two-byte lanes.  Lanes sized from ``den`` would carry into
+    their neighbours on the first sum.  The table, every subset check and
+    the convex check match the ``evaluate`` oracle."""
+    box = SinglePairBox(2, tuple(Fraction(7 * k % 13 + 1, 3) for k in range(16)))
+    system = ProductSystem((box, box))
+    table = materialize(system)
+    assert table.den == 9 and max(table.values) < 2**8 and table.values.itemsize == 2
+    points = [table.point(i) for i in range(len(table.values))]
+    assert [Fraction(v, 9) for v in table.values] == [system.evaluate(*p) for p in points]
+    assert distribution_checks(table) == (True, False)
+    for side, subset in product(("alice", "bob"), ((1,), (2,), (1, 2))):
+        report = check_subset(system, side, subset, table=table)
+        oracle, checks = brute_force_violations(system, side, subset)
+        assert (report.violations_total, report.checks_performed) == (len(oracle), checks)
+        assert report.violations == sorted(oracle, key=witness_key)[:MAX_WITNESSES]
+    per_point = materialize(PerPointSystem(system))
+    assert list(per_point.values) == list(table.values)
+    half = Fraction(1, 2)
+    assert convex_mismatches(table, [table, per_point], [half, half]) == ([], 0)

@@ -236,7 +236,7 @@ def test_subset_validated_before_materializing(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("subset", [[1.5], [2.0], ["2"], [1, 2.0]])
+@pytest.mark.parametrize("subset", [[1.5], [2.0], ["2"], [1, 2.0], [True]])
 def test_subset_positions_must_be_ints(subset):
     system = build_product_system(build_unbiased_box(_params()), 3)
     with pytest.raises(ValueError, match="nonempty subset of 1..3"):
