@@ -4,12 +4,14 @@ equality, and a partition's distribution and convex-combination checks.
 All checks share one strategy: materialize the full joint table of a
 system (refused by ``refuse_over_cap`` above the evaluation cap --
 never sampled), then compare sums of its entries.  Box products are
-built from their boxes in n whole-table append passes, one position
-each, every entry the left fold in position order that ``evaluate``
-takes; an exact table's denominator is reduced by a gcd read off the
-rows, since the gcd of one string's entries is the product of its row
-gcds.  Other systems are materialized point by point through
-``evaluate``.
+built from their boxes in n passes, one position each, every entry the
+left fold in position order that ``evaluate`` takes; an exact table's
+denominator is reduced by a gcd read off the rows, since the gcd of one
+string's entries is the product of its row gcds.  A lane table is built
+in lanes from the first pass: each pass scales whole slabs of the table
+so far by one multiply per distinct row and settings pair, on ints of
+masked, widened lanes.  Other systems are materialized point by point
+through ``evaluate``.
 ``systems.verify_partition`` does no table arithmetic: it calls
 ``distribution_checks``, ``check_time_ordered`` and
 ``convex_mismatches``.
@@ -210,7 +212,7 @@ def materialize(system: "SystemEvaluator") -> JointTable:
     """The full joint table of a system.
 
     A ``BoxProductSystem`` that keeps the shared ``evaluate`` is built from
-    its boxes in n append passes (``_box_product_table``); every other
+    its boxes in n passes (``_box_product_table``); every other
     system, including a subclass that overrides ``evaluate``, is evaluated
     at every (x, y, u, v) point.  Both paths give the same table: same
     ``den``, same values and value types, same float bits.  Only an exact
@@ -277,19 +279,30 @@ def _relaned(data: bytes, item: int, width: int) -> bytearray:
     return out
 
 
+#: Entries of P_{k-1} that one slab of a build pass reads, rounded to
+#: whole values of (u_1..u_{k-1}): it bounds the pass's transient ints
+#: and bytes, so a build peaks near the table itself.
+_SLAB = 2**13
+
+
 def _box_product_table(system) -> JointTable:
-    """Joint table of a box product, built from its boxes in n append passes.
+    """Joint table of a box product, built from its boxes in n passes.
 
     Pass k turns P_{k-1}, indexed by (u_1..u_{k-1}, v_1..v_{k-1}, x_1..x_n,
-    y_1..y_{k-1}), into P_k: each entry is doubled for y_k and each
-    settings block repeated over (u_k, v_k), then multiplied entry by entry
-    with position k's cells, one block per (u_k, v_k).  P_0 holds one
-    entry per x: 1 in a float table, x's scale (below) in an exact one.
-    P_n is the table, so every x is carried from the start and a box may
-    depend on any bit of x.  A float entry is the left fold, in position
-    order from 1, that ``evaluate`` takes, so it has its bits; a float
-    table takes ``float`` of each entry in the last pass, so an entry
-    whose cells are all exact is rounded once, as on the per-point path.
+    y_1..y_{k-1}), into P_k.  Each string x reads one row at position k,
+    and each (a, b) = (u_k, v_k) gives one block: P_{k-1} with every entry
+    of x's run doubled for y_k and the two copies multiplied by the y_k = 0
+    and y_k = 1 cells of that row at (a, b).  P_k holds the blocks'
+    settings blocks in (U_k, a, V_k, b) order, U_k = (u_1..u_{k-1}) and
+    V_k = (v_1..v_{k-1}).  A pass reads P_{k-1} in slabs of whole U_k
+    ranges, about ``_SLAB`` entries each; a slab's part of P_k is one run
+    of it, appended in order.  P_0 holds one entry per x: 1 in a float
+    table, x's scale (below) in an exact one.  P_n is the table, so every
+    x is carried from the start and a box may depend on any bit of x.  A
+    float entry is the left fold, in position order from 1, that
+    ``evaluate`` takes, so it has its bits; a float table takes ``float``
+    of each entry in the last pass, so an entry whose cells are all exact
+    is rounded once, as on the per-point path.
 
     Each string x reads one row per position k: x's box at k at bit x_k,
     its N^2 (y = 0, y = 1) pairs in (a, b) order.  Each distinct (box,
@@ -305,11 +318,19 @@ def _box_product_table(system) -> JointTable:
     of its row gcds, its scale, so g is the gcd of D^n and every scale,
     and P_0 at x is x's scale over g.
 
-    When no cell read is negative, the last pass writes the exact table
-    into lanes (``_lanes``) wide enough for B, the sum over x of P_0 at
-    x times, at each position, the largest y = 0 plus y = 1 pair of x's
-    row there: a settings block's sum is that sum with each position's
-    pair taken at the block's (a, b).
+    When no cell read is negative, P_0 to P_n are all held in lanes
+    (``_lanes``) wide enough for B, the sum over x of P_0 at x times, at
+    each position, the largest y = 0 plus y = 1 pair of x's row there: a
+    settings block's sum is that sum with each position's pair taken at
+    the block's (a, b).  Each slab of a pass is then a few whole-int
+    operations (``_lane_pass``), carry-free because every partial product
+    fits a lane.  An entry of P_k at x is P_0 at x times one cell of each
+    of x's first k rows.  If one of x's rows is all zero, its gcd 0 makes
+    x's scale and P_0 at x zero, so every entry at x is zero.  Otherwise
+    every row of x has a pair of at least 1, so multiplying in the pairs
+    of the later positions shrinks nothing, and the entry is at most x's
+    term in B, below 2^W.  Other exact tables, and float tables, are held
+    in lists and multiplied entry by entry (``_list_pass``).
     """
     n, N = system.n, system.n_settings
     boxes_by_x = [system.pair_boxes(x) for x in range(2**n)]
@@ -320,7 +341,7 @@ def _box_product_table(system) -> JointTable:
     rows = {key: [box.prob(a, b, key[1], y) for a in range(N) for b in range(N) for y in (0, 1)]
             for key, box in distinct.items()}
     cells_read = list(chain.from_iterable(rows.values()))
-    den = bound = None
+    den = None
     values = [1] * 2**n  # P_0
     if all_exact(cells_read):
         D = math.lcm(*{c.denominator for c in cells_read})
@@ -332,30 +353,81 @@ def _box_product_table(system) -> JointTable:
         g = math.gcd(D**n, *scales)
         den = D**n // g
         values = [scale // g for scale in scales]
+        bound = None
         if min(cells_read) >= 0:
             # a block sums, at each x, P_0 times each position's y = 0 plus
             # y = 1 cells at its (a, b): at most their largest pair sum
             widest = {key: max(map(add, row[::2], row[1::2])) for key, row in rows.items()}
             bound = sum(map(mul, values, map(math.prod, map(partial(map, widest.get), keys_by_x))))
+        values = _lanes(values, bound)
 
+    lanes = isinstance(values, array)
     for j in range(n):
-        # position j + 1's cells at every x, one block per (u_{j+1}, v_{j+1})
+        # position j + 1's row at every x; one block per (u_{j+1}, v_{j+1})
         column = [rows[keys[j]] for keys in keys_by_x]
-        cells = [list(chain.from_iterable(row[2 * s:2 * s + 2] * 2**j for row in column))
-                 for s in range(N * N)]
-        size = len(values) // N ** (2 * j)
-        doubled = [list(chain.from_iterable(zip(block, block)))
-                   for block in (values[i:i + size] for i in range(0, len(values), size))]
-        order = list(product(range(N**j), range(N), range(N**j), range(N)))
-        products = map(mul, chain.from_iterable(doubled[U * N**j + V] for U, _, V, _ in order),
-                       chain.from_iterable(cells[a * N + b] for _, a, _, b in order))
-        if j < n - 1:
-            values = list(products)
-        elif den is None:
-            values = list(map(float, products))
-        else:
-            values = _lanes(products, bound)
+        scaled = (_lane_pass(column, N, j, values.itemsize) if lanes
+                  else _list_pass(column, N, j, float if den is None and j == n - 1 else None))
+        per_u = N**j << (n + j)  # P_j's entries at one (u_1..u_j)
+        step = max(1, _SLAB // per_u) * per_u
+        previous, values = values, array(values.typecode) if lanes else []
+        append = values.frombytes if lanes else values.extend
+        for start in range(0, len(previous), step):
+            slab = previous[start:start + step]
+            blocks = scaled(slab)
+            count = len(slab) >> (n + j)  # settings blocks in the slab
+            size = len(blocks[0]) // count
+            for u, a, V, b in product(range(count // N**j), range(N), range(N**j), range(N)):
+                append(blocks[a * N + b][(u * N**j + V) * size:(u * N**j + V + 1) * size])
     return JointTable(n, N, values, den)
+
+
+def _list_pass(column: list, N: int, j: int, cast=None):
+    """Pass j + 1 on list slabs: the function that maps a slab of P_j to
+    its N^2 blocks, one list per (a, b), in which every entry is doubled
+    for y_{j+1} and the two copies multiplied by the y = 0 and y = 1
+    cells of its string x's row ``column[x]`` at (a, b), then passed
+    through ``cast`` when one is given."""
+    cells = [list(chain.from_iterable(row[2 * s:2 * s + 2] * 2**j for row in column))
+             for s in range(N * N)]
+
+    def scaled(slab: list) -> list[list]:
+        doubled = list(chain.from_iterable(zip(slab, slab)))
+        products = (map(mul, doubled, cycle(pattern)) for pattern in cells)
+        return [list(map(cast, block) if cast else block) for block in products]
+    return scaled
+
+
+def _lane_pass(column: list, N: int, j: int, width: int):
+    """``_list_pass`` on slabs of ``width``-byte lanes, each block as bytes
+    of the same lanes.
+
+    A slab's lanes are widened to twice their width, which leaves each
+    entry in its y_{j+1} = 0 lane with an empty y_{j+1} = 1 lane beside
+    it, and read as one int.  Each distinct row masks that int to the
+    runs of the strings that read it (every string, unmasked, when there
+    is one row).  The block at (a, b) is the sum over the rows of the
+    masked int times the row's pair c0 + c1·2^W at (a, b): no lane
+    carries (see ``_box_product_table``), and the masks leave each entry
+    to one row."""
+    order = sys.byteorder
+    run = 2 * width << j  # bytes of one string's entries in one widened settings block
+    marks = list(map(tuple, column))
+    rows = list(dict.fromkeys(marks))
+    masks = [b"".join(b"\xff" * run if mark == row else bytes(run) for mark in marks)
+             for row in rows] if len(rows) > 1 else [None]
+    # the y = 0 lane is the low half of the wide lane on a little-endian machine
+    pairs = [[low | high << 8 * width for low, high in
+              (zip(row[::2], row[1::2]) if order == "little" else zip(row[1::2], row[::2]))]
+             for row in rows]
+
+    def scaled(slab: array) -> list[memoryview]:
+        whole = int.from_bytes(_relaned(slab.tobytes(), width, 2 * width), order)
+        count = len(slab) // (len(marks) << j)  # settings blocks in the slab
+        masked = [whole if mask is None else whole & int.from_bytes(mask * count, order)
+                  for mask in masks]
+        return [memoryview(sum(map(mul, masked, at)).to_bytes(2 * width * len(slab), order))
+                for at in zip(*pairs)]
+    return scaled
 
 
 def _scaled(value, den: int | None) -> Prob:

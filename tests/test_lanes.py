@@ -10,6 +10,9 @@ them.
 
 from __future__ import annotations
 
+import hashlib
+import sys
+import tracemalloc
 from array import array
 from dataclasses import replace
 from functools import cache
@@ -185,3 +188,55 @@ def test_block_sums_above_den_take_a_wider_lane():
     assert list(per_point.values) == list(table.values)
     half = Fraction(1, 2)
     assert convex_mismatches(table, [table, per_point], [half, half]) == ([], 0)
+
+
+def _lane_sha256(values: array) -> str:
+    """sha256 of a lane table's bytes, little-endian on any machine."""
+    if sys.byteorder != "little":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+#: (n, N, eps) -> (typecode, den, lane sha256) of the base, then the two
+#: ``random:1`` parts, as the entry-by-entry builder wrote them.
+PINNED = {
+    (5, 2, EIGHTH): [
+        ("I", 2**20, "f4867898a2b644e364f98f746648352fadbe81d1bfc061220aeca1eda8ed582b"),
+        ("I", 2**19, "f5b8ba5b33e1fe6c0f24cf2a1a936df13ec4f1e1cab90ea75ceee432ad395f34"),
+        ("I", 2**19, "9355574fe371868ce7c53b8c541198c1d01f801de4f2c88ed4ec26e10013ab72")],
+    (5, 2, Fraction(1, 3)): [
+        ("H", 6**5, "01bc1a3984cddd19e3c06d0bfe7742e4cb69fc4b45a71da1499ada312d0a16d8"),
+        ("H", 6**5, "6cd76ebfc512457df938feed39adc87167c9eede3658b2d576ce1d7f21dd2a3e"),
+        ("H", 6**5, "d717455a0d89be0da3f2f233574f686fdb43fd560003d1b7188a2a12381d8ac0")],
+    (4, 3, EIGHTH): [
+        ("I", 2**16, "e7ae869efbc0fcebbc15e8f9be46bf82057b1068a3eae7af9935cbcb165225b8"),
+        ("I", 2**16, "bbb2c048f8250951b08480ac32939fb885cb3ea33b1b26cf9a0ae4b9ecf83134"),
+        ("I", 2**16, "faf01642fc0af6a13e618844a51bea8821e1195d6dfd75e08c4f31762f43713c")],
+}
+
+
+@pytest.mark.parametrize("n, N, eps", PINNED, ids=[f"n{n}-N{N}-eps{eps}" for n, N, eps in PINNED])
+def test_lane_bytes_are_pinned(n, N, eps):
+    """The base and both ``random:1`` parts, byte for byte."""
+    params = BoxParams.rational(N, eps)
+    base = build_product_system(build_unbiased_box(params), n)
+    partition = build_attack_partition(parse_function_spec("random:1", n), params)
+    tables = [materialize(s) for s in (base, *partition.systems)]
+    assert [(t.values.typecode, t.den, _lane_sha256(t.values)) for t in tables] == PINNED[n, N, eps]
+
+
+def test_build_peaks_near_its_lane_bytes():
+    """The ``random:1`` part at n = 5 (4 MiB of lanes) peaks at about 1.34
+    times its lane bytes: the table, the table before the last pass, and
+    one slab's ints and bytes.  Passes over the whole table at once, which
+    hold every block of the last pass as an int and then as bytes, peak
+    near 2.7 times."""
+    part = build_attack_partition(parse_function_spec("random:1", 5), _rational(EIGHTH)).systems[0]
+    tracemalloc.start()
+    try:
+        table = materialize(part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * len(table.values) * table.values.itemsize

@@ -222,6 +222,28 @@ def test_box_product_build_matches_per_point_path_at_edge_cases(boxes_by_x):
     assert_same_table(fast, materialize(PerPointBoxesByX(boxes_by_x)))
 
 
+def test_zero_row_after_a_wide_row_zeroes_the_string():
+    """String 11 reads a wide row, (1/1000, 999/1000) at every (a, b), at
+    position 1 and an all-zero row at position 2; the other strings read
+    flat rows of quarters.  The zero row's gcd 0 makes string 11's scale
+    0, so its entries are 0 after every pass and the bound B, which
+    counts nothing for it, still holds every partial product.  The
+    lanes hold the per-point table value for value: den 16 in one-byte
+    lanes."""
+    quarter = Fraction(1, 4)
+    flat = SinglePairBox(2, (quarter,) * 16)
+    wide = SinglePairBox(2, tuple(quarter if x == 0 else Fraction(1 + 998 * y, 1000)
+                                  for _ in range(4) for x in (0, 1) for y in (0, 1)))
+    zero = SinglePairBox(2, tuple(quarter if x == 0 else 0
+                                  for _ in range(4) for x in (0, 1) for _ in (0, 1)))
+    boxes_by_x = [(flat, flat)] * 3 + [(wide, zero)]
+    fast = materialize(BoxesByX(boxes_by_x))
+    assert (fast.den, fast.values.typecode) == (16, "B")
+    assert_same_table(fast, materialize(PerPointBoxesByX(boxes_by_x)))
+    assert all(fast.values[i] == 0 for i in range(len(fast.values))
+               if fast.point(i)[0] == (1, 1))
+
+
 def test_max_evals_refuses_before_any_work(monkeypatch):
     """A table one entry over the evaluation cap is refused, on either
     path, before any box or point is looked up; one at the cap is built."""
