@@ -42,7 +42,9 @@ sums position n out of the table, and cut i sums position i out of cut
 i+1's grid, so all n cuts together sum about one table's worth of
 entries.  Every check sums in this order, so in float tables it is the
 summation order, and a marginal has the same float bits whichever check
-computes it.
+computes it.  A lane table is read through 2-D views of equal rows
+(``_rows``): one C-level slice of the rows stands for a Python loop
+over runs or settings blocks.
 
 Every violation is counted.  A report keeps as witnesses the first
 ``MAX_WITNESSES`` violations in witness order: by side (alice before
@@ -71,17 +73,29 @@ A table has one of two layouts, chosen from the table itself:
   ``_sum_out`` reads all first halves of its runs as one int, all second
   halves as another, and adds the two: lane i of the sum is the sum of
   the two lanes i, below 2^W, so no carry crosses into the next lane.
+  At stride 1 the halves are ``array`` step slices; at stride s > 1
+  they are the even and odd rows of the table viewed as rows of s
+  entries.  The kernel first asks whether any block moves with one
+  subset digit q (``_unmoved``): viewed as N^q rows, the rows with
+  digit q = c must equal, as bytes, the rows with q = 0, for every c.
+  If no block moves with any single subset digit, every block equals
+  the one with zeros at all of S's digits, so there is no violation, and the
+  check skips its per-block comparisons.  Otherwise it compares block
+  pairs as on a list, so counts and witness order do not change.
 - *Lists.*  Float tables, exact tables with a negative entry, and exact
   tables whose B needs more than 64 bits hold a ``list``, summed entry
   by entry.
 
-The convex check reads each settings block of each lane table as one
-int, its lanes widened to W' bits with 2^W' at least Σ|scale|·2^W, and
-compares the base's scaled int with the sum of the parts' scaled ints.
-Equal ints mean equal entries: their difference is Σ_i d_i·2^(W'i) with
-every |d_i| < 2^W', and were it zero with some d_i nonzero, the lowest
-such d_i would be a nonzero multiple of 2^W'.  Only blocks whose ints
-differ are compared entry by entry.
+The convex check reads each slab of ``_SLAB`` entries (or one settings
+block, if larger) of each lane table as one int, its lanes widened to
+W' bits with 2^W' at least Σ|scale|·2^W, and compares the base's
+scaled int with the sum of the parts' scaled ints.  Equal ints mean
+equal entries, whatever the number of lanes: their difference is
+Σ_i d_i·2^(W'i) with every |d_i| < 2^W', and were it zero with some d_i
+nonzero, the lowest such d_i would be a nonzero multiple of 2^W'.  Only
+in a slab whose ints differ are the settings blocks read one at a time
+in the same way, and only blocks whose ints differ are compared entry
+by entry.  The last slab may be partial.
 
 Every reported violation is replayable: ``replay_violation`` recomputes
 the two marginal sums from the stored witness.
@@ -281,7 +295,8 @@ def _relaned(data: bytes, item: int, width: int) -> bytearray:
 
 #: Entries of P_{k-1} that one slab of a build pass reads, rounded to
 #: whole values of (u_1..u_{k-1}): it bounds the pass's transient ints
-#: and bytes, so a build peaks near the table itself.
+#: and bytes, so a build peaks near the table itself.  The convex check
+#: reads its lane tables in slabs of this many entries, or one block.
 _SLAB = 2**13
 
 
@@ -462,6 +477,13 @@ def _scatter_codes(digits: Sequence[int], width: int, base: int) -> list[int]:
     return codes
 
 
+def _rows(values: array, count: int) -> memoryview:
+    """The lanes of ``values`` as a 2-D byte view of ``count`` equal rows:
+    a slice of its rows reads many runs of entries in one C-level copy."""
+    view = memoryview(values).cast("B")
+    return view.cast("B", (count, len(view) // count))
+
+
 def _sum_out(values: array | list, stride: int) -> array | list:
     """``values`` with one outcome digit summed out, the digit whose two
     outcomes lie ``stride`` entries apart: in each run of 2·stride
@@ -471,17 +493,17 @@ def _sum_out(values: array | list, stride: int) -> array | list:
     Lanes stay in their width: the first halves of all runs and the
     second halves are read as two ints and added, which adds every lane
     to its partner with no carry between lanes (see the module
-    docstring)."""
+    docstring).  At stride 1 the halves are ``array`` step slices; at a
+    wider stride the table is viewed as rows of ``stride`` entries, and
+    the halves are its even and odd rows, each read by one C-level copy."""
     if isinstance(values, list):
         low = (1,) * stride + (0,) * stride
         return list(map(add, compress(values, cycle(low)), compress(values, cycle(low[::-1]))))
     if stride == 1:
         halves = values[::2], values[1::2]
     else:
-        view, run = memoryview(values).cast("B"), stride * values.itemsize
-        halves = [b"".join(map(view.__getitem__, map(slice, range(first, len(view), 2 * run),
-                                                     range(first + run, len(view) + run, 2 * run))))
-                  for first in (0, run)]
+        rows = _rows(values, len(values) // stride)
+        halves = rows[::2], rows[1::2]
     total = int.from_bytes(halves[0], sys.byteorder) + int.from_bytes(halves[1], sys.byteorder)
     out = array(values.typecode)
     out.frombytes(total.to_bytes(len(values) // 2 * values.itemsize, sys.byteorder))
@@ -493,6 +515,21 @@ def _strides(n: int, digits: Sequence[int]) -> Iterator[int]:
     table, highest digit first: the outcomes at digit q lie 2^k entries
     apart, k the digits after q not yet summed out."""
     return (1 << (2 * n - q - done) for done, q in enumerate(reversed(digits)))
+
+
+def _unmoved(grid: array, digits: Sequence[int], N: int) -> bool:
+    """Whether no settings block of a lane grid changes when any one
+    settings digit in ``digits`` moves from 0: then every block equals
+    the one with zeros at all of ``digits``.  At digit q the grid is
+    viewed as N^q rows, one per value of settings digits 1..q, so row r
+    has digit q = r mod N; the rows with q = c, read as one ``bytes``,
+    must equal the rows with q = 0, for every c."""
+    for q in digits:
+        rows = _rows(grid, N**q)
+        zero = rows[::N].tobytes()
+        if any(rows[c::N].tobytes() != zero for c in range(1, N)):
+            return False
+    return True
 
 
 def _independence_violations(
@@ -513,16 +550,21 @@ def _independence_violations(
     in table order.  The blocks whose settings words differ only at the
     subset's digits are compared with the one that has zeros there, as
     whole slices, and through ``_count_differing`` where two slices differ.
+    A lane grid in which no block moves with one subset digit
+    (``_unmoved``) has no violation, and skips the comparisons.
     Comparisons run in witness order (see the module docstring), so the
     first MAX_WITNESSES violations found are the report's witnesses.
     Returns (witnesses, total violation count, comparisons performed).
     """
-    n, den = table.n, table.den
+    n, den, N = table.n, table.den, table.n_settings
     digits = _digits(n, side, subset)
     kept = [q for q in range(1, 2 * n + 1) if q not in digits]
-    refs = _scatter_codes(kept, 2 * n, table.n_settings)
-    deltas = _scatter_codes(digits, 2 * n, table.n_settings)[1:]
-    G = len(grid) // table.n_settings ** (2 * n)
+    G = len(grid) // N ** (2 * n)
+    checks = N ** len(kept) * (N ** len(digits) - 1) * G  # refs × deltas × G
+    if isinstance(grid, array) and _unmoved(grid, digits, N):
+        return [], 0, checks
+    refs = _scatter_codes(kept, 2 * n, N)
+    deltas = _scatter_codes(digits, 2 * n, N)[1:]
 
     found: list[tuple] = []
     total = 0
@@ -533,7 +575,6 @@ def _independence_violations(
             other = grid[index * G:(index + 1) * G]
             if other != ref:
                 total += _count_differing(ref, other, found, (ref_index, index))
-    checks = len(refs) * len(deltas) * G
 
     violations = []
     # grid index k, a code over the kept outcome digits, as an outcome word
@@ -645,10 +686,11 @@ def convex_mismatches(base: JointTable, parts: Sequence[JointTable],
                       weights: Sequence[Prob]) -> tuple[list[tuple], int]:
     """The first MAX_WITNESSES entries, as (x, y, u, v, base value,
     weighted sum), at which the weighted ``parts`` do not add up to
-    ``base``, and how many there are.  One settings-word block at a time,
-    the base weighted 1, the parts added in order: exact on a common
-    denominator when every table and weight is exact, else in floats
-    (exact tables divided as read)."""
+    ``base``, and how many there are.  One settings-word block at a time
+    (lane tables first a slab of blocks at a time, see the module
+    docstring), the base weighted 1, the parts added in order: exact on
+    a common denominator when every table and weight is exact, else in
+    floats (exact tables divided as read)."""
     tables, factors = [base, *parts], (1, *weights)
     if all(t.exact for t in tables) and all_exact(weights):
         den = math.lcm(*(t.den * w.denominator for w, t in zip(factors, tables)))
@@ -668,18 +710,25 @@ def convex_mismatches(base: JointTable, parts: Sequence[JointTable],
         # a wide lane holds sum |scale| * 2^(lane bits) > any lane's difference
         lane_bits = 8 * max(t.values.itemsize for t in tables)
         width = -(-(lane_bits + sum(map(abs, scales)).bit_length()) // 8)
+
+    def adds_up(start: int, entries: int) -> bool:
+        want, *terms = (scale * _widened(t.values, start, entries, width)
+                        for scale, t in zip(scales, tables))
+        return want == sum(terms)
+
+    slab = max(size, _SLAB) if packed else size
     found, total = [], 0
-    for start in range(0, len(base.values), size):
-        if packed:
-            want, *terms = (scale * _widened(t.values, start, size, width)
-                            for scale, t in zip(scales, tables))
-            if want == sum(terms):
+    for first in range(0, len(base.values), slab):
+        if packed and adds_up(first, slab):
+            continue
+        for start in range(first, min(first + slab, len(base.values)), size):
+            if packed and adds_up(start, size):
                 continue
-        blocks = [t.values[start:start + size] for t in tables]
-        want, *terms = map(weighted, scales, tables, blocks)
-        want, combo = list(want), list(reduce(partial(map, add), terms))
-        if want != combo:
-            total += _count_differing(want, combo, found, (start,))
+            blocks = [t.values[start:start + size] for t in tables]
+            want, *terms = map(weighted, scales, tables, blocks)
+            want, combo = list(want), list(reduce(partial(map, add), terms))
+            if want != combo:
+                total += _count_differing(want, combo, found, (start,))
     return [(*base.point(start + k), _scaled(lhs, den), _scaled(rhs, den))
             for start, k, lhs, rhs in found], total
 

@@ -36,7 +36,7 @@ from chainbell import (
     materialize,
     parse_function_spec,
 )
-from chainbell.nonsignalling import MAX_WITNESSES, convex_mismatches, distribution_checks
+from chainbell.nonsignalling import _SLAB, MAX_WITNESSES, convex_mismatches, distribution_checks
 from chainbell.systems import BoxProductSystem
 
 from helpers import (
@@ -44,6 +44,7 @@ from helpers import (
     PerPointSystem,
     acceptance_corpus,
     brute_force_violations,
+    seeded_almost_balanced,
     witness_key,
 )
 
@@ -61,6 +62,14 @@ def _base(n, eps=EIGHTH, off=Fraction(0)):
 
 def _as_list(table):
     return replace(table, values=list(table.values))
+
+
+def _raised(table, *indices):
+    """A lane table with the numerator at each of ``indices`` raised by 1."""
+    values = array(table.values.typecode, table.values)
+    for index in indices:
+        values[index] += 1
+    return replace(table, values=values)
 
 
 class FlippedSigma(BoxProductSystem):
@@ -240,3 +249,61 @@ def test_build_peaks_near_its_lane_bytes():
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * len(table.values) * table.values.itemsize
+
+
+@pytest.mark.parametrize("n, N", [(3, 3), (4, 2)])
+def test_unmoved_rows_skip_only_passing_grids(n, N):
+    """A lane grid skips the block comparisons only when no block moves
+    with one subset digit.  From a passing product table, raise one
+    numerator by 1 in one block: at every settings digit q, the first
+    block whose digit q is nonzero and the one where it is 2; and the
+    first and last blocks.  The last block's subset digits are all
+    N - 1, so reading only q = 1 against q = 0 misses it.  Then raise it
+    in every block whose digit q is 1, which moves with digit q alone, so
+    reading any one digit of the subset but q misses it.  The
+    time-ordered and ab checks fail, and every check reports what the
+    same numerators held as a list report, where nothing is skipped."""
+    params = BoxParams.rational(N, EIGHTH)
+    system = build_product_system(build_unbiased_box(params), n)
+    table = materialize(system)
+    size, blocks = 4**n, N ** (2 * n)
+    singles = {(c * N ** (2 * n - q),) for q in range(1, 2 * n + 1) for c in range(1, N)}
+    singles |= {(0,), (blocks - 1,)}
+    columns = [tuple(s for s in range(blocks) if s // N ** (2 * n - q) % N == 1)
+               for q in range(1, 2 * n + 1)]
+    subsets = [tuple(range(2, n + 1)), (1, n - 1)]  # a suffix and a non-suffix subset
+
+    def reports(mutant):
+        out = [check_time_ordered(system, table=mutant), check_ab(system, table=mutant)]
+        out.extend(check_subset(system, side, subset, table=mutant)
+                   for side in ("alice", "bob") for subset in subsets)
+        return out
+
+    for mutated in sorted(singles) + columns:
+        mutant = _raised(table, *(s * size + 5 for s in mutated))
+        assert isinstance(mutant.values, array)
+        lanes = reports(mutant)
+        assert not lanes[0].passed and not lanes[1].passed
+        assert repr(lanes) == repr(reports(_as_list(mutant)))
+
+
+def test_convex_check_reads_lanes_in_slabs():
+    """At n = 3, N = 3 the table has 46,656 entries, so its last slab of
+    2^13 entries is partial.  A mismatch in the first block of the second
+    slab and one in the last block are both found, with the list
+    layout's witnesses and total."""
+    n, N = 3, 3
+    params = BoxParams.rational(N, EIGHTH)
+    partition = build_attack_partition(seeded_almost_balanced(n, 1)[0], params)
+    base = build_product_system(build_unbiased_box(params), n)
+    tables = [materialize(s) for s in (base, *partition.systems)]
+    assert all(isinstance(t.values, array) for t in tables)
+    entries = len(tables[0].values)
+    assert entries == 46656 and entries % _SLAB
+    assert convex_mismatches(tables[0], tables[1:], partition.weights) == ([], 0)
+    mutant = _raised(tables[0], _SLAB + 3, entries - 4**n + 5)
+    lanes = convex_mismatches(mutant, tables[1:], partition.weights)
+    listed = convex_mismatches(_as_list(mutant), list(map(_as_list, tables[1:])), partition.weights)
+    assert lanes == listed
+    assert lanes[1] == 2
+    assert [w[:4] for w in lanes[0]] == [mutant.point(_SLAB + 3), mutant.point(entries - 4**n + 5)]

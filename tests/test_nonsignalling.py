@@ -411,6 +411,20 @@ def test_time_ordered_runs_a_few_lines_per_block():
     assert lines <= 16 * n * N ** (2 * n)
 
 
+def test_time_ordered_runs_a_few_lines_per_cut():
+    """On a passing exact n = 4, N = 2 table each cut is decided by
+    comparing whole rows of the grid, a few per subset digit: at most 80
+    lines per cut and side, whatever the number of settings blocks.
+    Comparing block pairs one at a time runs about 1,260."""
+    n = 4
+    system = build_product_system(build_unbiased_box(_params()), n)
+    table = materialize(system)
+    module = nonsignalling.__file__
+    lines = lines_run_in(lambda code: code.co_filename == module,
+                         check_time_ordered, system, table=table)
+    assert lines <= 80 * 2 * n
+
+
 @pytest.mark.parametrize("n, N", [(4, 2), (3, 3)])
 def test_materialize_runs_a_few_lines_per_table(n, N):
     """The box-product build multiplies whole tables in C: for an attacked
