@@ -123,19 +123,26 @@ class BoxParams:
 class SinglePairBox:
     """Conditional probability table of one box pair.
 
-    ``cells`` is flat, indexed by ((a*N + b)*2 + x)*2 + y with a, b the
-    setting indices (u = 2a, v = 2b+1) and x, y the outcome bits; the
-    builders write cells in that order, and ``prob`` is their one reader.
+    ``cells`` is flat, in the order of the points (a, b, x, y), with a, b
+    the setting indices (u = 2a, v = 2b+1) and x, y the outcome bits, the
+    last varying fastest; the builders write cells in that order.
+    ``__post_init__`` maps each point to its cell once, and ``prob`` is
+    that map's one reader: a point outside the box raises ValueError.
     """
 
     n_settings: int
     cells: tuple[Prob, ...]
 
+    def __post_init__(self) -> None:
+        points = product(range(self.n_settings), range(self.n_settings), (0, 1), (0, 1))
+        object.__setattr__(self, "_cell_at", dict(zip(points, self.cells)))
+
     def prob(self, a: int, b: int, x: int, y: int) -> Prob:
-        n = self.n_settings
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"setting indices out of range for N={n}: a={a}, b={b}")
-        return self.cells[((a * n + b) * 2 + x) * 2 + y]
+        try:
+            return self._cell_at[a, b, x, y]
+        except KeyError:
+            raise ValueError(f"no cell at (a={a}, b={b}, x={x}, y={y}) "
+                             f"for N={self.n_settings}") from None
 
     def alice_marginal(self, a: int, b: int, x: int) -> Prob:
         return self.prob(a, b, x, 0) + self.prob(a, b, x, 1)

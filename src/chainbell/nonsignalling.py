@@ -61,15 +61,16 @@ arithmetic.  Marginals are compared by ``boxes.close``, under the
 tolerance rule stated in ``boxes``; its float tolerance is far above
 double rounding at desk scale and far below any structural violation.
 
-A table has one of two layouts, chosen from the table itself:
+A table has one of two layouts:
 
-- *Lanes.*  An exact table with no negative entry holds its numerators
-  in an ``array`` of unsigned W-bit lanes, W the narrowest of 8, 16, 32
-  and 64 with B < 2^W, B an upper bound on every settings block's sum.
-  A box product takes B from the rows it reads (``_box_product_table``),
-  a per-point table from its block sums; never from ``den``, which an
-  unnormalized system's block sums exceed.  Every marginal entry sums
-  nonnegative entries of one block, so it is at most B and fits a lane.
+- *Lanes.*  An exact box product built from boxes with no negative cell
+  holds its numerators in an ``array`` of unsigned W-bit lanes, W the
+  narrowest of 8, 16, 32 and 64 with B < 2^W, B an upper bound on every
+  settings block's sum taken from the rows the builder reads
+  (``_box_product_table``), never from ``den``, which an unnormalized
+  system's block sums exceed.  Only the builder makes lanes.  Every
+  marginal entry sums nonnegative entries of one block, so it is at
+  most B and fits a lane.
   ``_sum_out`` reads all first halves of its runs as one int, all second
   halves as another, and adds the two: lane i of the sum is the sum of
   the two lanes i, below 2^W, so no carry crosses into the next lane.
@@ -82,20 +83,20 @@ A table has one of two layouts, chosen from the table itself:
   the one with zeros at all of S's digits, so there is no violation, and the
   check skips its per-block comparisons.  Otherwise it compares block
   pairs as on a list, so counts and witness order do not change.
-- *Lists.*  Float tables, exact tables with a negative entry, and exact
-  tables whose B needs more than 64 bits hold a ``list``, summed entry
-  by entry.
+- *Lists.*  Every table built point by point through ``evaluate`` --
+  the reference layout -- and every float table, box product with a
+  negative cell, or box product whose B needs more than 64 bits holds a
+  ``list``, summed entry by entry.
 
-The convex check reads each slab of ``_SLAB`` entries (or one settings
-block, if larger) of each lane table as one int, its lanes widened to
-W' bits with 2^W' at least Σ|scale|·2^W, and compares the base's
-scaled int with the sum of the parts' scaled ints.  Equal ints mean
-equal entries, whatever the number of lanes: their difference is
+The convex check reads the tables in slabs of ``_SLAB`` entries (or one
+settings block, if larger); the last slab may be partial.  When every
+table is in lanes, it first reads a slab of each as one int, its lanes
+widened to W' bits with 2^W' at least Σ|scale|·2^W, and compares the
+base's scaled int with the sum of the parts' scaled ints.  Equal ints
+mean equal entries, whatever the number of lanes: their difference is
 Σ_i d_i·2^(W'i) with every |d_i| < 2^W', and were it zero with some d_i
-nonzero, the lowest such d_i would be a nonzero multiple of 2^W'.  Only
-in a slab whose ints differ are the settings blocks read one at a time
-in the same way, and only blocks whose ints differ are compared entry
-by entry.  The last slab may be partial.
+nonzero, the lowest such d_i would be a nonzero multiple of 2^W'; such
+a slab is skipped.  Every other slab is compared entry by entry.
 
 Every reported violation is replayable: ``replay_violation`` recomputes
 the two marginal sums from the stored witness.
@@ -186,11 +187,12 @@ class JointTable:
     ``_digits`` is the only mapping from a side to digits.  ``point``
     decodes an index.
 
-    ``values`` is an ``array`` of unsigned lanes when the table is exact,
-    nonnegative and its settings blocks' sums have an upper bound below
-    2^64; the lane is the narrowest of 1, 2, 4 or 8 bytes that holds the
-    bound.  Every other table -- float, with a negative entry, or with a
-    wider bound -- holds a ``list`` (see the module docstring).
+    ``values`` is an ``array`` of unsigned lanes when the box-product
+    builder made the table exact from nonnegative cells and its settings
+    blocks' sums have an upper bound below 2^64; the lane is the
+    narrowest of 1, 2, 4 or 8 bytes that holds the bound.  Every other
+    table -- per-point, float, with a negative entry, or with a wider
+    bound -- holds a ``list`` (see the module docstring).
     """
 
     n: int
@@ -229,10 +231,10 @@ def materialize(system: "SystemEvaluator") -> JointTable:
     its boxes in n passes (``_box_product_table``); every other
     system, including a subclass that overrides ``evaluate``, is evaluated
     at every (x, y, u, v) point.  Both paths give the same table: same
-    ``den``, same values and value types, same float bits.  Only an exact
-    table's layout may differ (see ``JointTable``), since each path bounds
-    the block sums its own way.  The table is exact when every value is
-    an int or a Fraction.
+    ``den``, same values and value types, same float bits.  The per-point
+    path holds an exact table's numerators in a ``list``, the reference
+    layout; the builder may hold them in lanes (see ``JointTable``).  The
+    table is exact when every value is an int or a Fraction.
 
     ``refuse_over_cap`` raises InfeasibleSizeError, before any work, when
     the table has more than EVAL_CAP entries -- on either path.
@@ -250,53 +252,28 @@ def materialize(system: "SystemEvaluator") -> JointTable:
            for u in settings for v in settings for x in outcomes for y in outcomes]
     if not all_exact(raw):
         return JointTable(n, N, [float(v) for v in raw], None)
-    den = 1
-    for d in {v.denominator for v in raw}:
-        den = math.lcm(den, d)
-    values = [v.numerator * (den // v.denominator) for v in raw]
-    size = 4**n
-    bound = max(sum(values[i:i + size]) for i in range(0, len(values), size))
-    return JointTable(n, N, _lanes(values, bound if min(values) >= 0 else None), den)
+    den = math.lcm(*{v.denominator for v in raw})
+    return JointTable(n, N, [v.numerator * (den // v.denominator) for v in raw], den)
 
 
 #: The unsigned ``array`` typecode of each lane width in bytes.
 _LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
-def _lanes(values: Iterable[int], bound: int | None) -> array | list:
-    """Exact numerators in the narrowest of 1, 2, 4 or 8-byte unsigned
-    lanes that holds ``bound``, an upper bound on every settings block's
-    sum; in a list when ``bound`` is None (a negative entry) or needs
-    more than 64 bits."""
-    size = next((size for size in (1, 2, 4, 8)
-                 if bound is not None and bound >> 8 * size == 0), None)
-    if size is None:
-        return list(values)
-    # 'B' and 'H' parse each item slowly: fill 4-byte lanes, then narrow
-    lanes = array(_LANE_CODES[max(size, 4)], values)
-    if size < 4:
-        narrow = array(_LANE_CODES[size])
-        narrow.frombytes(_relaned(lanes.tobytes(), 4, size))
-        lanes = narrow
-    return lanes
-
-
 def _relaned(data: bytes, item: int, width: int) -> bytearray:
-    """The ``item``-byte lanes of ``data`` copied into ``width``-byte
-    lanes, a byte column at a time: widened with zero bytes, or narrowed
-    to their low bytes."""
-    keep = min(item, width)
-    src, dst = (0, 0) if sys.byteorder == "little" else (item - keep, width - keep)
+    """The ``item``-byte lanes of ``data`` widened to ``width``-byte lanes
+    with zero bytes, a byte column at a time."""
+    dst = 0 if sys.byteorder == "little" else width - item
     out = bytearray(len(data) // item * width)
-    for b in range(keep):
-        out[dst + b::width] = data[src + b::item]
+    for b in range(item):
+        out[dst + b::width] = data[b::item]
     return out
 
 
 #: Entries of P_{k-1} that one slab of a build pass reads, rounded to
 #: whole values of (u_1..u_{k-1}): it bounds the pass's transient ints
 #: and bytes, so a build peaks near the table itself.  The convex check
-#: reads its lane tables in slabs of this many entries, or one block.
+#: reads every table in slabs of this many entries, or one block.
 _SLAB = 2**13
 
 
@@ -333,8 +310,9 @@ def _box_product_table(system) -> JointTable:
     of its row gcds, its scale, so g is the gcd of D^n and every scale,
     and P_0 at x is x's scale over g.
 
-    When no cell read is negative, P_0 to P_n are all held in lanes
-    (``_lanes``) wide enough for B, the sum over x of P_0 at x times, at
+    When no cell read is negative, P_0 to P_n are all held in the
+    narrowest of 1, 2, 4 or 8-byte lanes that holds B, if one does: the
+    only lanes made anywhere.  B is the sum over x of P_0 at x times, at
     each position, the largest y = 0 plus y = 1 pair of x's row there: a
     settings block's sum is that sum with each position's pair taken at
     the block's (a, b).  Each slab of a pass is then a few whole-int
@@ -368,13 +346,14 @@ def _box_product_table(system) -> JointTable:
         g = math.gcd(D**n, *scales)
         den = D**n // g
         values = [scale // g for scale in scales]
-        bound = None
         if min(cells_read) >= 0:
             # a block sums, at each x, P_0 times each position's y = 0 plus
             # y = 1 cells at its (a, b): at most their largest pair sum
             widest = {key: max(map(add, row[::2], row[1::2])) for key, row in rows.items()}
             bound = sum(map(mul, values, map(math.prod, map(partial(map, widest.get), keys_by_x))))
-        values = _lanes(values, bound)
+            size = next((size for size in (1, 2, 4, 8) if bound >> 8 * size == 0), None)
+            if size is not None:
+                values = array(_LANE_CODES[size], values)
 
     lanes = isinstance(values, array)
     for j in range(n):
@@ -686,11 +665,11 @@ def convex_mismatches(base: JointTable, parts: Sequence[JointTable],
                       weights: Sequence[Prob]) -> tuple[list[tuple], int]:
     """The first MAX_WITNESSES entries, as (x, y, u, v, base value,
     weighted sum), at which the weighted ``parts`` do not add up to
-    ``base``, and how many there are.  One settings-word block at a time
-    (lane tables first a slab of blocks at a time, see the module
-    docstring), the base weighted 1, the parts added in order: exact on
-    a common denominator when every table and weight is exact, else in
-    floats (exact tables divided as read)."""
+    ``base``, and how many there are.  One slab of settings blocks at a
+    time (lane tables first as whole ints, see the module docstring),
+    the base weighted 1, the parts added in order: exact on a common
+    denominator when every table and weight is exact, else in floats
+    (exact tables divided as read)."""
     tables, factors = [base, *parts], (1, *weights)
     if all(t.exact for t in tables) and all_exact(weights):
         den = math.lcm(*(t.den * w.denominator for w, t in zip(factors, tables)))
@@ -704,31 +683,25 @@ def convex_mismatches(base: JointTable, parts: Sequence[JointTable],
             block = map(truediv, block, repeat(t.den))
         return map(mul, repeat(scale), block)
 
-    size = 4**base.n
     packed = den is not None and all(isinstance(t.values, array) for t in tables)
     if packed:
         # a wide lane holds sum |scale| * 2^(lane bits) > any lane's difference
         lane_bits = 8 * max(t.values.itemsize for t in tables)
         width = -(-(lane_bits + sum(map(abs, scales)).bit_length()) // 8)
 
-    def adds_up(start: int, entries: int) -> bool:
-        want, *terms = (scale * _widened(t.values, start, entries, width)
-                        for scale, t in zip(scales, tables))
-        return want == sum(terms)
-
-    slab = max(size, _SLAB) if packed else size
+    slab = max(4**base.n, _SLAB)
     found, total = [], 0
-    for first in range(0, len(base.values), slab):
-        if packed and adds_up(first, slab):
-            continue
-        for start in range(first, min(first + slab, len(base.values)), size):
-            if packed and adds_up(start, size):
+    for start in range(0, len(base.values), slab):
+        if packed:
+            want, *terms = (scale * _widened(t.values, start, slab, width)
+                            for scale, t in zip(scales, tables))
+            if want == sum(terms):
                 continue
-            blocks = [t.values[start:start + size] for t in tables]
-            want, *terms = map(weighted, scales, tables, blocks)
-            want, combo = list(want), list(reduce(partial(map, add), terms))
-            if want != combo:
-                total += _count_differing(want, combo, found, (start,))
+        blocks = [t.values[start:start + slab] for t in tables]
+        want, *terms = map(weighted, scales, tables, blocks)
+        want, combo = list(want), list(reduce(partial(map, add), terms))
+        if want != combo:
+            total += _count_differing(want, combo, found, (start,))
     return [(*base.point(start + k), _scaled(lhs, den), _scaled(rhs, den))
             for start, k, lhs, rhs in found], total
 

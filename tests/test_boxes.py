@@ -272,6 +272,21 @@ def test_prob_rejects_out_of_range_settings():
         box.prob(2, 0, 0, 0)
 
 
+@pytest.mark.parametrize("point", [(0, 0, 2, 0), (0, 0, -1, 0), (1, 1, 1, 3)])
+def test_prob_rejects_outcomes_that_are_not_bits(point):
+    """An outcome of 2 would read the next square's cell, -1 would wrap
+    around to the last cell, and y = 3 on the last square would run off
+    the end: each is refused."""
+    box = build_unbiased_box(BoxParams.rational(2, EIGHTH))
+    with pytest.raises(ValueError, match="no cell at"):
+        box.prob(*point)
+
+
+def test_prob_reads_a_bool_outcome_as_its_bit():
+    box = build_unbiased_box(BoxParams.rational(2, EIGHTH))
+    assert box.prob(0, 0, True, 0) == box.prob(0, 0, 1, 0) == Fraction(1, 16)
+
+
 def test_quantum_eps_value():
     assert quantum_eps(2) == pytest.approx(0.14644660940672624, abs=1e-16)
 

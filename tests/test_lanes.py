@@ -1,11 +1,12 @@
 """Exact tables in unsigned lanes against the same numerators in a list.
 
-``materialize`` packs an exact, nonnegative table into an ``array`` of
-the narrowest lane that holds a bound on every settings block's sum; a
-table with a negative entry stays a list.  Every check must read the
-same verdicts, counts, witnesses and ``den`` from both layouts, and a
-table whose block sums exceed ``den`` must get lanes wide enough for
-them.
+The box-product builder packs an exact, nonnegative table into an
+``array`` of the narrowest lane that holds a bound on every settings
+block's sum; a table with a negative entry, or whose bound needs more
+than 64 bits, stays a list, and so does every table built point by
+point through ``evaluate``.  Every check must read the same verdicts,
+counts, witnesses and ``den`` from both layouts, and a table whose
+block sums exceed ``den`` must get lanes wide enough for them.
 """
 
 from __future__ import annotations
@@ -118,6 +119,70 @@ def test_layouts_agree_on_the_corpus(f, eps):
     tables = [materialize(s) for s in (base, *partition.systems)]
     assert all(isinstance(t.values, array) for t in tables)
     _assert_layouts_agree(partition, base, tables)
+
+
+@cache
+def _per_point_base(n, eps):
+    return materialize(PerPointSystem(_base(n, eps)))
+
+
+PER_POINT = [(f, eps) for f, eps in CORPUS if f.n <= 4]
+
+
+@pytest.mark.parametrize("f, eps", PER_POINT,
+                         ids=[f"{f.name}-n{f.n}-eps{eps}" for f, eps in PER_POINT])
+def test_per_point_lists_report_as_builder_lanes(f, eps):
+    """The per-point oracle holds lists and shares no packing code with
+    the builder; every check reads the same from its tables as from the
+    builder's lanes.  n = 5 is left out: one per-point table there takes
+    over ten seconds."""
+    partition, base = build_attack_partition(f, _rational(eps)), _base(f.n, eps)
+    built = [materialize(s) for s in (base, *partition.systems)]
+    per_point = [_per_point_base(f.n, eps),
+                 *(materialize(PerPointSystem(s)) for s in partition.systems)]
+    assert all(isinstance(t.values, list) for t in per_point)
+    assert all(isinstance(t.values, array) for t in built)
+    assert _results(partition, base, per_point) == _results(partition, base, built)
+
+
+def _negative_cell_box():
+    """The unbiased eps = 1/8 box with one cell of its first square
+    negative, the square still summing to one."""
+    cells = list(build_unbiased_box(_rational(EIGHTH)).cells)
+    cells[0] += cells[1] + Fraction(1, 16)
+    cells[1] = Fraction(-1, 16)
+    return SinglePairBox(2, tuple(cells))
+
+
+def _list_cases():
+    """name -> (partition, base): systems whose builder tables are lists."""
+    tiny = Fraction(1, 10**7)
+    unbiased, negative = build_unbiased_box(_rational(EIGHTH)), _negative_cell_box()
+    return {
+        "bound-over-64-bits": (build_attack_partition(parse_function_spec("random:1", 4),
+                                                      _rational(tiny)), _base(4, tiny)),
+        "negative-cell": (
+            Partition(((Fraction(1), ProductSystem((unbiased, negative, negative))),)),
+            ProductSystem((negative, unbiased, negative))),
+    }
+
+
+@pytest.mark.parametrize("name", ["bound-over-64-bits", "negative-cell"])
+def test_builder_lists_match_the_per_point_oracle(name):
+    """The builder's exact list path: every table of a ``random:1``
+    partition at n = 4, eps = 1/10^7, whose block sums need more than 64
+    bits (each ``den`` has 97 or 98), and two products of boxes with a
+    negative cell, which the convex check finds apart.  Each table
+    equals the oracle's, ``den`` included, value for value, and every
+    check reports the same on both."""
+    partition, base = _list_cases()[name]
+    systems = (base, *partition.systems)
+    built = [materialize(s) for s in systems]
+    per_point = [materialize(PerPointSystem(s)) for s in systems]
+    assert all(isinstance(t.values, list) for t in built + per_point)
+    for fast, slow in zip(built, per_point):
+        assert fast.den == slow.den and list(fast.values) == slow.values
+    assert _results(partition, base, built) == _results(partition, base, per_point)
 
 
 @cache
@@ -289,9 +354,11 @@ def test_unmoved_rows_skip_only_passing_grids(n, N):
 
 def test_convex_check_reads_lanes_in_slabs():
     """At n = 3, N = 3 the table has 46,656 entries, so its last slab of
-    2^13 entries is partial.  A mismatch in the first block of the second
-    slab and one in the last block are both found, with the list
-    layout's witnesses and total."""
+    2^13 entries is partial.  Mismatches in two blocks inside the second
+    slab, neither its first, and one in the last block are all found, in
+    ascending index, with the list layout's witnesses and total: a check
+    that keys its witnesses by anything but the slab's start, or stops
+    at a slab's first differing block, reports other points."""
     n, N = 3, 3
     params = BoxParams.rational(N, EIGHTH)
     partition = build_attack_partition(seeded_almost_balanced(n, 1)[0], params)
@@ -301,9 +368,10 @@ def test_convex_check_reads_lanes_in_slabs():
     entries = len(tables[0].values)
     assert entries == 46656 and entries % _SLAB
     assert convex_mismatches(tables[0], tables[1:], partition.weights) == ([], 0)
-    mutant = _raised(tables[0], _SLAB + 3, entries - 4**n + 5)
+    planted = [_SLAB + 2 * 4**n + 3, _SLAB + 5 * 4**n + 7, entries - 4**n + 5]
+    mutant = _raised(tables[0], *planted)
     lanes = convex_mismatches(mutant, tables[1:], partition.weights)
     listed = convex_mismatches(_as_list(mutant), list(map(_as_list, tables[1:])), partition.weights)
     assert lanes == listed
-    assert lanes[1] == 2
-    assert [w[:4] for w in lanes[0]] == [mutant.point(_SLAB + 3), mutant.point(entries - 4**n + 5)]
+    assert lanes[1] == 3
+    assert [w[:4] for w in lanes[0]] == list(map(mutant.point, planted))

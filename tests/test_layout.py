@@ -7,26 +7,30 @@ in the package outside its own definition, or exported from
 ``tests/helpers.py`` instead.
 
 One predicate decides exactness: ``isinstance(value, (int, Fraction))``
-appears only in ``boxes.all_exact``.  One method reads a box's cell by
-its index: only ``SinglePairBox.prob`` subscripts a ``.cells``
-attribute.  One rule chooses a comparison's tolerance: ``FLOAT_ATOL`` is
-read only by ``boxes.close`` and ``boxes.at_least``, and by
-``nonsignalling._merge``, which reports it, and no code names an
-``atol`` of its own.  One guard decides whether a run is too big:
-``EVAL_CAP`` is read, and ``InfeasibleSizeError`` raised, only in
+appears only in ``boxes.all_exact``.  One method reads a box's cell at a
+point: only ``SinglePairBox.prob`` subscripts its point map
+``._cell_at``, and no code subscripts a ``.cells`` attribute.  One rule
+chooses a comparison's tolerance: ``FLOAT_ATOL`` is read only by
+``boxes.close`` and ``boxes.at_least``, and by ``nonsignalling._merge``,
+which reports it, and no code names an ``atol`` of its own.  One guard
+decides whether a run is too big: ``EVAL_CAP`` is read, and
+``InfeasibleSizeError`` raised, only in
 ``nonsignalling.refuse_over_cap``.  One walk states the pivot rule: a
 function's zero-count tree ``.tree`` is read only by
 ``adversary.build_pivotal_profile``, whose every level is decided by
-``adversary._level_marks``, and every other pivot is read off the
-marks it makes.  One mapping tells Alice from Bob in the joint
-table: only ``nonsignalling._digits`` compares a side with ``"alice"``
-or ``"bob"``, and everything else works on the digits it returns.  One
-rule finds the entries at which two tables differ: ``operator.ne`` is
-read only by ``nonsignalling._count_differing``, which the
-non-signalling kernel and the convex check both call.  One module does
-arithmetic on joint tables: ``systems`` imports nothing private and no
-``MAX_WITNESSES`` from ``nonsignalling``, and reads no table attribute
-(``values``, ``den``, ``exact``, ``blocks``, ``point``).
+``adversary._level_marks``, and every other pivot is read off the marks
+it makes.  One mapping tells Alice from Bob in the joint table: only
+``nonsignalling._digits`` compares a side with ``"alice"`` or ``"bob"``,
+and everything else works on the digits it returns.  One rule finds the
+entries at which two tables differ: ``operator.ne`` is read only by
+``nonsignalling._count_differing``, which the non-signalling kernel and
+the convex check both call.  One builder makes lanes:
+``nonsignalling._LANE_CODES`` is read only by
+``nonsignalling._box_product_table``, so the per-point tables that every
+fast path is tested against share no packing code with it.  One module
+does arithmetic on joint tables: ``systems`` imports nothing private and
+no ``MAX_WITNESSES`` from ``nonsignalling``, and reads no table
+attribute (``values``, ``den``, ``exact``, ``blocks``, ``point``).
 """
 
 import ast
@@ -110,10 +114,15 @@ def is_exactness_test(node: ast.AST) -> bool:
             and sorted(map(ast.unparse, node.args[1].elts)) == ["Fraction", "int"])
 
 
-def is_cell_subscript(node: ast.AST) -> bool:
-    """A subscript of a ``.cells`` attribute, such as ``box.cells[i]``."""
-    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "cells")
+def subscripts(attribute: str):
+    """A predicate for a subscript of an ``attribute`` attribute, such as
+    ``box.cells[i]``."""
+
+    def matches(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == attribute)
+
+    return matches
 
 
 def test_exactness_is_decided_only_by_all_exact():
@@ -121,7 +130,8 @@ def test_exactness_is_decided_only_by_all_exact():
 
 
 def test_box_cells_are_indexed_only_by_prob():
-    assert owners_of(PACKAGE, is_cell_subscript) == ["boxes.py:SinglePairBox.prob"]
+    assert owners_of(PACKAGE, subscripts("_cell_at")) == ["boxes.py:SinglePairBox.prob"]
+    assert owners_of(PACKAGE, subscripts("cells")) == []
 
 
 def reads(name: str):
@@ -182,6 +192,10 @@ def test_sides_are_told_apart_only_by_digits():
 
 def test_differing_entries_are_found_only_by_differing():
     assert owners_of(PACKAGE, reads("ne")) == ["nonsignalling.py:_count_differing"]
+
+
+def test_lanes_are_made_only_by_the_box_product_builder():
+    assert owners_of(PACKAGE, reads("_LANE_CODES")) == ["nonsignalling.py:_box_product_table"]
 
 
 def _systems_tree() -> ast.Module:

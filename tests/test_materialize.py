@@ -61,7 +61,7 @@ def assert_same_table(fast, slow):
     if slow.den is None:
         assert [v.hex() for v in fast.values] == [v.hex() for v in slow.values]
     else:
-        assert fast.values == slow.values
+        assert list(fast.values) == list(slow.values)
 
 
 @st.composite
@@ -337,7 +337,7 @@ def test_int_valued_tables_stay_exact():
     reference = materialize(inner)
     table = materialize(IntZeroSystem(inner))
     assert 0 in table.values and table.exact
-    assert table.den == reference.den and table.values == reference.values
+    assert table.den == reference.den and list(table.values) == list(reference.values)
     report = check_time_ordered(IntZeroSystem(inner), table=table)
     assert report.passed and report.tolerance == 0
 
