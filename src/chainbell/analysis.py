@@ -20,10 +20,17 @@ Each part's Pr[f(X) = 0] comes from one of two paths:
   setting, and ``biased[1]``'s mirrors it.  Then the part's X-marginal
   does not depend on the inputs.  A part that breaks a premise is
   refused.
-- per-point summation at an explicit input tuple (``at_input``): the
-  sum of ``evaluate`` over every y and every x with f(x) = 0, after
-  the input is checked against every part and ``refuse_over_cap``
-  passes.  It serves every other part and cross-checks the closed form.
+- summation at an explicit input tuple (``at_input``), after the input
+  is checked against every part and ``refuse_over_cap`` passes for
+  zeros(f) * 2^n evaluations.  It serves every other part and
+  cross-checks the closed form.  A box product built from its boxes
+  (``systems.built_from_boxes``) depends on y through no box, so its
+  X-marginal at (u, v) is the product of its boxes' Alice marginals:
+  Pr[f(X) = 0] is summed from them, n cells per string with f(x) = 0.
+  Every other part sums ``evaluate`` over every y and every such x.
+  Rational values are exact, so the two summations agree exactly, in
+  value and type; quantum values may differ from the per-point sum in
+  the last bits, since the terms are added in another order.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .adversary import (
 )
 from .boxes import HALF, BoxParams, Prob, at_least, close
 from .nonsignalling import refuse_over_cap
-from .systems import AttackedSystem, Partition, SystemEvaluator
+from .systems import AttackedSystem, Partition, SystemEvaluator, built_from_boxes
 
 STRATEGY_PARTITION = "partition"
 STRATEGY_TRIVIAL = "trivial"
@@ -103,10 +110,26 @@ def _part_key_zero_probability(f: HashFunction, part: SystemEvaluator) -> Prob:
 
 def _part_key_zero_at_input(f: HashFunction, part: SystemEvaluator,
                             u: Sequence[int], v: Sequence[int]) -> Prob:
-    """Pr[f(X) = 0] of any part at one input, by summing ``evaluate``."""
+    """Pr[f(X) = 0] of any part at one input, checked by the caller.
+
+    A box product built from its boxes sums, over the strings x with
+    f(x) = 0, the product of its boxes' Alice marginals
+    alice_marginal(box_k(x), u_k, v_k, x_k): zeros(f) products of n
+    cells.  Every other part sums ``evaluate`` over every y and every
+    such x: zeros(f) * 2^n calls.
+    """
+    zeros = [(code, x) for code, x in enumerate(product((0, 1), repeat=f.n))
+             if f.bits[code] == 0]
+    if built_from_boxes(part):
+        total: Prob = 0
+        for code, x in zeros:
+            val: Prob = 1
+            for box, a, b, bit in zip(part.pair_boxes(code), u, v, x):
+                val *= box.alice_marginal(a, b, bit)
+            total += val
+        return total
     ys = list(product((0, 1), repeat=f.n))
-    return sum(sum(part.evaluate(x, y, u, v) for y in ys)
-               for x in product((0, 1), repeat=f.n) if f.value(x) == 0)
+    return sum(sum(part.evaluate(x, y, u, v) for y in ys) for _, x in zeros)
 
 
 def distance_details(f: HashFunction, partition: Partition, *,
@@ -116,8 +139,13 @@ def distance_details(f: HashFunction, partition: Partition, *,
 
     Without ``at_input`` every part must be an ``AttackedSystem`` that
     meets the closed form's premises; otherwise ValueError.  With it,
-    each part is summed at that input, after the input is checked
-    against every part (ValueError) and ``refuse_over_cap`` passes.
+    each part's Pr[f(X) = 0] is summed at that input, after the input is
+    checked against every part (ValueError) and ``refuse_over_cap``
+    passes for zeros(f) * 2^n evaluations, whichever path a part takes.
+    A box product built from its boxes is summed from its boxes' Alice
+    marginals, every other part from ``evaluate``.  Rational values are
+    exact and equal to the per-point sum of ``evaluate``; quantum values
+    may differ from it in the last bits.
 
     The part with the larger Pr[K=0|Z] plays z = 0.  If even that falls
     below 1/2 the key labels are swapped as well, which leaves the

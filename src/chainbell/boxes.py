@@ -125,7 +125,8 @@ class SinglePairBox:
 
     ``cells`` is flat, in the order of the points (a, b, x, y), with a, b
     the setting indices (u = 2a, v = 2b+1) and x, y the outcome bits, the
-    last varying fastest; the builders write cells in that order.
+    last varying fastest; the builders write cells in that order.  It
+    must hold one cell per point, 4N^2 in all (ValueError otherwise).
     ``__post_init__`` maps each point to its cell once, and ``prob`` is
     that map's one reader: a point outside the box raises ValueError.
     """
@@ -134,6 +135,10 @@ class SinglePairBox:
     cells: tuple[Prob, ...]
 
     def __post_init__(self) -> None:
+        expected = 4 * self.n_settings**2
+        if len(self.cells) != expected:
+            raise ValueError(f"a box with N={self.n_settings} needs 4N^2 = {expected} "
+                             f"cells, got {len(self.cells)}")
         points = product(range(self.n_settings), range(self.n_settings), (0, 1), (0, 1))
         object.__setattr__(self, "_cell_at", dict(zip(points, self.cells)))
 

@@ -239,12 +239,11 @@ def materialize(system: "SystemEvaluator") -> JointTable:
     ``refuse_over_cap`` raises InfeasibleSizeError, before any work, when
     the table has more than EVAL_CAP entries -- on either path.
     """
-    from .systems import BoxProductSystem  # deferred: systems imports this module
+    from .systems import built_from_boxes  # deferred: systems imports this module
 
     n, N = system.n, system.n_settings
     refuse_over_cap("joint table", table_entries(n, N))
-    if (isinstance(system, BoxProductSystem)
-            and type(system).evaluate is BoxProductSystem.evaluate):
+    if built_from_boxes(system):
         return _box_product_table(system)
     settings = list(product(range(N), repeat=n))
     outcomes = list(product((0, 1), repeat=n))

@@ -8,7 +8,9 @@ Verifiers materialize what they enumerate, under ``refuse_over_cap``.
 ``BoxProductSystem`` systems also expose ``pair_boxes``: for each output
 string x the single-pair boxes whose product the system is.  Verifiers
 build such a system's joint table from those boxes rather than point by
-point; every other system is materialized through ``evaluate`` alone.
+point, and the distance at one input reads its X-marginal off their
+Alice marginals; ``built_from_boxes`` says which systems qualify, and
+every other system is read through ``evaluate`` alone.
 
 ``ProductSystem`` multiplies independent single-pair boxes.
 ``AttackedSystem`` is one part of the adversary's decomposition: it
@@ -84,8 +86,9 @@ class BoxProductSystem(SystemEvaluator):
 
     The box at each position may depend on x, but never on y, u or v.
     ``materialize`` builds the joint table of such a system from its boxes
-    instead of calling ``evaluate`` per entry, unless a subclass
-    overrides ``evaluate``.
+    instead of calling ``evaluate`` per entry, and ``distance_details``
+    reads its X-marginal off the boxes' Alice marginals, unless a subclass
+    overrides ``evaluate`` (see ``built_from_boxes``).
     """
 
     @abstractmethod
@@ -99,6 +102,14 @@ class BoxProductSystem(SystemEvaluator):
         for j, box in enumerate(self.pair_boxes(bits_to_int(x))):
             val *= box.prob(u[j], v[j], x[j], y[j])
         return val
+
+
+def built_from_boxes(system: SystemEvaluator) -> bool:
+    """Whether a system's values may be read off its boxes: a
+    ``BoxProductSystem`` that keeps the shared ``evaluate``.  A subclass
+    that overrides ``evaluate`` is read through ``evaluate`` alone."""
+    return (isinstance(system, BoxProductSystem)
+            and type(system).evaluate is BoxProductSystem.evaluate)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ from chainbell import (
     FLOAT_ATOL,
     AttackedSystem,
     BoxParams,
+    BoxProductSystem,
     HashFunction,
     InfeasibleSizeError,
     Partition,
+    ProductSystem,
     SinglePairBox,
     SystemEvaluator,
     and_function,
@@ -37,8 +39,10 @@ from chainbell import (
 from helpers import (
     FuturePeekingSystem,
     PerPointSystem,
+    acceptance_corpus,
     constant_function,
     influence,
+    joint_key_zero_prob,
     lemma_distance_oracle,
     seeded_almost_balanced,
 )
@@ -127,6 +131,69 @@ def test_closed_form_equals_joint_summation(seed, n):
         at_input=(tuple(j % 2 for j in range(n)), tuple((j + 1) % 2 for j in range(n))),
     ).distance
     assert closed == at_zero == at_mixed
+
+
+def _corpus_inputs(n, n_settings):
+    """The all-zero, a mixed and the all-last input at n pairs."""
+    last = n_settings - 1
+    return [((0,) * n, (0,) * n),
+            (tuple(j % n_settings for j in range(n)),
+             tuple((j + 1) % n_settings for j in range(n))),
+            ((last,) * n, (last,) * n)]
+
+
+@pytest.mark.parametrize("params", [
+    _params(), _params(Fraction(1, 3)), _params(EIGHTH, 3),
+    BoxParams.quantum(2), BoxParams.quantum(3),
+], ids=["N2-eps1/8", "N2-eps1/3", "N3-eps1/8", "quantum-N2", "quantum-N3"])
+def test_box_products_sum_alice_marginals_as_evaluate_does(params, monkeypatch):
+    """Every attacked part of the acceptance corpus, summed at one input
+    from its boxes' Alice marginals, against the per-point sum of
+    ``evaluate``: equal as exact values of the same types in rational
+    mode, within FLOAT_ATOL in quantum mode, with no ``evaluate`` call."""
+    calls = []
+    shared = BoxProductSystem.evaluate
+
+    def counting(self, x, y, u, v):
+        calls.append(x)
+        return shared(self, x, y, u, v)
+
+    monkeypatch.setattr(BoxProductSystem, "evaluate", counting)
+    for f in acceptance_corpus():
+        partition = build_attack_partition(f, params)
+        for u, v in _corpus_inputs(f.n, params.n_settings):
+            want_q = [joint_key_zero_prob(f, part, u, v) for part in partition.systems]
+            want = lemma_distance_oracle(f, partition, u, v)
+            calls.clear()
+            detail = distance_details(f, partition, at_input=(u, v))
+            assert calls == [], (f.name, u, v)
+            got, wants = [*detail.q_parts, detail.distance], [*want_q, want]
+            assert list(map(type, got)) == list(map(type, wants)), (f.name, u, v)
+            if params.exact:
+                assert got == wants, (f.name, u, v)
+            else:
+                assert all(abs(a - b) <= FLOAT_ATOL for a, b in zip(got, wants)), (f.name, u, v)
+
+
+class ShiftedProductSystem(ProductSystem):
+    """A box product that overrides ``evaluate``: its x = 01 and x = 10
+    marginals move by +-1/25 at u = (1, 0) only, to 29/100 and 21/100."""
+
+    def evaluate(self, x, y, u, v):
+        val = super().evaluate(x, y, u, v)
+        if tuple(u) == (1, 0) and tuple(x) in ((0, 1), (1, 0)):
+            return val * (Fraction(29, 25) if tuple(x) == (0, 1) else Fraction(21, 25))
+        return val
+
+
+def test_box_product_that_overrides_evaluate_is_summed_through_it():
+    """Only a box product that keeps the shared ``evaluate`` is read off
+    its boxes; the override's moved marginal shows at u = (1, 0)."""
+    system = ShiftedProductSystem((build_unbiased_box(_params()),) * 2)
+    partition = Partition(((Fraction(1, 2), system), (Fraction(1, 2), system)))
+    f = HashFunction(2, (1, 0, 1, 1))  # f(x) = 0 at x = 01 only
+    for u, q in [((0, 0), Fraction(1, 4)), ((1, 0), Fraction(29, 100))]:
+        assert distance_details(f, partition, at_input=(u, (1, 0))).q_parts == (q, q)
 
 
 @given(st.integers(0, 60))

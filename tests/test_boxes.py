@@ -287,6 +287,25 @@ def test_prob_reads_a_bool_outcome_as_its_bit():
     assert box.prob(0, 0, True, 0) == box.prob(0, 0, 1, 0) == Fraction(1, 16)
 
 
+@pytest.mark.parametrize("count", [20, 3, 0])
+def test_box_refuses_a_cell_count_other_than_4n_squared(count):
+    """Extra cells would never be read, and missing ones would fail only
+    when ``prob`` reached them: both are refused at construction."""
+    cells = tuple(Fraction(1, 16) for _ in range(count))
+    with pytest.raises(ValueError, match=re.escape(f"needs 4N^2 = 16 cells, got {count}")):
+        SinglePairBox(2, cells)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_built_box_holds_4n_squared_cells(n):
+    params = [BoxParams.rational(n, EIGHTH), BoxParams.quantum(n)]
+    for p in params:
+        base = build_unbiased_box(p)
+        for box in (base, bias_box(base, 0, p.eps), bias_box(base, 1, p.eps)):
+            assert len(box.cells) == 4 * n**2
+            assert SinglePairBox(n, box.cells) == box
+
+
 def test_quantum_eps_value():
     assert quantum_eps(2) == pytest.approx(0.14644660940672624, abs=1e-16)
 

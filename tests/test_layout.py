@@ -27,7 +27,11 @@ entries at which two tables differ: ``operator.ne`` is read only by
 the convex check both call.  One builder makes lanes:
 ``nonsignalling._LANE_CODES`` is read only by
 ``nonsignalling._box_product_table``, so the per-point tables that every
-fast path is tested against share no packing code with it.  One module
+fast path is tested against share no packing code with it.  One
+predicate says which systems are read off their boxes:
+``BoxProductSystem.evaluate`` is read only by
+``systems.built_from_boxes``, which ``materialize`` and the distance at
+one input both call.  One module
 does arithmetic on joint tables: ``systems`` imports nothing private and
 no ``MAX_WITNESSES`` from ``nonsignalling``, and reads no table
 attribute (``values``, ``den``, ``exact``, ``blocks``, ``point``).
@@ -196,6 +200,19 @@ def test_differing_entries_are_found_only_by_differing():
 
 def test_lanes_are_made_only_by_the_box_product_builder():
     assert owners_of(PACKAGE, reads("_LANE_CODES")) == ["nonsignalling.py:_box_product_table"]
+
+
+def reads_shared_evaluate(node: ast.AST) -> bool:
+    """A read of ``BoxProductSystem.evaluate``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "evaluate"
+            and isinstance(node.value, ast.Name) and node.value.id == "BoxProductSystem")
+
+
+def test_box_products_are_told_apart_only_by_built_from_boxes():
+    assert owners_of(PACKAGE, reads_shared_evaluate) == [
+        "systems.py:built_from_boxes"]
+    assert owners_of(PACKAGE, reads("built_from_boxes")) == [
+        "analysis.py:_part_key_zero_at_input", "nonsignalling.py:materialize"]
 
 
 def _systems_tree() -> ast.Module:
