@@ -20,14 +20,16 @@ Each part's Pr[f(X) = 0] comes from one of two paths:
   setting, and ``biased[1]``'s mirrors it.  Then the part's X-marginal
   does not depend on the inputs.  A part that breaks a premise is
   refused.
-- summation at an explicit input tuple (``at_input``), after the input
-  is checked against every part and ``refuse_over_cap`` passes for
-  zeros(f) * 2^n evaluations.  It serves every other part and
+- summation at an explicit input tuple (``at_input``), after
+  ``refuse_over_cap`` passes for each part's path and the input is
+  checked against every part.  It serves every other part and
   cross-checks the closed form.  A box product built from its boxes
   (``systems.built_from_boxes``) depends on y through no box, so its
   X-marginal at (u, v) is the product of its boxes' Alice marginals:
-  Pr[f(X) = 0] is summed from them, n cells per string with f(x) = 0.
-  Every other part sums ``evaluate`` over every y and every such x.
+  Pr[f(X) = 0] is summed from them, n cells per string with f(x) = 0,
+  zeros(f) * n Alice-marginal cells under the cap.  Every other part
+  sums ``evaluate`` over every y and every such x, zeros(f) * 2^n
+  evaluations under the cap.
   Rational values are exact, so the two summations agree exactly, in
   value and type; quantum values may differ from the per-point sum in
   the last bits, since the terms are added in another order.
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .adversary import (
     HashFunction,
@@ -108,28 +110,42 @@ def _part_key_zero_probability(f: HashFunction, part: SystemEvaluator) -> Prob:
     return (m_hi * match_zeros + m_lo * other_zeros) / 2 ** (n - 1)
 
 
-def _part_key_zero_at_input(f: HashFunction, part: SystemEvaluator,
-                            u: Sequence[int], v: Sequence[int]) -> Prob:
-    """Pr[f(X) = 0] of any part at one input, checked by the caller.
+def _zero_strings(f: HashFunction) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(code, x) for every string x with f(x) = 0, in ascending code."""
+    return ((code, x) for code, x in enumerate(product((0, 1), repeat=f.n))
+            if f.bits[code] == 0)
+
+
+def _part_key_zero_at_input(f: HashFunction, part: SystemEvaluator
+                            ) -> Callable[[Sequence[int], Sequence[int]], Prob]:
+    """Pr[f(X) = 0] of any part as a function of one input, checked by the
+    caller; ``refuse_over_cap`` first passes for the cost of the part's
+    path, in that path's unit.
 
     A box product built from its boxes sums, over the strings x with
     f(x) = 0, the product of its boxes' Alice marginals
-    alice_marginal(box_k(x), u_k, v_k, x_k): zeros(f) products of n
+    alice_marginal(box_k(x), u_k, v_k, x_k): zeros(f) * n Alice-marginal
     cells.  Every other part sums ``evaluate`` over every y and every
-    such x: zeros(f) * 2^n calls.
+    such x: zeros(f) * 2^n evaluations.
     """
-    zeros = [(code, x) for code, x in enumerate(product((0, 1), repeat=f.n))
-             if f.bits[code] == 0]
-    if built_from_boxes(part):
+    if not built_from_boxes(part):
+        refuse_over_cap("one part's distance at one input through evaluate",
+                        f.zeros_total * 2**f.n)
+        ys = list(product((0, 1), repeat=f.n))
+        return lambda u, v: sum(sum(part.evaluate(x, y, u, v) for y in ys)
+                                for _, x in _zero_strings(f))
+    refuse_over_cap("one part's distance at one input from its boxes' Alice marginals",
+                    f.zeros_total * f.n, "Alice-marginal cells")
+
+    def from_boxes(u: Sequence[int], v: Sequence[int]) -> Prob:
         total: Prob = 0
-        for code, x in zeros:
+        for code, x in _zero_strings(f):
             val: Prob = 1
             for box, a, b, bit in zip(part.pair_boxes(code), u, v, x):
                 val *= box.alice_marginal(a, b, bit)
             total += val
         return total
-    ys = list(product((0, 1), repeat=f.n))
-    return sum(sum(part.evaluate(x, y, u, v) for y in ys) for _, x in zeros)
+    return from_boxes
 
 
 def distance_details(f: HashFunction, partition: Partition, *,
@@ -139,13 +155,13 @@ def distance_details(f: HashFunction, partition: Partition, *,
 
     Without ``at_input`` every part must be an ``AttackedSystem`` that
     meets the closed form's premises; otherwise ValueError.  With it,
-    each part's Pr[f(X) = 0] is summed at that input, after the input is
-    checked against every part (ValueError) and ``refuse_over_cap``
-    passes for zeros(f) * 2^n evaluations, whichever path a part takes.
-    A box product built from its boxes is summed from its boxes' Alice
-    marginals, every other part from ``evaluate``.  Rational values are
-    exact and equal to the per-point sum of ``evaluate``; quantum values
-    may differ from it in the last bits.
+    each part's Pr[f(X) = 0] is summed at that input, after
+    ``refuse_over_cap`` passes for every part's path and the input is
+    checked against every part (ValueError).  A box product built from
+    its boxes is summed from its boxes' Alice marginals, zeros(f) * n
+    cells; every other part from ``evaluate``, zeros(f) * 2^n calls.
+    Rational values are exact and equal to the per-point sum of
+    ``evaluate``; quantum values may differ from it in the last bits.
 
     The part with the larger Pr[K=0|Z] plays z = 0.  If even that falls
     below 1/2 the key labels are swapped as well, which leaves the
@@ -157,11 +173,11 @@ def distance_details(f: HashFunction, partition: Partition, *,
     if at_input is None:
         q = [_part_key_zero_probability(f, part) for part in partition.systems]
     else:
-        refuse_over_cap("one part's distance at one input", f.zeros_total * 2**f.n)
+        summations = [_part_key_zero_at_input(f, part) for part in partition.systems]
         u, v = at_input
         for part in partition.systems:
             part._check_point((0,) * f.n, (0,) * f.n, u, v)
-        q = [_part_key_zero_at_input(f, part, u, v) for part in partition.systems]
+        q = [summed(u, v) for summed in summations]
     pr0 = Fraction(f.zeros_total, 2**f.n)
 
     z0 = 0 if q[0] >= q[1] else 1

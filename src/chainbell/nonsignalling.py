@@ -13,8 +13,8 @@ so far by one multiply per distinct row and settings pair, on ints of
 masked, widened lanes.  Other systems are materialized point by point
 through ``evaluate``.
 ``systems.verify_partition`` does no table arithmetic: it calls
-``distribution_checks``, ``check_time_ordered`` and
-``convex_mismatches``.
+``check_part`` on each part's table and ``convex_mismatches`` on them
+all.
 
 All three conditions are one marginal-independence equation over an
 index subset S of one side: that side's outputs outside S, together
@@ -40,11 +40,15 @@ every settings word at once; S is summed out one digit at a time,
 highest first.  The time-ordered cuts of one side are one chain: cut n
 sums position n out of the table, and cut i sums position i out of cut
 i+1's grid, so all n cuts together sum about one table's worth of
-entries.  Every check sums in this order, so in float tables it is the
-summation order, and a marginal has the same float bits whichever check
-computes it.  A lane table is read through 2-D views of equal rows
-(``_rows``): one C-level slice of the rows stands for a Python loop
-over runs or settings blocks.
+entries.  A part's block sums continue Bob's chain (``check_part``):
+x_n..x_1 are summed out of its cut-1 grid, which holds every y summed
+out and is 2^n times smaller than the table, so one sweep of a part's
+table yields its time-ordered report and its block sums.  Every check
+sums in this order, so in float tables it is the summation order, and a
+marginal has the same float bits whichever check computes it.  A lane
+table is read through 2-D views of equal rows (``_rows``): one C-level
+slice of the rows stands for a Python loop over runs or settings
+blocks.
 
 Every violation is counted.  A report keeps as witnesses the first
 ``MAX_WITNESSES`` violations in witness order: by side (alice before
@@ -110,7 +114,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, count, cycle, product, repeat
+from itertools import chain, compress, count, cycle, product, repeat
 from operator import add, mul, ne, truediv
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -218,10 +222,17 @@ def table_entries(n: int, n_settings: int) -> int:
     return (4 * n_settings**2) ** n
 
 
-def refuse_over_cap(what: str, evaluations: int) -> None:
-    """Raise InfeasibleSizeError if ``what`` needs more than EVAL_CAP evaluations."""
-    if evaluations > EVAL_CAP:
-        raise InfeasibleSizeError(f"{what} needs {evaluations} evaluations, cap is {EVAL_CAP}")
+def refuse_over_cap(what: str, cost: int, unit: str = "evaluations") -> None:
+    """Raise InfeasibleSizeError if ``what`` costs more than EVAL_CAP.
+
+    ``cost`` is counted in its path's ``unit``, named in the message: a
+    joint table's entries count as per-point evaluations on either path
+    (see ``materialize``), and the distance at one input counts
+    Alice-marginal cells for a box product built from its boxes and
+    evaluations for any other part.  A cell and an evaluation each cost
+    a few microseconds, so one cap serves both."""
+    if cost > EVAL_CAP:
+        raise InfeasibleSizeError(f"{what} needs {cost} {unit}, cap is {EVAL_CAP}")
 
 
 def materialize(system: "SystemEvaluator") -> JointTable:
@@ -237,7 +248,8 @@ def materialize(system: "SystemEvaluator") -> JointTable:
     table is exact when every value is an int or a Fraction.
 
     ``refuse_over_cap`` raises InfeasibleSizeError, before any work, when
-    the table has more than EVAL_CAP entries -- on either path.
+    the table has more than EVAL_CAP entries -- on either path, each
+    entry counted as one evaluation, the per-point path's unit.
     """
     from .systems import built_from_boxes  # deferred: systems imports this module
 
@@ -603,27 +615,50 @@ def check_ab(system: "SystemEvaluator", *, table: JointTable | None = None) -> N
     return _merge(CONDITION_AB, parts, t.den)
 
 
-def check_time_ordered(system: "SystemEvaluator", *,
-                       table: JointTable | None = None) -> NsReport:
-    """Future inputs may not influence past outputs, on either side.
+def _time_ordered(t: JointTable) -> tuple[NsReport, array | list]:
+    """The time-ordered report of ``t``, and Bob's cut-1 grid: ``t`` with
+    every y summed out, y_n first, one block of 2^n entries per settings
+    word.
 
     Each side's grids are one chain: cut n sums position n out of the
     table, and each cut after it sums one more position out of the grid
     before, so the whole check sums about one table's worth of entries.
     """
-    t = table if table is not None else materialize(system)
     n = t.n
     everything = tuple(range(1, n + 1))
     parts = []
     for side in ("alice", "bob"):
-        grids = accumulate(_strides(n, _digits(n, side, everything)), _sum_out,
-                           initial=t.values)
-        next(grids)  # the table itself
-        cuts = [_independence_violations(t, grid, side, everything[cut - 1:],
-                                         f"{CONDITION_TIME_ORDERED}-{side}", cut)
-                for cut, grid in zip(range(n, 0, -1), grids)]
+        grid, cuts = t.values, []
+        for cut, stride in zip(range(n, 0, -1), _strides(n, _digits(n, side, everything))):
+            grid = _sum_out(grid, stride)
+            cuts.append(_independence_violations(t, grid, side, everything[cut - 1:],
+                                                 f"{CONDITION_TIME_ORDERED}-{side}", cut))
         parts.extend(reversed(cuts))
-    return _merge(CONDITION_TIME_ORDERED, parts, t.den)
+    return _merge(CONDITION_TIME_ORDERED, parts, t.den), grid
+
+
+def check_time_ordered(system: "SystemEvaluator", *,
+                       table: JointTable | None = None) -> NsReport:
+    """Future inputs may not influence past outputs, on either side: one
+    chain of sums per side (see ``_time_ordered``)."""
+    return _time_ordered(table if table is not None else materialize(system))[0]
+
+
+def check_part(table: JointTable) -> tuple[bool, bool, NsReport]:
+    """Whether a partition part's table is nonnegative, whether each
+    settings word's block sums to one, and its time-ordered report, from
+    one sweep of the table.
+
+    The block sums continue Bob's time-ordered chain: x_n..x_1 are summed
+    out of its cut-1 grid, each the last outcome digit left, so the block
+    sums are the table with every outcome digit summed out, highest
+    first, the module's summation order.  Lanes are nonnegative by
+    construction; a list is read for its ``min``."""
+    report, grid = _time_ordered(table)
+    sums = reduce(_sum_out, repeat(1, table.n), grid)
+    one = table.den if table.exact else 1.0
+    return (isinstance(table.values, array) or at_least(min(table.values), 0),
+            all(close(s, one) for s in sums), report)
 
 
 def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
@@ -640,17 +675,6 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
     t = table if table is not None else materialize(system)
     part = _independence_violations(t, _marginal(t, side, sub), side, sub, CONDITION_SUBSET, None)
     return _merge(CONDITION_SUBSET, [part], t.den)
-
-
-def distribution_checks(table: JointTable) -> tuple[bool, bool]:
-    """Whether ``table`` is nonnegative, and whether each settings word's
-    block sums to one.  Lanes are nonnegative by construction; the block
-    sums are the table with every outcome digit summed out."""
-    n, values = table.n, table.values
-    one = table.den if table.exact else 1.0
-    sums = reduce(_sum_out, _strides(n, range(1, 2 * n + 1)), values)
-    return (isinstance(values, array) or at_least(min(values), 0),
-            all(close(s, one) for s in sums))
 
 
 def _widened(values: array, start: int, size: int, width: int) -> int:

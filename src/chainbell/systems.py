@@ -31,9 +31,9 @@ from .boxes import Prob, SinglePairBox, at_least, close
 from .nonsignalling import (
     NsReport,
     check_ab,  # noqa: F401 -- unused here; bench/harness.py swaps it for a traced one
-    check_time_ordered,
+    check_part,
+    check_time_ordered,  # noqa: F401 -- likewise
     convex_mismatches,
-    distribution_checks,
     materialize,
     refuse_over_cap,
     table_entries,
@@ -258,7 +258,9 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
     stays because the benchmark harness passes it.  Values are compared
     under the tolerance rule of ``boxes``, so exact systems with zero
     tolerance.  ``refuse_over_cap`` refuses an oversized run before any
-    table is built.  The tables are compared only in ``nonsignalling``.
+    table is built.  The tables are compared only in ``nonsignalling``:
+    each part's in one sweep (``check_part``), then all of them in the
+    convex check.
     """
     if constraint != "time-ordered":
         raise ValueError(f"unknown constraint set {constraint!r}")
@@ -278,11 +280,8 @@ def verify_partition(partition: Partition, base: SystemEvaluator, *,
     part_tables = [materialize(s) for s in partition.systems]
     checks = budget + table_size  # every entry built, then one convex pass
 
-    part_reports = []
-    for system, table in zip(partition.systems, part_tables):
-        ns = check_time_ordered(system, table=table)
-        checks += ns.checks_performed
-        part_reports.append(PartConstraintReport(*distribution_checks(table), ns))
+    part_reports = [PartConstraintReport(*check_part(table)) for table in part_tables]
+    checks += sum(part.ns_report.checks_performed for part in part_reports)
 
     mismatches, mismatch_total = convex_mismatches(base_table, part_tables, weights)
 

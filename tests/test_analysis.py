@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainbell import nonsignalling
 from chainbell import (
     EVAL_CAP,
     FLOAT_ATOL,
@@ -417,6 +418,39 @@ def test_distance_refuses_generic_part_above_the_evaluation_cap():
     with pytest.raises(ValueError, match="at_input"):
         distance_details(f, partition)
     assert calls == []
+
+
+def test_distance_admits_box_products_by_alice_marginal_cells():
+    """A box product built from its boxes costs zeros(f) * n Alice-marginal
+    cells at one input, not zeros(f) * 2^n evaluations: xor on 14 bits,
+    2^27 evaluations through ``evaluate``, is 2^13 * 14 cells from the
+    boxes, and its distance at one input is the closed form's, eps."""
+    f = xor_function(14)
+    partition = build_attack_partition(f, _params())
+    assert f.zeros_total * 2**f.n > EVAL_CAP >= f.zeros_total * f.n
+    summed = distance_details(f, partition, at_input=((0,) * 14, (1,) * 14))
+    assert summed == distance_details(f, partition)
+    assert summed.distance == EIGHTH
+
+
+@pytest.mark.parametrize("wrap, cost, path", [
+    (lambda part: part, 32, "from its boxes' Alice marginals needs 32 Alice-marginal cells"),
+    (PerPointSystem, 128, "through evaluate needs 128 evaluations"),
+])
+def test_distance_refusal_names_the_path(monkeypatch, wrap, cost, path):
+    """Each path is counted in its own unit: xor on 4 bits has 8 zeros,
+    so a part costs 8 * 4 cells from its boxes, or 8 * 2^4 ``evaluate``
+    calls.  With the cap one below that cost the part is refused, and
+    the message names the path; with the cap at the cost it runs."""
+    f = xor_function(4)
+    attack = build_attack_partition(f, _params())
+    partition = Partition(tuple((w, wrap(part)) for w, part in attack.parts))
+    at_input = ((0,) * 4, (0,) * 4)
+    monkeypatch.setattr(nonsignalling, "EVAL_CAP", cost - 1)
+    with pytest.raises(InfeasibleSizeError, match=re.escape(path)):
+        distance_details(f, partition, at_input=at_input)
+    monkeypatch.setattr(nonsignalling, "EVAL_CAP", cost)
+    assert distance_details(f, partition, at_input=at_input).distance == EIGHTH
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,9 @@ from chainbell import (
     materialize,
     parse_function_spec,
 )
-from chainbell.nonsignalling import _SLAB, MAX_WITNESSES, convex_mismatches, distribution_checks
+from chainbell import nonsignalling
+from chainbell.boxes import at_least, close
+from chainbell.nonsignalling import _SLAB, MAX_WITNESSES, check_part, convex_mismatches
 from chainbell.systems import BoxProductSystem
 
 from helpers import (
@@ -97,8 +99,7 @@ def _results(partition, base, tables):
     subsets = sorted({(1,), (1, base.n)})  # (n,) and (1..n) are a cut and ab
     out = [convex_mismatches(base_table, part_tables, partition.weights)]
     for system, table in zip((base, *partition.systems), tables):
-        out.append((table.den, distribution_checks(table),
-                    check_time_ordered(system, table=table), check_ab(system, table=table)))
+        out.append((table.den, check_part(table), check_ab(system, table=table)))
         out.extend(check_subset(system, side, subset, table=table)
                    for side in ("alice", "bob") for subset in subsets)
     return repr(out)
@@ -230,7 +231,7 @@ def test_mutants_fail():
         time_ordered = [check_time_ordered(s, table=t).passed
                         for s, t in zip(partition.systems, tables[1:])]
         failing[name] = (total > 0, all(time_ordered),
-                         all(all(distribution_checks(t)) for t in tables[1:]))
+                         all(all(check_part(t)[:2]) for t in tables[1:]))
     assert failing == {
         "base-off-by-a-twentieth": (True, True, True),
         "flipped-sigma": (True, False, False),
@@ -238,6 +239,98 @@ def test_mutants_fail():
         "eps-third-parts-eighth-base": (True, True, True),
         "negative-entry": (True, False, False),
     }
+
+
+def _block_sums_oracle(table):
+    """(nonnegative, normalized) from a plain ``sum`` over each settings
+    block's slice of ``table.values``: no code shared with
+    ``nonsignalling``, only the tolerance rule of ``boxes``."""
+    size, values = 4**table.n, list(table.values)
+    one = table.den if table.exact else 1.0
+    sums = [sum(values[start:start + size]) for start in range(0, len(values), size)]
+    return at_least(min(values), 0), all(close(total, one) for total in sums)
+
+
+def _assert_part_checks(system, table, verdict=(True, True)):
+    """``check_part`` reads ``verdict`` from ``table``, as the oracle does,
+    with the report ``check_time_ordered`` reads."""
+    nonnegative, normalized, report = check_part(table)
+    assert (nonnegative, normalized) == _block_sums_oracle(table) == verdict
+    assert repr(report) == repr(check_time_ordered(system, table=table))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_check_part_matches_the_block_sum_oracle(n):
+    """Every table of the acceptance corpus at n, in lanes, as the same
+    numerators in a list, and in floats at the quantum eps: the base and
+    both attack parts."""
+    layouts = set()
+    for f in [f for f in acceptance_corpus() if f.n == n]:
+        for params in (_rational(EIGHTH), BoxParams.quantum(2)):
+            base = build_product_system(build_unbiased_box(params), n)
+            for system in (base, *build_attack_partition(f, params).systems):
+                table = materialize(system)
+                tables = [table, _as_list(table)] if table.exact else [table]
+                for t in tables:
+                    layouts.add((type(t.values), t.exact))
+                    _assert_part_checks(system, t)
+    assert layouts == {(array, True), (list, True), (list, False)}
+
+
+def test_check_part_matches_the_block_sum_oracle_at_n5():
+    params = _rational(EIGHTH)
+    base = build_product_system(build_unbiased_box(params), 5)
+    partition = build_attack_partition(parse_function_spec("random:1", 5), params)
+    for system in (base, *partition.systems):
+        _assert_part_checks(system, materialize(system))
+
+
+def _moved(table, index, amount):
+    """A list copy of ``table`` with ``amount`` added at ``index``."""
+    values = list(table.values)
+    values[index] += amount
+    return replace(table, values=values)
+
+
+def test_check_part_catches_one_entry_off():
+    """One lane raised by 1 in the last block is not normalized; one list
+    entry made -1 in a middle block, its block's sum kept by the next
+    entry, is normalized but not nonnegative; one float entry raised by
+    1e-9 in a middle block is not normalized, while 1e-15 at every
+    entry, 2.6e-13 per block, is still within tolerance."""
+    f = parse_function_spec("random:1", 4)
+    part = build_attack_partition(f, _rational(EIGHTH)).systems[0]
+    table = materialize(part)
+    last, middle = len(table.values) - 5, len(table.values) // 2 + 4**4 * 3
+    _assert_part_checks(part, _raised(table, last), (True, False))
+    moved = table.values[middle] + 1
+    negative = _moved(_moved(table, middle + 1, moved), middle, -moved)
+    assert negative.values[middle] == -1
+    _assert_part_checks(part, negative, (False, True))
+
+    quantum = build_attack_partition(f, BoxParams.quantum(2)).systems[0]
+    floats = materialize(quantum)
+    _assert_part_checks(quantum, _moved(floats, middle + 7, 1e-9), (True, False))
+    noisy = replace(floats, values=[v + 1e-15 for v in floats.values])
+    _assert_part_checks(quantum, noisy, (True, True))
+
+
+def test_check_part_sums_the_table_once(monkeypatch):
+    """``check_part`` sums what ``check_time_ordered`` sums, then x_n..x_1
+    out of Bob's cut-1 grid, 4^n / 2^n times smaller than the table: the
+    table is not summed a second time for its block sums."""
+    n = 4
+    part = build_attack_partition(parse_function_spec("random:1", n), _rational(EIGHTH)).systems[0]
+    table = materialize(part)
+    read = []
+    sum_out = nonsignalling._sum_out
+    monkeypatch.setattr(nonsignalling, "_sum_out",
+                        lambda values, stride: read.append(len(values)) or sum_out(values, stride))
+    check_time_ordered(part, table=table)
+    chain = sum(read)
+    read.clear()
+    check_part(table)
+    assert sum(read) - chain == sum(len(table.values) >> (n + k) for k in range(n))
 
 
 def test_block_sums_above_den_take_a_wider_lane():
@@ -252,7 +345,7 @@ def test_block_sums_above_den_take_a_wider_lane():
     assert table.den == 9 and max(table.values) < 2**8 and table.values.itemsize == 2
     points = [table.point(i) for i in range(len(table.values))]
     assert [Fraction(v, 9) for v in table.values] == [system.evaluate(*p) for p in points]
-    assert distribution_checks(table) == (True, False)
+    assert check_part(table)[:2] == (True, False)
     for side, subset in product(("alice", "bob"), ((1,), (2,), (1, 2))):
         report = check_subset(system, side, subset, table=table)
         oracle, checks = brute_force_violations(system, side, subset)
