@@ -38,9 +38,9 @@ The adversary machinery, for a hash f:
   as one ``bytes`` of marks, one per prefix: 0 for no pivot, 1 + sigma
   for a pivot.  The walk sums the gap |z0 - z1| at each pivot, which
   fixes the zeros of the branches sigma points at.  A string's pivot is
-  the first level that marks its prefix; ``PivotalProfile.records``
-  builds ``(prefix_len, prefix_code, sigma)`` tuples of ints from the
-  marks only when read.
+  the first level that marks its prefix.  ``PivotalProfile.records``
+  only counts the pivots, off the levels' pivot counts; it builds no
+  record and cannot be iterated.
 - ``build_attack_partition(f, params)`` assembles the two half-weight
   parts that bias each string's pivotal pair towards (or away from) a
   zero of f, which is the whole attack.
@@ -65,14 +65,12 @@ import string
 import sys
 from array import array
 from collections import deque
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add
 
-from ._coding import bits_to_int
 from .boxes import BoxParams, bias_box, build_unbiased_box
 from .systems import AttackedSystem, Partition
 
@@ -143,14 +141,6 @@ class HashFunction:
             del chunk  # not kept while the next chunk is read
         object.__setattr__(self, "zeros_total", size - ones)
 
-    def value(self, x: Sequence[int]) -> int:
-        if len(x) != self.n:
-            raise ValueError(f"x must have {self.n} bits, got {len(x)}")
-        for b in x:
-            if b not in (0, 1):
-                raise ValueError(f"x must hold bits, got {b}")
-        return self.bits[bits_to_int(x)]
-
     @cached_property
     def tree(self) -> list[array]:
         """The zero-count tree: ``tree[L][p]`` is the number of
@@ -196,11 +186,10 @@ class PivotalProfile:
     ranges are disjoint and cover [0, 2^n), and a string's pivotal data
     depends on the prefix before the pivot only (the prefix property), so
     ``pivot`` reads it at the first level that marks the string's prefix.
-    ``counts`` holds the pivots per level.  ``records`` views the pivots
-    as ``(prefix_len, prefix_code, sigma)`` tuples in string order, built
-    on demand.  ``zeros_toward`` is the number of zeros of f in the
-    branches the sigmas point at: (zeros_total + gap) / 2, for the pivots'
-    summed gap |z0 - z1|.
+    ``counts`` holds the pivots per level, and ``len(records)`` their
+    sum, the number of pivotal prefixes.  ``zeros_toward`` is the number
+    of zeros of f in the branches the sigmas point at: (zeros_total +
+    gap) / 2, for the pivots' summed gap |z0 - z1|.
     """
 
     def __init__(self, function: HashFunction,
@@ -230,25 +219,15 @@ class PivotalProfile:
 
 
 class _Records:
-    """``PivotalProfile.records``: one ``(prefix_len, prefix_code, sigma)``
-    tuple of ints per pivotal prefix, in ascending order of the strings
-    they cover, each built when it is read.  The length is the sum of the
-    levels' pivot counts and builds none."""
+    """``PivotalProfile.records``: only a length, the number of pivotal
+    prefixes, summed from the levels' pivot counts.  A prefix's pivot is
+    read off its level's marks (``PivotalProfile.levels``)."""
 
     def __init__(self, profile: PivotalProfile):
         self._profile = profile
 
     def __len__(self) -> int:
         return sum(self._profile.counts)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        profile = self._profile
-        start = 0
-        while start < 1 << profile.n:
-            index, sigma = profile.pivot(start)
-            span = profile.n - index + 1
-            yield index - 1, start >> span, sigma
-            start += 1 << span
 
 
 #: The top byte of a lane of ``_level_marks`` -> the prefix's mark: bit 7

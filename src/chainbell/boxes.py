@@ -20,7 +20,8 @@ all inputs):
 
 Biasing (``bias_box``) shifts eps/2 of probability within every row from
 one Alice outcome to the other: Alice's marginal moves to 1/2 + eps
-while Bob's marginal and all the correlation terms stay untouched.
+while Bob's marginal and all the correlation terms stay untouched.  A
+negative eps is refused, and so is a box with fewer than one setting.
 
 One tolerance rule serves the whole package, through ``close`` (=) and
 ``at_least`` (>=): a comparison is exact when both operands are exact
@@ -126,7 +127,8 @@ class SinglePairBox:
     ``cells`` is flat, in the order of the points (a, b, x, y), with a, b
     the setting indices (u = 2a, v = 2b+1) and x, y the outcome bits, the
     last varying fastest; the builders write cells in that order.  It
-    must hold one cell per point, 4N^2 in all (ValueError otherwise).
+    must have N >= 1 settings and hold one cell per point, 4N^2 in all
+    (ValueError otherwise).
     ``__post_init__`` maps each point to its cell once, and ``prob`` is
     that map's one reader: a point outside the box raises ValueError.
     """
@@ -135,6 +137,8 @@ class SinglePairBox:
     cells: tuple[Prob, ...]
 
     def __post_init__(self) -> None:
+        if self.n_settings < 1:
+            raise ValueError(f"a box needs N >= 1 settings, got N={self.n_settings}")
         expected = 4 * self.n_settings**2
         if len(self.cells) != expected:
             raise ValueError(f"a box with N={self.n_settings} needs 4N^2 = {expected} "
@@ -230,10 +234,13 @@ def bias_box(box: SinglePairBox, sigma: int, eps: Prob) -> SinglePairBox:
 
     Alice's marginal becomes 1/2 + eps at x = sigma for every setting pair,
     Bob's marginal and the Bell value are unchanged.  Raises ValueError if
-    some source cell would underflow (a malformed input box).
+    eps < 0, which would drive the x = sigma cells below zero, or if some
+    source cell would underflow (a malformed input box).
     """
     if sigma not in (0, 1):
         raise ValueError(f"sigma must be a bit, got {sigma}")
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     n = box.n_settings
     if isinstance(eps, int):
         eps = Fraction(eps)

@@ -118,7 +118,6 @@ from itertools import chain, compress, count, cycle, product, repeat
 from operator import add, mul, ne, truediv
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from ._coding import int_to_digits
 from .boxes import FLOAT_ATOL, Prob, all_exact, at_least, close
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,6 +134,15 @@ MAX_WITNESSES = 10
 CONDITION_AB = "ab"
 CONDITION_TIME_ORDERED = "time-ordered"
 CONDITION_SUBSET = "subset"
+
+
+def int_to_digits(code: int, n: int, base: int) -> tuple[int, ...]:
+    """The n base-``base`` digits of an integer, first digit most
+    significant: the order of both words of a joint table's index."""
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        code, out[i] = divmod(code, base)
+    return tuple(out)
 
 
 class InfeasibleSizeError(RuntimeError):

@@ -26,7 +26,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from ._coding import bits_to_int
 from .boxes import Prob, SinglePairBox, at_least, close
 from .nonsignalling import (
     NsReport,
@@ -41,6 +40,15 @@ from .nonsignalling import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .adversary import PivotalProfile
+
+
+def bits_to_int(bits: Sequence[int]) -> int:
+    """The code of a bit string, first bit most significant:
+    sum_i x_i * 2^(n - i) for i = 1..n, the package's one bit order."""
+    code = 0
+    for b in bits:
+        code = (code << 1) | b
+    return code
 
 
 class SystemEvaluator(ABC):

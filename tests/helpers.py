@@ -28,7 +28,7 @@ from chainbell import (
     random_function,
 )
 from chainbell.nonsignalling import CONDITION_SUBSET, MAX_WITNESSES, NsViolation
-from chainbell.systems import Partition, SystemEvaluator
+from chainbell.systems import BoxProductSystem, Partition, SystemEvaluator, bits_to_int
 
 
 def pivotal_threshold(n: int) -> Fraction:
@@ -77,6 +77,19 @@ def record_zeros(f: HashFunction, record: Record) -> tuple[int, int]:
     start = prefix_code * 2 * half
     return (f.bits[start:start + half].count(0),
             f.bits[start + half:start + 2 * half].count(0))
+
+
+def profile_records(profile: PivotalProfile) -> tuple[Record, ...]:
+    """The profile's pivots as records, in ascending order of the strings
+    they cover, read off its marks: one per nonzero mark, whose level is
+    the prefix length and whose value is 1 + sigma.  Their number must be
+    ``len(profile.records)``."""
+    n = profile.n
+    records = sorted(((length, code, mark - 1) for length, marks in profile.levels
+                      for code, mark in enumerate(marks) if mark),
+                     key=lambda record: record[1] << (n - record[0]))
+    assert len(records) == len(profile.records)
+    return tuple(records)
 
 
 def oracle_pivotal_profile(f: HashFunction) -> tuple[tuple[Record, ...], int, dict[int, int]]:
@@ -403,7 +416,7 @@ def profile_delta(profile: PivotalProfile, x_code: int) -> Fraction:
     the function's zero-count tree."""
     index, _ = profile.pivot(x_code)
     prefix = x_code >> (profile.n - index + 1)
-    (record,) = [r for r in profile.records if r[:2] == (index - 1, prefix)]
+    (record,) = [r for r in profile_records(profile) if r[:2] == (index - 1, prefix)]
     return influence(profile.function.tree, record_index(record), prefix)
 
 
@@ -421,7 +434,7 @@ def joint_key_zero_prob(f: HashFunction, system: SystemEvaluator, u, v):
     """Pr[f(X) = 0] by raw double summation at a fixed input tuple."""
     total = 0
     for x in product((0, 1), repeat=system.n):
-        if f.value(x) != 0:
+        if f.bits[bits_to_int(x)] != 0:
             continue
         for y in product((0, 1), repeat=system.n):
             total += system.evaluate(x, y, u, v)
@@ -521,3 +534,65 @@ def lines_run_in(counted, function, *args, **kwargs) -> int:
     finally:
         sys.settrace(previous)
     return lines
+
+
+def independent_table_checks(system: BoxProductSystem, table, samples: int,
+                             seed: int = 0) -> dict[str, int]:
+    """Mismatches between a box product's joint table and three checks
+    that share no code with the box-product builder or with
+    ``nonsignalling``: they read the index layout that ``JointTable``
+    states (settings word, then x, then y, first digit most significant)
+    and add entries with a plain ``sum`` over runs and strided slices.
+
+    - ``sample``: ``samples`` seeded entries against ``evaluate``, which
+      multiplies the boxes' cells point by point;
+    - ``y_marginal``: summing every x out of a (u, v) block gives the
+      product of the boxes' Bob marginals at every y, 1/2^n;
+    - ``x_marginal``: summing every y out gives, at each x, the product
+      of x's boxes' Alice marginals, taken once per (x, u) since a box's
+      Alice marginal does not depend on Bob's setting.
+
+    A single wrong entry changes both marginals, and the sample catches
+    errors that cancel in every sum.  The identities hold for boxes that
+    pass ``validate`` (Bob marginals 1/2, Alice's independent of b), the
+    Y-marginal one only when the box at position j depends on
+    x_1..x_{j-1} alone: both premises are asserted first.  Exact tables
+    are compared exactly, float tables to within ``FLOAT_ATOL``."""
+    n, N = system.n, system.n_settings
+    values, run, block = table.values, 2**n, 4**n
+    exact = table.den is not None
+    scale = table.den if exact else 1.0
+    boxes_by_x = [system.pair_boxes(x) for x in range(run)]
+    for box in {id(box): box for boxes in boxes_by_x for box in boxes}.values():
+        box.validate()
+    for x, boxes in enumerate(boxes_by_x):
+        for j, box in enumerate(boxes):
+            assert box == boxes_by_x[x >> (n - j) << (n - j)][j], (x, j)
+
+    def same(entry, expected) -> bool:
+        return entry == expected if exact else abs(entry - expected) <= FLOAT_ATOL
+
+    def digits(code: int, base: int, width: int) -> tuple[int, ...]:
+        return tuple(code // base ** (width - 1 - d) % base for d in range(width))
+
+    mismatches = dict.fromkeys(("sample", "y_marginal", "x_marginal"), 0)
+    rng = random.Random(f"independent-table-checks:{seed}")
+    for index in rng.sample(range(len(values)), min(samples, len(values))):
+        settings, outcomes = divmod(index, block)
+        word, (x, y) = digits(settings, N, 2 * n), divmod(outcomes, run)
+        p = system.evaluate(digits(x, 2, n), digits(y, 2, n), word[:n], word[n:])
+        mismatches["sample"] += not same(values[index], p * scale)
+
+    words = list(product(range(N), repeat=n))
+    alice = {(u, x): scale * math.prod(box.alice_marginal(a, 0, bit) for box, a, bit
+                                       in zip(boxes, u, digits(x, 2, n)))
+             for u in words for x, boxes in enumerate(boxes_by_x)}
+    y_expected = Fraction(scale, run) if exact else scale / run
+    for s, (u, _) in enumerate(product(words, repeat=2)):
+        entries = values[s * block:(s + 1) * block]
+        mismatches["y_marginal"] += sum(not same(sum(entries[y::run]), y_expected)
+                                        for y in range(run))
+        mismatches["x_marginal"] += sum(not same(sum(entries[x * run:(x + 1) * run]),
+                                                 alice[u, x])
+                                        for x in range(run))
+    return mismatches

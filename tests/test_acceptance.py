@@ -41,6 +41,7 @@ from helpers import (
     influence,
     pivotal_index,
     pivotal_threshold,
+    profile_records,
     record_index,
     seeded_almost_balanced,
 )
@@ -187,10 +188,10 @@ def test_criterion_8_pivotal_existence():
     for n in (1, 2, 3):
         threshold = pivotal_threshold(n)
         for f in exhaustive_almost_balanced(n):
-            profile = build_pivotal_profile(f)
-            covered = sum(2 ** (n - length) for length, _, _ in profile.records)
+            records = profile_records(build_pivotal_profile(f))
+            covered = sum(2 ** (n - length) for length, _, _ in records)
             assert covered == 2**n
-            for rec in profile.records:
+            for rec in records:
                 _, code, _ = rec
                 assert influence(f.tree, record_index(rec), code) >= threshold
             total += 1

@@ -28,7 +28,7 @@ from chainbell import (
     xor_function,
 )
 
-from chainbell._coding import bits_to_int
+from chainbell.systems import bits_to_int
 
 from helpers import (
     constant_function,
@@ -45,6 +45,7 @@ from helpers import (
     pivotal_index,
     pivotal_threshold,
     profile_delta,
+    profile_records,
     record_index,
     record_zeros,
     tree_zeros,
@@ -71,24 +72,10 @@ def hash_functions(draw, min_n=1, max_n=5):
 
 def test_msb_first_index_convention(worked_example):
     # x_1 is the most significant bit of the table index
-    assert worked_example.value((0, 1, 0)) == WORKED_BITS[2] == 1
-    assert worked_example.value((1, 0, 1)) == WORKED_BITS[5] == 0
+    assert bits_to_int((0, 1, 0)) == 2 and bits_to_int((1, 0, 1)) == 5
+    assert worked_example.bits[bits_to_int((0, 1, 0))] == WORKED_BITS[2] == 1
+    assert worked_example.bits[bits_to_int((1, 0, 1))] == WORKED_BITS[5] == 0
     assert worked_example.bits[0] == 0
-
-
-def test_value_checks_string_length(worked_example):
-    """A short x would read the entry of its own shorter code."""
-    for x in [(1,), (0, 1), (0, 1, 0, 0)]:
-        with pytest.raises(ValueError, match=f"x must have 3 bits, got {len(x)}"):
-            worked_example.value(x)
-
-
-@pytest.mark.parametrize("x", [(0, 2, 0), (0, -1, 0)])
-def test_value_refuses_entries_that_are_not_bits(x):
-    """Such an x would read another string's entry: (0, 2, 0) encodes to
-    4, and (0, -1, 0) to -2, a negative index."""
-    with pytest.raises(ValueError, match=f"x must hold bits, got {x[1]}"):
-        xor_function(3).value(x)
 
 
 def test_hash_function_validation():
@@ -455,7 +442,7 @@ def test_pivotal_worked_x101(worked_example):
 def test_pivotal_worked_profile_prefixes(worked_example):
     profile = build_pivotal_profile(worked_example)
     by_prefix = {}
-    for rec in profile.records:
+    for rec in profile_records(profile):
         length, code, _ = rec
         by_prefix[length, code] = record_index(rec)
     assert by_prefix == {(1, 0): 2, (2, 2): 3, (2, 3): 3}
@@ -466,8 +453,9 @@ def test_pivot_records_hold_prefix_and_direction_only(worked_example):
     """Zero counts live in the tree alone; a record names its prefix and
     the direction of the more-zeros branch after it."""
     profile = build_pivotal_profile(worked_example)
-    assert tuple(profile.records) == ((1, 0, 0), (2, 2, 1), (2, 3, 0))
-    assert all(type(field) is int for record in profile.records for field in record)
+    assert profile_records(profile) == ((1, 0, 0), (2, 2, 1), (2, 3, 0))
+    assert [(length, bytes(marks)) for length, marks in profile.levels] == [
+        (1, b"\1\0"), (2, b"\0\0\2\1")]
     assert profile.zeros_toward == 2 + 1 + 1
 
 
@@ -503,8 +491,9 @@ def assert_profile_matches_pointwise_walk(f):
         assert profile.pivot(code) == (index, sigma)
         assert profile_delta(profile, code) == delta
         assert delta >= pivotal_threshold(f.n)
+    records = profile_records(profile)
     end = 0
-    for rec in profile.records:
+    for rec in records:
         length, code, _ = rec
         span = f.n - length
         assert code << span == end
@@ -514,12 +503,12 @@ def assert_profile_matches_pointwise_walk(f):
         assert delta >= pivotal_threshold(f.n)
         assert delta == Fraction(abs(zeros0 - zeros1), 2 ** (f.n - index))
     assert end == 2**f.n
-    zeros = [record_zeros(f, r) for r in profile.records]
-    toward = sum(z[sigma] for (_, _, sigma), z in zip(profile.records, zeros))
-    away = sum(z[1 - sigma] for (_, _, sigma), z in zip(profile.records, zeros))
+    zeros = [record_zeros(f, r) for r in records]
+    toward = sum(z[sigma] for (_, _, sigma), z in zip(records, zeros))
+    away = sum(z[1 - sigma] for (_, _, sigma), z in zip(records, zeros))
     assert (profile.zeros_toward, f.zeros_total - profile.zeros_toward) == (toward, away)
     histogram = {}
-    for rec in profile.records:
+    for rec in records:
         length, _, _ = rec
         index = record_index(rec)
         histogram[index] = histogram.get(index, 0) + 2 ** (f.n - length)
@@ -551,13 +540,18 @@ def test_profile_agrees_with_pointwise_walk_random_functions(n, seed):
 
 
 def assert_profile_matches_record_oracle(f):
-    """The level-wise walk gives the depth-first oracle's records in the
-    same order, its ``zeros_toward`` and its histogram, and every record
-    field is an int: a bool sigma would serialise as true/false."""
+    """The level-wise walk's marks give the depth-first oracle's records
+    in the same order, its ``zeros_toward`` and its histogram, and
+    ``pivot`` at each record's first string returns the record's index
+    and sigma as ints: a bool sigma would serialise as true/false."""
     profile = build_pivotal_profile(f)
     records, zeros_toward, histogram = oracle_pivotal_profile(f)
-    assert tuple(profile.records) == records
-    assert all(type(field) is int for record in profile.records for field in record)
+    assert profile_records(profile) == records
+    assert all(type(marks) is bytes for _, marks in profile.levels)
+    for length, code, sigma in records:
+        pivot = profile.pivot(code << (f.n - length))
+        assert pivot == (length + 1, sigma)
+        assert all(type(field) is int for field in pivot)
     assert profile.zeros_toward == zeros_toward
     assert list(profile.histogram().items()) == list(histogram.items())
 
@@ -606,7 +600,7 @@ def test_walk_pivots_every_prefix_before_a_dictator_bit(n, negated):
     for k in range(1, n + 1):
         profile = build_pivotal_profile(_dictator(n, k, negated))
         expected = tuple((k - 1, code, sigma) for code in range(1 << (k - 1)))
-        assert tuple(profile.records) == expected
+        assert profile_records(profile) == expected
         assert profile.zeros_toward == 2 ** (n - 1)
         assert profile.histogram() == {k: 2**n}
 
@@ -662,7 +656,7 @@ def test_every_walked_level_is_decided_by_level_marks(monkeypatch, build):
 def test_record_count_builds_no_records():
     """``len(profile.records)`` sums the levels' pivot counts: at xor
     n = 16, with 2^15 pivotal prefixes, it runs a line or two in the
-    package, where building the records runs lines per record."""
+    package, where counting pivot by pivot runs lines per pivot."""
     profile = build_pivotal_profile(xor_function(16))
     in_package = lambda code: code.co_filename == chainbell.adversary.__file__
     assert lines_run_in(in_package, len, profile.records) <= 5
@@ -712,7 +706,7 @@ def test_prefix_property(f):
             other = prefix + suffix
             assert pivotal_index(f, other)[:2] == (index, sigma)
     # and the profile groups cover all strings exactly once
-    covered = sum(2 ** (f.n - length) for length, _, _ in profile.records)
+    covered = sum(2 ** (f.n - length) for length, _, _ in profile_records(profile))
     assert covered == 2**f.n
 
 
@@ -731,8 +725,9 @@ def test_pivotal_exists_for_random_large_n(n, seed):
         seed_offset += 100
         f = random_function(n, seed + seed_offset)
     profile = build_pivotal_profile(f)
-    assert sum(2 ** (n - length) for length, _, _ in profile.records) == 2**n
-    for rec in profile.records:
+    records = profile_records(profile)
+    assert sum(2 ** (n - length) for length, _, _ in records) == 2**n
+    for rec in records:
         _, code, _ = rec
         assert influence(f.tree, record_index(rec), code) >= pivotal_threshold(n)
 

@@ -45,6 +45,7 @@ from helpers import (
     influence,
     joint_key_zero_prob,
     lemma_distance_oracle,
+    profile_records,
     seeded_almost_balanced,
 )
 
@@ -208,7 +209,7 @@ def test_distance_decomposes_over_pivotal_influences(seed):
     profile = partition.systems[0].profile
     recombined = EIGHTH * sum(
         Fraction(1, 2**length) * influence(f.tree, length + 1, code)
-        for length, code, _ in profile.records
+        for length, code, _ in profile_records(profile)
     )
     assert distance_details(f, partition).distance == recombined
 

@@ -201,6 +201,20 @@ def test_bias_underflow_rejected():
             bias_box(box, sigma, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("params, eps", [
+    (BoxParams.rational(2, EIGHTH), Fraction(-1, 4)),
+    (BoxParams.quantum(2), -0.1),
+], ids=["exact", "float"])
+def test_bias_refuses_a_negative_eps(params, eps):
+    """A negative eps would shift probability out of the x = sigma cells,
+    which the underflow check on the other cells never sees: with
+    eps = -1/4 the diagonal cells 3/16 would become -1/16."""
+    box = build_unbiased_box(params)
+    for sigma in (0, 1):
+        with pytest.raises(ValueError, match=re.escape(f"eps must be >= 0, got {eps}")):
+            bias_box(box, sigma, eps)
+
+
 def test_bias_rejects_non_bit_sigma():
     box = build_unbiased_box(BoxParams.rational(2, EIGHTH))
     with pytest.raises(ValueError):
@@ -294,6 +308,19 @@ def test_box_refuses_a_cell_count_other_than_4n_squared(count):
     cells = tuple(Fraction(1, 16) for _ in range(count))
     with pytest.raises(ValueError, match=re.escape(f"needs 4N^2 = 16 cells, got {count}")):
         SinglePairBox(2, cells)
+
+
+@pytest.mark.parametrize("n, cells", [(0, ()), (-1, (Fraction(1, 4),) * 4)],
+                         ids=["N=0", "N=-1"])
+def test_box_refuses_fewer_than_one_setting(n, cells):
+    """Both boxes hold 4N^2 cells, yet have no setting to read them at."""
+    with pytest.raises(ValueError, match=re.escape(f"a box needs N >= 1 settings, got N={n}")):
+        SinglePairBox(n, cells)
+
+
+def test_box_with_one_setting_is_allowed():
+    box = SinglePairBox(1, (Fraction(1, 4),) * 4)
+    assert box.prob(0, 0, 1, 1) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -47,6 +47,7 @@ from helpers import (
     PerPointSystem,
     acceptance_corpus,
     brute_force_violations,
+    independent_table_checks,
     seeded_almost_balanced,
     witness_key,
 )
@@ -391,6 +392,31 @@ def test_lane_bytes_are_pinned(n, N, eps):
     partition = build_attack_partition(parse_function_spec("random:1", n), params)
     tables = [materialize(s) for s in (base, *partition.systems)]
     assert [(t.values.typecode, t.den, _lane_sha256(t.values)) for t in tables] == PINNED[n, N, eps]
+
+
+@pytest.mark.parametrize("n, N", [(5, 2), (4, 3)], ids=["n5-N2", "n4-N3"])
+def test_builder_tables_pass_checks_independent_of_the_builder(n, N):
+    """The base and both ``random:1`` parts, beyond the n <= 4 reach of the
+    per-point oracle at N = 2, against a seeded sample of ``evaluate`` and
+    both marginal identities, which share no code with the builder."""
+    params = BoxParams.rational(N, EIGHTH)
+    base = build_product_system(build_unbiased_box(params), n)
+    partition = build_attack_partition(parse_function_spec("random:1", n), params)
+    for system in (base, *partition.systems):
+        assert independent_table_checks(system, materialize(system), samples=2048) == {
+            "sample": 0, "y_marginal": 0, "x_marginal": 0}
+
+
+def test_independent_checks_catch_a_wrong_entry_and_a_wrong_den():
+    """One numerator raised by 1 moves one sum of each identity, and a
+    sample of every entry finds it; a doubled ``den`` fails everywhere."""
+    base = _base(3)
+    table = materialize(base)
+    size = len(table.values)
+    assert independent_table_checks(base, _raised(table, 1234), samples=size) == {
+        "sample": 1, "y_marginal": 1, "x_marginal": 1}
+    assert independent_table_checks(base, replace(table, den=2 * table.den), samples=size) == {
+        "sample": size, "y_marginal": size // 8, "x_marginal": size // 8}
 
 
 def test_build_peaks_near_its_lane_bytes():

@@ -1,10 +1,14 @@
 """Package-wide layout rules.
 
-The package carries no code that only tests use: every function, method
-and class defined under ``src/chainbell`` is referenced by name somewhere
-in the package outside its own definition, or exported from
-``chainbell/__init__.py``.  Oracles that only tests need live in
-``tests/helpers.py`` instead.
+The package carries no code that only tests use: every function and
+class defined under ``src/chainbell`` is referenced by name somewhere in
+the package outside its own definition, and every method is read as an
+attribute there, so a variable that shares a method's name does not keep
+it; or the definition is exported from ``chainbell/__init__.py``.
+Dunder methods are not checked: the one kept only for a reader outside
+the package is ``_Records.__len__``, for the benchmark's
+``len(profile.records)``.
+Oracles that only tests need live in ``tests/helpers.py`` instead.
 
 One predicate decides exactness: ``isinstance(value, (int, Fraction))``
 appears only in ``boxes.all_exact``.  One method reads a box's cell at a
@@ -62,6 +66,19 @@ def _referenced_names(node: ast.AST) -> Counter:
     return names
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    """Names read as attributes anywhere under node: the only way a
+    method is used, so a variable of the same name does not count."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _methods(tree: ast.Module) -> set[int]:
+    """``id`` of every function defined directly in a class body."""
+    return {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
 def _exported_names(init: ast.Module) -> set[str]:
     return {alias.asname or alias.name
             for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
@@ -73,9 +90,11 @@ def unreferenced_definitions(package: Path) -> list[str]:
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     exported = _exported_names(trees["__init__.py"])
-    everywhere = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    names = sum(map(_referenced_names, trees.values()), Counter())
+    attributes = sum(map(_attribute_reads, trees.values()), Counter())
     unused = []
     for filename, tree in trees.items():
+        methods = _methods(tree)
         for node in ast.walk(tree):
             if not isinstance(node, DEFINITIONS):
                 continue
@@ -83,7 +102,9 @@ def unreferenced_definitions(package: Path) -> list[str]:
             if (name.startswith("__") and name.endswith("__")) or name in exported \
                     or (filename, name) in ENTRY_POINTS:
                 continue
-            if everywhere[name] - _referenced_names(node)[name] <= 0:
+            uses, everywhere = ((_attribute_reads, attributes) if id(node) in methods
+                                else (_referenced_names, names))
+            if everywhere[name] - uses(node)[name] <= 0:
                 unused.append(f"{filename}:{name}")
     return unused
 

@@ -21,7 +21,7 @@ from chainbell import (
 )
 from chainbell import nonsignalling
 from chainbell.nonsignalling import MAX_WITNESSES
-from chainbell._coding import bits_to_int
+from chainbell.systems import bits_to_int
 
 from helpers import (
     NegatedPointSystem,
