@@ -23,10 +23,11 @@ one Alice outcome to the other: Alice's marginal moves to 1/2 + eps
 while Bob's marginal and all the correlation terms stay untouched.  A
 negative eps is refused, and so is a box with fewer than one setting.
 
-One tolerance rule serves the whole package, through ``close`` (=) and
-``at_least`` (>=): a comparison is exact when both operands are exact
-(int or Fraction), and holds to within ``FLOAT_ATOL`` when either one is
-a float.
+One tolerance rule serves the whole package, through ``close`` (=),
+``apart`` (not ``close``, over many entries in one call) and ``at_least``
+(>=): a comparison is exact when both operands are exact (int or
+Fraction), and holds to within ``FLOAT_ATOL`` when either one is a
+float.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Prob = Union[Fraction, float]
 
@@ -48,6 +49,17 @@ def close(lhs: Prob, rhs: Prob) -> bool:
     if type(lhs) is float or type(rhs) is float:
         return abs(lhs - rhs) <= FLOAT_ATOL
     return lhs == rhs
+
+
+def apart(lhs: Sequence[Prob], rhs: Sequence[Prob], positions: Iterable[int]) -> list[int]:
+    """Those of ``positions`` at which ``lhs`` and ``rhs`` are not
+    ``close``, in the order given: the tolerance rule applied entry by
+    entry in one comprehension, with no call per entry.  For ints,
+    Fractions and floats the gap lhs - rhs is a float exactly when
+    either operand is one, so a float gap is held to ``FLOAT_ATOL`` and
+    an exact gap to 0; a NaN gap is apart, as in ``close``."""
+    return [k for k in positions
+            if not (abs(gap) <= FLOAT_ATOL if type(gap := lhs[k] - rhs[k]) is float else gap == 0)]
 
 
 def at_least(lhs: Prob, rhs: Prob) -> bool:

@@ -199,7 +199,8 @@ def _verify_system(args, params: BoxParams):
 
 def _subset(args) -> tuple[int, ...] | None:
     """The parsed ``--subset``: required by the subset check, refused by the
-    others, as ``--side`` is.  Positions are ASCII digits only."""
+    others, as ``--side`` is.  Positions are ASCII digits only, each named
+    once."""
     if args.check != "subset":
         for flag, value in (("--side", args.side), ("--subset", args.subset)):
             if value is not None:
@@ -212,7 +213,12 @@ def _subset(args) -> tuple[int, ...] | None:
     if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ValueError(f"--subset must be comma-separated positions like 1,3, "
                          f"got {args.subset!r}")
-    return tuple(map(int, tokens))
+    positions = tuple(map(int, tokens))
+    repeated = next((p for i, p in enumerate(positions) if p in positions[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"--subset names position {repeated} more than once, "
+                         f"got {args.subset!r}")
+    return positions
 
 
 def _cmd_verify(args) -> int:

@@ -45,25 +45,34 @@ x_n..x_1 are summed out of its cut-1 grid, which holds every y summed
 out and is 2^n times smaller than the table, so one sweep of a part's
 table yields its time-ordered report and its block sums.  Every check
 sums in this order, so in float tables it is the summation order, and a
-marginal has the same float bits whichever check computes it.  A lane
+marginal has the same float bits whichever check computes it.  A list
+is summed a slab at a time, its two halves read as step slices.  A lane
 table is read through 2-D views of equal rows (``_rows``): one C-level
 slice of the rows stands for a Python loop over runs or settings
 blocks.
+
+The kernel compares whole slices, never block by block.  For each
+delta -- one nonzero assignment of the subset's settings digits -- the
+blocks with zeros at those digits are compared with the blocks the
+delta moves them to, either as the contiguous runs of settings digits
+after the subset's last digit or as one strided slice per offset in a
+run, whichever loop is shorter (``_independence_violations``).
 
 Every violation is counted.  A report keeps as witnesses the first
 ``MAX_WITNESSES`` violations in witness order: by side (alice before
 bob), then cut (none counts as 0), then the left settings word, then
 the right settings word, then the kept outcome word, compared digit by
 digit from digit 1 with a summed digit before either bit.  The kernel
-and the convex check alike count the entries at which two blocks differ,
-and keep the first ones, through ``_count_differing``; only
+and the convex check alike count the entries at which two slices
+differ, and keep the first ones, through ``_count_differing``; only
 ``JointTable.point`` decodes their indices into points.
 
 Exact tables (all ints or Fractions) are normalized to integer numerators
 over a common denominator, so every marginal comparison is exact integer
-arithmetic.  Marginals are compared by ``boxes.close``, under the
-tolerance rule stated in ``boxes``; its float tolerance is far above
-double rounding at desk scale and far below any structural violation.
+arithmetic.  Marginals are compared under the tolerance rule stated in
+``boxes``, entry by entry through ``boxes.apart``; its float tolerance is
+far above double rounding at desk scale and far below any structural
+violation.
 
 A table has one of two layouts:
 
@@ -85,12 +94,12 @@ A table has one of two layouts:
   digit q = c must equal, as bytes, the rows with q = 0, for every c.
   If no block moves with any single subset digit, every block equals
   the one with zeros at all of S's digits, so there is no violation, and the
-  check skips its per-block comparisons.  Otherwise it compares block
-  pairs as on a list, so counts and witness order do not change.
+  check skips its slice comparisons.  Otherwise it compares slices as on
+  a list, so counts and witness order do not change.
 - *Lists.*  Every table built point by point through ``evaluate`` --
   the reference layout -- and every float table, box product with a
   negative cell, or box product whose B needs more than 64 bits holds a
-  ``list``, summed entry by entry.
+  ``list``, summed entry by entry through step slices.
 
 The convex check reads the tables in slabs of ``_SLAB`` entries (or one
 settings block, if larger); the last slab may be partial.  When every
@@ -118,7 +127,7 @@ from itertools import chain, compress, count, cycle, product, repeat
 from operator import add, mul, ne, truediv
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .boxes import FLOAT_ATOL, Prob, all_exact, at_least, close
+from .boxes import FLOAT_ATOL, Prob, all_exact, apart, at_least, close
 
 if TYPE_CHECKING:  # pragma: no cover
     from .systems import SystemEvaluator
@@ -270,7 +279,7 @@ def materialize(system: "SystemEvaluator") -> JointTable:
     raw = [system.evaluate(x, y, u, v)
            for u in settings for v in settings for x in outcomes for y in outcomes]
     if not all_exact(raw):
-        return JointTable(n, N, [float(v) for v in raw], None)
+        return JointTable(n, N, list(map(float, raw)), None)
     den = math.lcm(*{v.denominator for v in raw})
     return JointTable(n, N, [v.numerator * (den // v.denominator) for v in raw], den)
 
@@ -292,7 +301,8 @@ def _relaned(data: bytes, item: int, width: int) -> bytearray:
 #: Entries of P_{k-1} that one slab of a build pass reads, rounded to
 #: whole values of (u_1..u_{k-1}): it bounds the pass's transient ints
 #: and bytes, so a build peaks near the table itself.  The convex check
-#: reads every table in slabs of this many entries, or one block.
+#: reads every table in slabs of this many entries, or one block, and a
+#: list ``_sum_out`` sums half a slab, or one run, at a time.
 _SLAB = 2**13
 
 
@@ -447,14 +457,13 @@ def _scaled(value, den: int | None) -> Prob:
     return value if den is None else Fraction(value, den)
 
 
-def _count_differing(lhs: list, rhs: list, found: list, key: tuple) -> int:
-    """The number of entries at which two equal-length blocks differ under
-    ``boxes.close``.  The first ones, ``(*key, k, lhs[k], rhs[k])`` in
-    ascending k, go on ``found`` until it holds MAX_WITNESSES."""
-    ks = [k for k in compress(count(), map(ne, lhs, rhs)) if not close(lhs[k], rhs[k])]
-    for k in ks[:MAX_WITNESSES - len(found)]:
-        found.append((*key, k, lhs[k], rhs[k]))
-    return len(ks)
+def _count_differing(lhs: Sequence, rhs: Sequence) -> tuple[int, list[int]]:
+    """How many entries two equal-length sequences differ at under the
+    tolerance rule, and the first MAX_WITNESSES such positions, ascending.
+    ``ne`` narrows the entries to those not equal, and ``boxes.apart``
+    holds these to the tolerance entry by entry, in one call."""
+    ks = apart(lhs, rhs, compress(count(), map(ne, lhs, rhs)))
+    return len(ks), ks[:MAX_WITNESSES]
 
 
 def _digits(n: int, side: str, positions: Iterable[int]) -> tuple[int, ...]:
@@ -488,6 +497,14 @@ def _sum_out(values: array | list, stride: int) -> array | list:
     entries, the first half plus the second.  One pass over the whole
     flat grid, every settings word at once.
 
+    A list is summed ``_SLAB / 2`` entries (or one run, if longer) at a
+    time, so its transients stay bounded: a slab's step slices and their
+    sum hold fewer references than one ``_SLAB``.  In a slab the halves
+    are read as step slices: one pair per offset inside the stride when
+    offsets are fewer than runs, else one pair per run.
+    Each entry is the first half's plus the second's, so float bits do
+    not depend on the branch.
+
     Lanes stay in their width: the first halves of all runs and the
     second halves are read as two ints and added, which adds every lane
     to its partner with no carry between lanes (see the module
@@ -495,8 +512,20 @@ def _sum_out(values: array | list, stride: int) -> array | list:
     wider stride the table is viewed as rows of ``stride`` entries, and
     the halves are its even and odd rows, each read by one C-level copy."""
     if isinstance(values, list):
-        low = (1,) * stride + (0,) * stride
-        return list(map(add, compress(values, cycle(low)), compress(values, cycle(low[::-1]))))
+        out = [None] * (len(values) // 2)
+        run = 2 * stride
+        slab = max(_SLAB // 2, run)  # both powers of two, so whole runs
+        for start in range(0, len(values), slab):
+            stop = min(start + slab, len(values))
+            if stride < (stop - start) // run:
+                for i in range(stride):
+                    out[start // 2 + i:stop // 2:stride] = map(
+                        add, values[start + i:stop:run], values[start + stride + i:stop:run])
+            else:
+                for first in range(start, stop, run):
+                    out[first // 2:first // 2 + stride] = map(
+                        add, values[first:first + stride], values[first + stride:first + run])
+        return out
     if stride == 1:
         halves = values[::2], values[1::2]
     else:
@@ -546,12 +575,30 @@ def _independence_violations(
     (by ``_sum_out``, highest digit first; in float tables this is the
     summation order): one block of kept outcome words per settings word,
     in table order.  The blocks whose settings words differ only at the
-    subset's digits are compared with the one that has zeros there, as
-    whole slices, and through ``_count_differing`` where two slices differ.
+    subset's digits are compared with the one that has zeros there, one
+    delta (a nonzero assignment of those digits) at a time, as whole
+    slices, and through ``_count_differing`` where two slices differ.
     A lane grid in which no block moves with one subset digit
     (``_unmoved``) has no violation, and skips the comparisons.
-    Comparisons run in witness order (see the module docstring), so the
-    first MAX_WITNESSES violations found are the report's witnesses.
+
+    The settings digits after the subset's last digit are all kept, so
+    each settings prefix up to that digit owns one contiguous run of the
+    grid.  ``tail``, the highest run of consecutive kept digits before
+    that digit, gives ``spaced`` runs ``step`` entries apart; the kept
+    digits before ``tail`` give where each such group starts
+    (``firsts``), which also covers kept digits between the subset's
+    first and last digits.  Of the two loops that cover the runs, the
+    shorter runs:
+
+    - one slice per run, the delta's runs in order, all one sequence;
+    - one strided slice per offset in a run, across the ``spaced`` runs
+      of one first, each its own sequence.
+
+    Each sequence finds its violations in witness order, so a witness
+    of the report is among the first MAX_WITNESSES of its own sequence.
+    Each sequence keeps that many, merged into witness order as each
+    sequence ends, so at most MAX_WITNESSES candidates stay alive
+    between sequences.
     Returns (witnesses, total violation count, comparisons performed).
     """
     n, den, N = table.n, table.den, table.n_settings
@@ -561,25 +608,47 @@ def _independence_violations(
     checks = N ** len(kept) * (N ** len(digits) - 1) * G  # refs × deltas × G
     if isinstance(grid, array) and _unmoved(grid, digits, N):
         return [], 0, checks
-    refs = _scatter_codes(kept, 2 * n, N)
-    deltas = _scatter_codes(digits, 2 * n, N)[1:]
+    last = digits[-1]
+    run = N ** (2 * n - last) * G
+    inner = [q for q in kept if q < last]
+    split = max(len(inner) - 1, 0)
+    while split and inner[split - 1] == inner[split] - 1:
+        split -= 1
+    tail = inner[split:]
+    spaced, step = N ** len(tail), N ** (last - tail[-1]) * run if tail else run
+    firsts = [code * run for code in _scatter_codes(inner[:split], last, N)]
+    if spaced <= run:  # one slice per run, all in one sequence
+        sequences = [[(first + t * step, 1, run) for first in firsts for t in range(spaced)]]
+    else:  # one strided slice per offset in a run, each its own sequence
+        sequences = [[(first + i, step, spaced)] for first in firsts for i in range(run)]
+
+    def order(witness):
+        ref, k = divmod(witness[0], G)
+        return ref, witness[1], k
 
     found: list[tuple] = []
     total = 0
-    for ref_index in refs:
-        ref = grid[ref_index * G:(ref_index + 1) * G]
-        for d in deltas:
-            index = ref_index + d
-            other = grid[index * G:(index + 1) * G]
-            if other != ref:
-                total += _count_differing(ref, other, found, (ref_index, index))
+    for shift in (code * run for code in _scatter_codes(digits, last, N)[1:]):
+        for sequence in sequences:
+            candidates = []
+            for start, stride, length in sequence:
+                stop = start + stride * length
+                lhs, rhs = grid[start:stop:stride], grid[start + shift:stop + shift:stride]
+                if lhs != rhs:
+                    differing, ks = _count_differing(lhs, rhs)
+                    total += differing
+                    candidates.extend((start + k * stride, shift, lhs[k], rhs[k])
+                                      for k in ks[:MAX_WITNESSES - len(candidates)])
+            if candidates:
+                found = sorted(found + candidates, key=order)[:MAX_WITNESSES]
 
     violations = []
     # grid index k, a code over the kept outcome digits, as an outcome word
     offsets = _scatter_codes(kept, 2 * n, 2) if found else []
-    for left, right, k, lhs, rhs in found:
+    for index, shift, lhs, rhs in found:
+        left, k = divmod(index, G)
         x, y, u_left, v_left = table.point(left * 4**n + offsets[k])
-        u_right, v_right = table.point(right * 4**n + offsets[k])[2:]
+        u_right, v_right = table.point((left + shift // G) * 4**n + offsets[k])[2:]
         xy = tuple(None if q in digits else b for q, b in enumerate(x + y, 1))
         violations.append(NsViolation(
             condition, side, cut, subset, xy[:n], xy[n:], u_left, v_left, u_right, v_right,
@@ -732,9 +801,11 @@ def convex_mismatches(base: JointTable, parts: Sequence[JointTable],
         want, *terms = map(weighted, scales, tables, blocks)
         want, combo = list(want), list(reduce(partial(map, add), terms))
         if want != combo:
-            total += _count_differing(want, combo, found, (start,))
-    return [(*base.point(start + k), _scaled(lhs, den), _scaled(rhs, den))
-            for start, k, lhs, rhs in found], total
+            differing, ks = _count_differing(want, combo)
+            total += differing
+            found.extend((start + k, want[k], combo[k]) for k in ks[:MAX_WITNESSES - len(found)])
+    return [(*base.point(index), _scaled(lhs, den), _scaled(rhs, den))
+            for index, lhs, rhs in found], total
 
 
 def replay_violation(system: "SystemEvaluator", violation: NsViolation) -> tuple[Prob, Prob]:

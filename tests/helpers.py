@@ -245,6 +245,25 @@ class IntZeroSystem(PerPointSystem):
         return self.inner.evaluate(x, y, u, v) or 0
 
 
+class TableSystem(SystemEvaluator):
+    """A joint table read back as a system: ``evaluate`` looks up the
+    entry of (x, y, u, v) by the table's index rule, s * 4^n + o, over
+    ``den`` when the table is exact.  Lets ``brute_force_violations``
+    judge a table with planted entries."""
+
+    def __init__(self, table):
+        self.table = table
+        self.n = table.n
+        self.n_settings = table.n_settings
+
+    def evaluate(self, x, y, u, v):
+        settings = 0
+        for digit in (*u, *v):
+            settings = settings * self.n_settings + digit
+        value = self.table.values[settings * 4**self.n + bits_to_int((*x, *y))]
+        return Fraction(value, self.table.den) if self.table.exact else value
+
+
 def perturbed_bob_marginal_box(params: BoxParams, amount=Fraction(1, 64)) -> SinglePairBox:
     """Unbiased box with one square's Bob marginal knocked off 1/2.
 

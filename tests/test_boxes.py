@@ -17,7 +17,7 @@ from chainbell import (
     cross_probability,
     quantum_eps,
 )
-from chainbell.boxes import all_exact, at_least, close
+from chainbell.boxes import all_exact, apart, at_least, close
 
 EIGHTH = Fraction(1, 8)
 
@@ -389,3 +389,29 @@ TINY = Fraction(1, 10**15)
 ])
 def test_tolerance_rule_decides_from_the_operands(compare, lhs, rhs, expected):
     assert compare(lhs, rhs) is expected
+
+
+def test_apart_finds_exactly_the_pairs_close_refuses():
+    """``apart`` over many pairs, in one call, against ``close`` pair by
+    pair: NaN is apart from everything, itself included; -0.0 and 0.0
+    are close; ints and Fractions compare exactly; a float gap of
+    exactly FLOAT_ATOL is close and the next float above it apart; an
+    infinity is apart from itself, as its gap is NaN."""
+    nan, inf, above = math.nan, math.inf, math.nextafter(FLOAT_ATOL, 1)
+    pairs = [
+        (nan, nan), (nan, 0.5), (0.5, nan),  # apart
+        (-0.0, 0.0), (0.0, -0.0), (-0.0, 0), (0, -0.0),  # close
+        (3, 3), (3, 4), (2**70, 2**70 + 1), (0, 1),  # close, then apart
+        (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 3) + TINY),
+        (1, Fraction(2, 2)), (1, 1 + TINY),
+        (0.0, FLOAT_ATOL), (FLOAT_ATOL, 0.0), (0.0, above), (above, 0.0),
+        (0.25, 0.25 + 1e-13), (0.25, 0.25 + 1e-11),
+        (Fraction(1, 4), 0.25 + 1e-13), (1, 1.0 + 1e-11), (0, -FLOAT_ATOL),
+        (inf, inf), (inf, 1.0),
+    ]
+    lhs, rhs = [p[0] for p in pairs], [p[1] for p in pairs]
+    want = [k for k, (l, r) in enumerate(pairs) if not close(l, r)]
+    assert want == [0, 1, 2, 8, 9, 10, 12, 14, 17, 18, 20, 22, 24, 25]
+    assert apart(lhs, rhs, range(len(pairs))) == want
+    assert apart(lhs, rhs, reversed(range(len(pairs)))) == want[::-1]
+    assert apart(lhs, rhs, [3, 9, 9]) == [9, 9]

@@ -320,11 +320,14 @@ def _flag_value(value):
     *(("subset", ("--subset", subset),
        f"--subset must be comma-separated positions like 1,3, got {subset!r}")
       for subset in ["1,x", "+2", " 1", "\u0661", "1_0"]),
+    ("subset", ("--subset", "1,1"), "--subset names position 1 more than once, got '1,1'"),
+    ("subset", ("--subset", "2,1,02"),
+     "--subset names position 2 more than once, got '2,1,02'"),
 ], ids=_flag_value)
 def test_verify_refuses_subset_before_building(capsys, monkeypatch, check, flag, message):
     """--subset and --side are refused where the check does not use them,
-    and --subset is parsed, as ASCII digits only, where it is used, all
-    before any system is built."""
+    and --subset is parsed, as ASCII digits only and each position named
+    once, where it is used, all before any system is built."""
     for name in ("parse_function_spec", "build_attack_partition", "build_product_system"):
         monkeypatch.setattr(cli, name, _unreachable)
     code, out, err = run_cli(capsys, "verify", "--system", "attack-z0", "--function", "xor",

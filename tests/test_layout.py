@@ -15,8 +15,9 @@ appears only in ``boxes.all_exact``.  One method reads a box's cell at a
 point: only ``SinglePairBox.prob`` subscripts its point map
 ``._cell_at``, and no code subscripts a ``.cells`` attribute.  One rule
 chooses a comparison's tolerance: ``FLOAT_ATOL`` is read only by
-``boxes.close`` and ``boxes.at_least``, and by ``nonsignalling._merge``,
-which reports it, and no code names an ``atol`` of its own.  One guard
+``boxes.close``, ``boxes.apart`` (``close`` over many entries in one
+call) and ``boxes.at_least``, and by ``nonsignalling._merge``, which
+reports it, and no code names an ``atol`` of its own.  One guard
 decides whether a run is too big: ``EVAL_CAP`` is read, and
 ``InfeasibleSizeError`` raised, only in
 ``nonsignalling.refuse_over_cap``.  One walk states the pivot rule: a
@@ -178,7 +179,7 @@ def names_atol(node: ast.AST) -> bool:
 
 def test_float_tolerance_is_read_only_by_the_comparisons():
     assert owners_of(PACKAGE, reads("FLOAT_ATOL")) == [
-        "boxes.py:close", "boxes.py:at_least", "nonsignalling.py:_merge"]
+        "boxes.py:close", "boxes.py:apart", "boxes.py:at_least", "nonsignalling.py:_merge"]
 
 
 def test_no_code_chooses_its_own_tolerance():

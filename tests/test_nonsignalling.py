@@ -1,4 +1,6 @@
+from array import array
 from dataclasses import replace
+from functools import cache
 from fractions import Fraction
 from itertools import product
 
@@ -30,6 +32,7 @@ from helpers import (
     FuturePeekingSystem,
     MirroredSystem,
     PerPointSystem,
+    TableSystem,
     brute_force_violations,
     lines_run_in,
     perturbed_alice_marginal_box,
@@ -395,6 +398,108 @@ def test_time_ordered_cuts_match_evaluate_oracle(monkeypatch, params, mirrored):
         expected = sorted(oracle, key=witness_key)[:MAX_WITNESSES]
         assert_same_witnesses(violations, expected, exact=params.exact)
     assert report.violations_total == sum(total for _, total, _ in cuts.values())
+
+
+# ---------------------------------------------------------------------------
+# whole-slice sums and comparisons on n = 3, N = 3 tables
+
+@cache
+def _slice_tables():
+    """Passing n = 3, N = 3 product tables in the three layouts the
+    kernel reads: floats in a list (quantum, built from the boxes), exact
+    ints in a list (rational, per point) and lanes (rational, built from
+    the boxes)."""
+    quantum = build_product_system(build_unbiased_box(BoxParams.quantum(3)), 3)
+    rational = build_product_system(build_unbiased_box(_params(n_settings=3)), 3)
+    tables = {"float-list": materialize(quantum),
+              "exact-list": materialize(PerPointSystem(rational)),
+              "lanes": materialize(rational)}
+    assert [type(t.values) for t in tables.values()] == [list, list, array]
+    return tables
+
+
+@pytest.mark.parametrize("slab", [2**13, 2**6, 2**2])
+def test_list_sum_out_is_the_run_by_run_sum(monkeypatch, slab):
+    """Every stride of the n = 3, N = 3 float and exact lists against the
+    definition, run by run, the floats bit for bit.  A list is summed
+    _SLAB / 2 entries, or one run, at a time.  The table has 46,656
+    entries, so its last slab of 2^12 is partial, and every stride reads
+    one step-slice pair per offset; with _SLAB = 2^6 (slabs of 2^5)
+    strides 1 and 2 do and strides 4 to 32 read one pair per run; with _SLAB = 2^2 every
+    slab is one run."""
+    monkeypatch.setattr(nonsignalling, "_SLAB", slab)
+    tables = _slice_tables()
+    for values in (tables["float-list"].values, tables["exact-list"].values):
+        for stride in (1, 2, 4, 8, 16, 32):
+            want = [a + b for start in range(0, len(values), 2 * stride)
+                    for a, b in zip(values[start:start + stride],
+                                    values[start + stride:start + 2 * stride])]
+            got = nonsignalling._sum_out(values, stride)
+            assert type(got) is list and len(got) == len(values) // 2
+            assert list(map(_bits, got)) == list(map(_bits, want))
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+#: (side, subset) at n = 3, N = 3 -> the length of every slice the kernel
+#: compares.  Alice {1, 3} keeps digit 2 inside the subset: its runs of
+#: 27 settings words x 16 kept outcomes start three runs apart.  Bob {1, 3}: runs
+#: of one settings word, 3 runs after each of 27 firsts.  Bob {2, 3}: 81
+#: runs of 16 entries, so one strided slice of 81 per offset.
+SLICE_CASES = {("alice", (1, 3)): 432, ("bob", (1, 3)): 16, ("bob", (2, 3)): 81}
+
+
+def _planted(table, side, subset):
+    """``table`` with violations planted: at the all-zero settings word,
+    which every delta compares, one entry per kept outcome digit with
+    that digit 1; and, at outcome 0, two moved from the last reference
+    word (N - 1 at every kept digit): by the smallest delta, and by the
+    largest, to the last settings word.  The smallest delta's sequences
+    are read first, yet its second violation comes after all of the
+    first word's in witness order.  An exact entry is raised by 1, a
+    float by 1/64: 4 x 8 + 2 = 34 violations."""
+    n, N = table.n, table.n_settings
+    digits = {p + (0 if side == "alice" else n) for p in subset}
+    kept = [q for q in range(1, 2 * n + 1) if q not in digits]
+    last_ref = sum((N - 1) * N ** (2 * n - q) for q in kept)
+    smallest = N ** (2 * n - max(digits))
+    planted = [1 << (2 * n - q) for q in kept]
+    planted += [(last_ref + smallest) * 4**n, (N ** (2 * n) - 1) * 4**n]
+    values = (array(table.values.typecode, table.values) if isinstance(table.values, array)
+              else list(table.values))
+    for index in planted:
+        values[index] += 1 if table.exact else 1 / 64
+    return replace(table, values=values)
+
+
+@pytest.mark.parametrize("layout", ["float-list", "exact-list", "lanes"])
+@pytest.mark.parametrize("side, subset", list(SLICE_CASES),
+                         ids=[f"{side}-{subset}" for side, subset in SLICE_CASES])
+def test_slice_comparisons_match_the_oracle(monkeypatch, layout, side, subset):
+    """The kernel compares whole slices, runs or strided per offset, and
+    merges the first witnesses of each sequence of slices.  On planted
+    tables its count, checks and witnesses equal the oracle's, summed
+    from the planted table entry by entry: the first MAX_WITNESSES by
+    witness key, which come from several deltas and kept outcomes, so
+    from several sequences.  The float list also holds honest pairs
+    that differ only in their last bits."""
+    table = _planted(_slice_tables()[layout], side, subset)
+    lengths = set()
+    count_differing = nonsignalling._count_differing
+    monkeypatch.setattr(nonsignalling, "_count_differing",
+                        lambda lhs, rhs: lengths.add(len(lhs)) or count_differing(lhs, rhs))
+    system = TableSystem(table)
+    report = check_subset(system, side, subset, table=table)
+    assert lengths == {SLICE_CASES[side, subset]}
+    oracle, checks = brute_force_violations(system, side, subset)
+    assert (report.violations_total, report.checks_performed) == (len(oracle), checks)
+    assert len(oracle) == 34
+    expected = sorted(oracle, key=witness_key)[:MAX_WITNESSES]
+    assert_same_witnesses(report.violations, expected, exact=table.exact)
+    assert len({(w.u_right, w.v_right) for w in expected}) > 1
+    assert len({(w.x_kept, w.y_kept) for w in expected}) > 1
 
 
 def test_time_ordered_runs_a_few_lines_per_block():
