@@ -198,7 +198,7 @@ class PivotalProfile:
         self.n = function.n
         self.levels = levels
         self.counts = tuple(len(marks) - marks.count(0) for _, marks in levels)
-        self.records = _Records(self)
+        self.records = _Records(sum(self.counts))
         self.zeros_toward = zeros_toward
 
     def pivot(self, x_code: int) -> tuple[int, int]:
@@ -221,13 +221,16 @@ class PivotalProfile:
 class _Records:
     """``PivotalProfile.records``: only a length, the number of pivotal
     prefixes, summed from the levels' pivot counts.  A prefix's pivot is
-    read off its level's marks (``PivotalProfile.levels``)."""
+    read off its level's marks (``PivotalProfile.levels``).  It holds the
+    count, not the profile, so a dropped profile is freed at once, with
+    its function and the function's cached tree, not by the cyclic
+    collector."""
 
-    def __init__(self, profile: PivotalProfile):
-        self._profile = profile
+    def __init__(self, count: int):
+        self._count = count
 
     def __len__(self) -> int:
-        return sum(self._profile.counts)
+        return self._count
 
 
 #: The top byte of a lane of ``_level_marks`` -> the prefix's mark: bit 7

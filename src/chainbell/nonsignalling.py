@@ -28,6 +28,14 @@ inputs inside S.  One kernel checks it:
   depend on inputs from the cut onwards;
 - ``check_subset``: S given by the caller, on one side.
 
+So ab is each side's time-ordered cut 1, and a subset {i..n} is cut i.
+Each (side, S) is answered once per table: the kernel's answer, free of
+any condition or cut label, is kept on the table (``JointTable``), and
+each check applies its own labels, so a report does not depend on which
+checks ran on the table before it.  A table is read-only once
+``materialize`` returns it; a ``dataclasses.replace`` copy starts with
+no answers.
+
 The table is indexed by two 2n-digit words (see ``JointTable``): the
 settings word (u_1..u_n, v_1..v_n) in base N and the outcome word
 (x_1..x_n, y_1..y_n) in base 2.  Alice's position p is digit p of both
@@ -120,7 +128,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, compress, count, cycle, product, repeat
@@ -214,12 +222,19 @@ class JointTable:
     narrowest of 1, 2, 4 or 8 bytes that holds the bound.  Every other
     table -- per-point, float, with a negative entry, or with a wider
     bound -- holds a ``list`` (see the module docstring).
+
+    A table is read-only once ``materialize`` returns it: each (side, S)
+    condition is answered once per table and kept, label-free, in
+    ``_answers`` (see ``_answer``).  A copy made by
+    ``dataclasses.replace`` starts with no answers, so a table made by
+    changing a copy's values is checked afresh.
     """
 
     n: int
     n_settings: int
     values: array | list
     den: int | None
+    _answers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def exact(self) -> bool:
@@ -559,14 +574,12 @@ def _unmoved(grid: array, digits: Sequence[int], N: int) -> bool:
     return True
 
 
-def _independence_violations(
+def _independence(
     table: JointTable,
     grid: list,
     side: str,
     subset: tuple[int, ...],
-    condition: str,
-    cut: int | None,
-) -> tuple[list[NsViolation], int, int]:
+) -> tuple[list[tuple], int, int]:
     """Check that ``side``'s outputs outside ``subset``, together with all
     of the other side's outputs, do not depend on ``side``'s inputs inside
     ``subset``.
@@ -599,9 +612,12 @@ def _independence_violations(
     Each sequence keeps that many, merged into witness order as each
     sequence ends, so at most MAX_WITNESSES candidates stay alive
     between sequences.
-    Returns (witnesses, total violation count, comparisons performed).
+    Returns the answer, free of any condition or cut label: (the first
+    MAX_WITNESSES witnesses as (grid index, shift, lhs, rhs), total
+    violation count, comparisons performed).  ``_labelled`` turns it into
+    report parts.
     """
-    n, den, N = table.n, table.den, table.n_settings
+    n, N = table.n, table.n_settings
     digits = _digits(n, side, subset)
     kept = [q for q in range(1, 2 * n + 1) if q not in digits]
     G = len(grid) // N ** (2 * n)
@@ -641,10 +657,23 @@ def _independence_violations(
                                       for k in ks[:MAX_WITNESSES - len(candidates)])
             if candidates:
                 found = sorted(found + candidates, key=order)[:MAX_WITNESSES]
+    return found, total, checks
 
-    violations = []
+
+def _labelled(table: JointTable, side: str, subset: tuple[int, ...],
+              answer: tuple[list[tuple], int, int], condition: str,
+              cut: int | None) -> tuple[list[NsViolation], int, int]:
+    """One report part from an answer of ``_independence``: its witnesses
+    decoded into points under this call's ``condition`` and ``cut``."""
+    found, total, checks = answer
+    if not found:
+        return [], total, checks
+    n, den = table.n, table.den
+    digits = _digits(n, side, subset)
+    G = 1 << 2 * n - len(digits)  # kept outcome words per settings word
     # grid index k, a code over the kept outcome digits, as an outcome word
-    offsets = _scatter_codes(kept, 2 * n, 2) if found else []
+    offsets = _scatter_codes([q for q in range(1, 2 * n + 1) if q not in digits], 2 * n, 2)
+    violations = []
     for index, shift, lhs, rhs in found:
         left, k = divmod(index, G)
         x, y, u_left, v_left = table.point(left * 4**n + offsets[k])
@@ -682,12 +711,25 @@ def _marginal(table: JointTable, side: str, subset: tuple[int, ...]) -> list:
     return reduce(_sum_out, _strides(table.n, _digits(table.n, side, subset)), table.values)
 
 
+def _answer(t: JointTable, side: str, subset: tuple[int, ...],
+            grid: array | list | None = None) -> tuple[list[tuple], int, int]:
+    """``_independence``'s answer for (side, subset) on ``t``: read from
+    ``t._answers`` when a check on ``t`` gave it, else compared now on
+    ``grid`` (by default summed by ``_marginal``), and kept."""
+    key = side, subset
+    if key not in t._answers:
+        t._answers[key] = _independence(
+            t, _marginal(t, side, subset) if grid is None else grid, side, subset)
+    return t._answers[key]
+
+
 def check_ab(system: "SystemEvaluator", *, table: JointTable | None = None) -> NsReport:
-    """Neither full output marginal may depend on the other side's inputs."""
+    """Neither full output marginal may depend on the other side's inputs:
+    each side's time-ordered cut 1, so read from the table's answers when
+    the time-ordered check ran on it."""
     t = table if table is not None else materialize(system)
     everything = tuple(range(1, t.n + 1))
-    parts = [_independence_violations(t, _marginal(t, side, everything), side, everything,
-                                      CONDITION_AB, 1)
+    parts = [_labelled(t, side, everything, _answer(t, side, everything), CONDITION_AB, 1)
              for side in ("alice", "bob")]
     return _merge(CONDITION_AB, parts, t.den)
 
@@ -700,6 +742,9 @@ def _time_ordered(t: JointTable) -> tuple[NsReport, array | list]:
     Each side's grids are one chain: cut n sums position n out of the
     table, and each cut after it sums one more position out of the grid
     before, so the whole check sums about one table's worth of entries.
+    Each cut is answered through ``_answer`` on its grid, so a cut that a
+    check on ``t`` answered before is read, not compared again, and each
+    cut's answer is kept for ``check_ab`` and ``check_subset``.
     """
     n = t.n
     everything = tuple(range(1, n + 1))
@@ -708,8 +753,9 @@ def _time_ordered(t: JointTable) -> tuple[NsReport, array | list]:
         grid, cuts = t.values, []
         for cut, stride in zip(range(n, 0, -1), _strides(n, _digits(n, side, everything))):
             grid = _sum_out(grid, stride)
-            cuts.append(_independence_violations(t, grid, side, everything[cut - 1:],
-                                                 f"{CONDITION_TIME_ORDERED}-{side}", cut))
+            subset = everything[cut - 1:]
+            cuts.append(_labelled(t, side, subset, _answer(t, side, subset, grid),
+                                  f"{CONDITION_TIME_ORDERED}-{side}", cut))
         parts.extend(reversed(cuts))
     return _merge(CONDITION_TIME_ORDERED, parts, t.den), grid
 
@@ -741,7 +787,9 @@ def check_part(table: JointTable) -> tuple[bool, bool, NsReport]:
 def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
                  table: JointTable | None = None) -> NsReport:
     """Outputs outside ``subset`` on ``side`` (plus the whole other side)
-    must not depend on the inputs inside ``subset``."""
+    must not depend on the inputs inside ``subset``: distinct positions in
+    1..n, in any order.  A suffix {i..n} is time-ordered cut i, read from
+    the table's answers when that check ran on it."""
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
     positions = tuple(subset)
@@ -749,8 +797,11 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
     sub = tuple(sorted(set(positions))) if ints else positions
     if not ints or not sub or sub[0] < 1 or sub[-1] > system.n:
         raise ValueError(f"subset must be a nonempty subset of 1..{system.n}, got {sub}")
+    if len(sub) < len(positions):
+        repeated = next(p for i, p in enumerate(positions) if p in positions[:i])
+        raise ValueError(f"subset names position {repeated} more than once, got {positions}")
     t = table if table is not None else materialize(system)
-    part = _independence_violations(t, _marginal(t, side, sub), side, sub, CONDITION_SUBSET, None)
+    part = _labelled(t, side, sub, _answer(t, side, sub), CONDITION_SUBSET, None)
     return _merge(CONDITION_SUBSET, [part], t.den)
 
 

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import tracemalloc
+import weakref
 from array import array
 from fractions import Fraction
 from itertools import product
@@ -661,6 +663,25 @@ def test_record_count_builds_no_records():
     in_package = lambda code: code.co_filename == chainbell.adversary.__file__
     assert lines_run_in(in_package, len, profile.records) <= 5
     assert len(profile.records) == 2**15
+
+
+def test_dropped_profile_is_freed_without_the_cyclic_collector():
+    """A profile is in no reference cycle: with the cyclic collector off,
+    dropping the last references frees the profile, its function and the
+    function's cached tree at once, and ``len(profile.records)`` keeps
+    its value."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        f = random_function(12, 1)
+        profile = build_pivotal_profile(f)
+        assert len(f.tree) == f.n + 1 and len(profile.records) == sum(profile.counts) > 0
+        refs = weakref.ref(profile), weakref.ref(f)
+        del profile, f
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("build", [xor_function, majority_function, _half_dictator],

@@ -97,7 +97,8 @@ def _results(partition, base, tables):
     """Everything the checks report on ``tables`` (the base's first, then
     the parts'), as one ``repr``."""
     base_table, *part_tables = tables
-    subsets = sorted({(1,), (1, base.n)})  # (n,) and (1..n) are a cut and ab
+    # (n,) and (1..n) are a cut and ab; at n = 1, (1, n) names 1 twice
+    subsets = [(1,), (1, base.n)] if base.n > 1 else [(1,)]
     out = [convex_mismatches(base_table, part_tables, partition.weights)]
     for system, table in zip((base, *partition.systems), tables):
         out.append((table.den, check_part(table), check_ab(system, table=table)))

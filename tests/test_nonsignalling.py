@@ -2,7 +2,7 @@ from array import array
 from dataclasses import replace
 from functools import cache
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +33,7 @@ from helpers import (
     MirroredSystem,
     PerPointSystem,
     TableSystem,
+    acceptance_corpus,
     brute_force_violations,
     lines_run_in,
     perturbed_alice_marginal_box,
@@ -223,6 +224,16 @@ def test_subset_validation(fig_parts):
         check_subset(base, "eve", (1,))
 
 
+@pytest.mark.parametrize("subset, repeated", [((1, 1), 1), ((2, 1, 2), 2)])
+def test_subset_refuses_repeated_positions(subset, repeated):
+    """A position named twice is refused, as the CLI refuses it, not
+    checked as the set of distinct positions."""
+    system = build_product_system(build_unbiased_box(_params()), 2)
+    with pytest.raises(ValueError, match=rf"names position {repeated} more than once, "
+                                         rf"got \({subset[0]}, "):
+        check_subset(system, "alice", subset)
+
+
 def test_subset_validated_before_materializing(monkeypatch):
     calls = []
 
@@ -340,11 +351,13 @@ def test_subset_kernel_matches_evaluate_oracle(case):
 def test_time_ordered_cuts_are_subsets(system):
     """A time-ordered cut i on either side is the subset check over
     {i..n}: same totals, and the witnesses are the first MAX_WITNESSES of
-    the cuts' witnesses, alice before bob, cut by cut."""
+    the cuts' witnesses, alice before bob, cut by cut.  Each subset check
+    runs on a fresh ``replace`` copy of the table, so it sums and
+    compares its own marginal rather than reading the cut's answer."""
     table = materialize(system)
     report = check_time_ordered(system, table=table)
     n = system.n
-    parts = [(side, cut, check_subset(system, side, range(cut, n + 1), table=table))
+    parts = [(side, cut, check_subset(system, side, range(cut, n + 1), table=replace(table)))
              for side in ("alice", "bob") for cut in range(1, n + 1)]
     assert report.violations_total == sum(r.violations_total for _, _, r in parts)
     assert report.checks_performed == sum(r.checks_performed for _, _, r in parts)
@@ -379,14 +392,16 @@ def test_time_ordered_cuts_match_evaluate_oracle(monkeypatch, params, mirrored):
     oracle's first MAX_WITNESSES by witness key."""
     system = FuturePeekingSystem(params, n=3, early=1, late=3)
     system = RememberingSystem(MirroredSystem(system) if mirrored else system)
-    kernel = nonsignalling._independence_violations
+    kernel = nonsignalling._independence
     cuts = {}
 
-    def recording(table, grid, side, subset, condition, cut):
-        cuts[side, cut] = kernel(table, grid, side, subset, condition, cut)
-        return cuts[side, cut]
+    def recording(table, grid, side, subset):
+        answer = kernel(table, grid, side, subset)
+        cuts[side, subset[0]] = nonsignalling._labelled(
+            table, side, subset, answer, f"time-ordered-{side}", subset[0])
+        return answer
 
-    monkeypatch.setattr(nonsignalling, "_independence_violations", recording)
+    monkeypatch.setattr(nonsignalling, "_independence", recording)
     report = check_time_ordered(system)
     assert sorted(cuts) == [(side, cut) for side in ("alice", "bob") for cut in (1, 2, 3)]
     failing = "bob" if mirrored else "alice"
@@ -543,6 +558,102 @@ def test_materialize_runs_a_few_lines_per_table(n, N):
     for system in systems:
         lines = lines_run_in(lambda code: code.co_filename == module, materialize, system)
         assert lines <= 8 * n * (N ** (2 * n) + N**2 * 2**n)
+
+
+# ---------------------------------------------------------------------------
+# each (side, S) answered once per table
+
+def _every_check(system, n):
+    """(name, check) for every check on a table of ``system``: the
+    time-ordered check, ab, and every nonempty subset of each side."""
+    checks = [("time-ordered", lambda t: check_time_ordered(system, table=t)),
+              ("ab", lambda t: check_ab(system, table=t))]
+    checks += [(f"{side}{subset}",
+                lambda t, side=side, subset=subset: check_subset(system, side, subset, table=t))
+               for side in ("alice", "bob")
+               for size in range(1, n + 1) for subset in combinations(range(1, n + 1), size)]
+    return checks
+
+
+def _assert_answers_do_not_leak(system, table):
+    """Every report read from one shared table, in each order that puts
+    the time-ordered check, ab or the subsets first, is ``repr``-identical
+    to the same check on a fresh ``replace`` copy, which answers it
+    afresh."""
+    checks = _every_check(system, table.n)
+    fresh = {name: repr(check(replace(table))) for name, check in checks}
+    subsets = checks[2:]
+    for order in (checks, [checks[1], *subsets, checks[0]], [*subsets, *checks[:2]]):
+        shared = replace(table)
+        assert {name: repr(check(shared)) for name, check in order} == fresh
+
+
+@cache
+def _quantum_n3_systems():
+    """Honest and future-peeking (``tests/helpers``) quantum systems at
+    N = 3, n = 1..3, with each peeking system's mirror: violations on
+    both sides, at several cuts."""
+    params = BoxParams.quantum(3)
+    honest = [build_product_system(build_unbiased_box(params), n) for n in (1, 2, 3)]
+    peeking = [FuturePeekingSystem(params, n=n, early=early, late=late)
+               for n, early, late in ((2, 1, 2), (3, 1, 3), (3, 2, 3))]
+    return honest + peeking + [MirroredSystem(s) for s in peeking]
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_shared_answers_match_fresh_tables_in_floats(index):
+    system = _quantum_n3_systems()[index]
+    table = materialize(system)
+    assert not table.exact
+    _assert_answers_do_not_leak(system, table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shared_answers_match_fresh_tables_on_the_corpus(n):
+    """The acceptance corpus's tables at n, in lanes and as the same
+    numerators in a list: the base and both attack parts."""
+    base = build_product_system(build_unbiased_box(_params()), n)
+    systems = [base] + [part for f in acceptance_corpus() if f.n == n
+                        for part in build_attack_partition(f, _params()).systems]
+    for system in systems:
+        table = materialize(system)
+        assert isinstance(table.values, array)
+        for t in (table, replace(table, values=list(table.values))):
+            _assert_answers_do_not_leak(system, t)
+
+
+def test_a_changed_copy_of_a_checked_table_is_checked_afresh():
+    """A ``replace`` copy starts with no answers: raising one lane of a
+    checked n = 2 product by 1 makes ab fail on the copy, while the
+    checked table still passes."""
+    system = build_product_system(build_unbiased_box(_params()), 2)
+    table = materialize(system)
+    assert check_time_ordered(system, table=table).passed
+    assert check_ab(system, table=table).passed
+    values = array(table.values.typecode, table.values)
+    values[5] += 1
+    mutant = replace(table, values=values)
+    assert not check_ab(system, table=mutant).passed
+    assert not check_time_ordered(system, table=mutant).passed
+    assert check_ab(system, table=table).passed
+
+
+def test_ab_and_suffixes_after_time_ordered_sum_nothing(monkeypatch):
+    """ab is each side's time-ordered cut 1 and a subset {i..n} is cut i:
+    after the time-ordered check, neither sums a marginal again."""
+    system = FuturePeekingSystem(_params(n_settings=3), n=3, early=1, late=3)
+    table = materialize(system)
+    check_time_ordered(system, table=table)
+    calls = []
+    sum_out = nonsignalling._sum_out
+    monkeypatch.setattr(nonsignalling, "_sum_out",
+                        lambda values, stride: calls.append(stride) or sum_out(values, stride))
+    reports = [check_ab(system, table=table)]
+    reports += [check_subset(system, side, range(cut, 4), table=table)
+                for side in ("alice", "bob") for cut in (1, 2, 3)]
+    assert calls == [] and not all(r.passed for r in reports)
+    check_subset(system, "alice", (1, 3), table=table)
+    assert calls
 
 
 # ---------------------------------------------------------------------------
