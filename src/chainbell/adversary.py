@@ -39,8 +39,8 @@ The adversary machinery, for a hash f:
   for a pivot.  The walk sums the gap |z0 - z1| at each pivot, which
   fixes the zeros of the branches sigma points at.  A string's pivot is
   the first level that marks its prefix.  ``PivotalProfile.records``
-  only counts the pivots, off the levels' pivot counts; it builds no
-  record and cannot be iterated.
+  only counts the pivots: it is ``range`` of the levels' summed pivot
+  counts, so it builds no record and holds no reference to the profile.
 - ``build_attack_partition(f, params)`` assembles the two half-weight
   parts that bias each string's pivotal pair towards (or away from) a
   zero of f, which is the whole attack.
@@ -187,7 +187,10 @@ class PivotalProfile:
     depends on the prefix before the pivot only (the prefix property), so
     ``pivot`` reads it at the first level that marks the string's prefix.
     ``counts`` holds the pivots per level, and ``len(records)`` their
-    sum, the number of pivotal prefixes.  ``zeros_toward`` is the number
+    sum, the number of pivotal prefixes: ``records`` is a ``range`` of
+    that length, which keeps no reference to the profile, so a dropped
+    profile is freed at once, with its function and the function's
+    cached tree, not by the cyclic collector.  ``zeros_toward`` is the number
     of zeros of f in the branches the sigmas point at: (zeros_total +
     gap) / 2, for the pivots' summed gap |z0 - z1|.
     """
@@ -198,7 +201,7 @@ class PivotalProfile:
         self.n = function.n
         self.levels = levels
         self.counts = tuple(len(marks) - marks.count(0) for _, marks in levels)
-        self.records = _Records(sum(self.counts))
+        self.records = range(sum(self.counts))
         self.zeros_toward = zeros_toward
 
     def pivot(self, x_code: int) -> tuple[int, int]:
@@ -216,21 +219,6 @@ class PivotalProfile:
         pivot with a length-L prefix covers 2^(n - L) strings."""
         return {length + 1: count << (self.n - length)
                 for (length, _), count in zip(self.levels, self.counts)}
-
-
-class _Records:
-    """``PivotalProfile.records``: only a length, the number of pivotal
-    prefixes, summed from the levels' pivot counts.  A prefix's pivot is
-    read off its level's marks (``PivotalProfile.levels``).  It holds the
-    count, not the profile, so a dropped profile is freed at once, with
-    its function and the function's cached tree, not by the cyclic
-    collector."""
-
-    def __init__(self, count: int):
-        self._count = count
-
-    def __len__(self) -> int:
-        return self._count
 
 
 #: The top byte of a lane of ``_level_marks`` -> the prefix's mark: bit 7

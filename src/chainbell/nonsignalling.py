@@ -29,12 +29,15 @@ inputs inside S.  One kernel checks it:
 - ``check_subset``: S given by the caller, on one side.
 
 So ab is each side's time-ordered cut 1, and a subset {i..n} is cut i.
-Each (side, S) is answered once per table: the kernel's answer, free of
-any condition or cut label, is kept on the table (``JointTable``), and
-each check applies its own labels, so a report does not depend on which
-checks ran on the table before it.  A table is read-only once
-``materialize`` returns it; a ``dataclasses.replace`` copy starts with
-no answers.
+Each check is a family of (side, S) conditions, listed in witness order
+with the label and cut its report gives them.  Each (side, S) is
+answered once per table: the kernel's answer, free of any condition or
+cut label, is kept on the table (``JointTable``), and one builder,
+``_report``, decodes every check's answers under that check's labels, so
+a report does not depend on which checks ran on the table before it.  A
+table is read-only once ``materialize`` returns it; a
+``dataclasses.replace`` copy starts with no answers.  A check given a
+``table`` whose n or N is not its system's refuses it, before any sum.
 
 The table is indexed by two 2n-digit words (see ``JointTable``): the
 settings word (u_1..u_n, v_1..v_n) in base N and the outcome word
@@ -64,7 +67,7 @@ delta -- one nonzero assignment of the subset's settings digits -- the
 blocks with zeros at those digits are compared with the blocks the
 delta moves them to, either as the contiguous runs of settings digits
 after the subset's last digit or as one strided slice per offset in a
-run, whichever loop is shorter (``_independence_violations``).
+run, whichever loop is shorter (``_independence``).
 
 Every violation is counted.  A report keeps as witnesses the first
 ``MAX_WITNESSES`` violations in witness order: by side (alice before
@@ -685,53 +688,54 @@ def _labelled(table: JointTable, side: str, subset: tuple[int, ...],
     return violations, total, checks
 
 
-def _merge(condition: str, parts: Iterable[tuple[list[NsViolation], int, int]],
-           den: int | None) -> NsReport:
-    """One report from kernel results given in witness order."""
-    violations: list[NsViolation] = []
-    total = 0
-    checks = 0
-    for viols, t, c in parts:
-        violations.extend(viols)
-        total += t
-        checks += c
-    return NsReport(
-        condition=condition,
-        passed=total == 0,
-        violations=violations[:MAX_WITNESSES],
-        violations_total=total,
-        checks_performed=checks,
-        tolerance=Fraction(0) if den is not None else FLOAT_ATOL,
-    )
-
-
-def _marginal(table: JointTable, side: str, subset: tuple[int, ...]) -> list:
-    """``table`` with ``side``'s outputs at ``subset`` summed out, highest
-    digit first."""
-    return reduce(_sum_out, _strides(table.n, _digits(table.n, side, subset)), table.values)
+def _report(t: JointTable, condition: str, answered: Iterable[tuple]) -> NsReport:
+    """The report of ``condition`` on ``t`` from its (side, subset, answer,
+    label, cut) conditions, given in witness order: each answer decoded
+    under its label and cut by ``_labelled``, and the parts added up."""
+    violations, total, checks = [], 0, 0
+    for side, subset, answer, label, cut in answered:
+        found, violated, compared = _labelled(t, side, subset, answer, label, cut)
+        violations += found
+        total += violated
+        checks += compared
+    return NsReport(condition=condition, passed=total == 0, checks_performed=checks,
+                    violations_total=total, tolerance=Fraction(0) if t.exact else FLOAT_ATOL,
+                    violations=violations[:MAX_WITNESSES])
 
 
 def _answer(t: JointTable, side: str, subset: tuple[int, ...],
             grid: array | list | None = None) -> tuple[list[tuple], int, int]:
     """``_independence``'s answer for (side, subset) on ``t``: read from
     ``t._answers`` when a check on ``t`` gave it, else compared now on
-    ``grid`` (by default summed by ``_marginal``), and kept."""
+    ``grid``, by default ``t`` with ``side``'s outputs at ``subset``
+    summed out, highest digit first, and kept."""
     key = side, subset
     if key not in t._answers:
-        t._answers[key] = _independence(
-            t, _marginal(t, side, subset) if grid is None else grid, side, subset)
+        if grid is None:
+            grid = reduce(_sum_out, _strides(t.n, _digits(t.n, side, subset)), t.values)
+        t._answers[key] = _independence(t, grid, side, subset)
     return t._answers[key]
+
+
+def _table(system: "SystemEvaluator", table: JointTable | None) -> JointTable:
+    """The joint table a check reads: ``system``'s, materialized, or
+    ``table``, refused unless it has the system's n and N."""
+    if table is None:
+        return materialize(system)
+    if (table.n, table.n_settings) != (system.n, system.n_settings):
+        raise ValueError(f"table has (n, N) = ({table.n}, {table.n_settings}), "
+                         f"system has ({system.n}, {system.n_settings})")
+    return table
 
 
 def check_ab(system: "SystemEvaluator", *, table: JointTable | None = None) -> NsReport:
     """Neither full output marginal may depend on the other side's inputs:
     each side's time-ordered cut 1, so read from the table's answers when
     the time-ordered check ran on it."""
-    t = table if table is not None else materialize(system)
+    t = _table(system, table)
     everything = tuple(range(1, t.n + 1))
-    parts = [_labelled(t, side, everything, _answer(t, side, everything), CONDITION_AB, 1)
-             for side in ("alice", "bob")]
-    return _merge(CONDITION_AB, parts, t.den)
+    return _report(t, CONDITION_AB, [(side, everything, _answer(t, side, everything),
+                                      CONDITION_AB, 1) for side in ("alice", "bob")])
 
 
 def _time_ordered(t: JointTable) -> tuple[NsReport, array | list]:
@@ -748,23 +752,23 @@ def _time_ordered(t: JointTable) -> tuple[NsReport, array | list]:
     """
     n = t.n
     everything = tuple(range(1, n + 1))
-    parts = []
+    answered = []
     for side in ("alice", "bob"):
         grid, cuts = t.values, []
         for cut, stride in zip(range(n, 0, -1), _strides(n, _digits(n, side, everything))):
             grid = _sum_out(grid, stride)
             subset = everything[cut - 1:]
-            cuts.append(_labelled(t, side, subset, _answer(t, side, subset, grid),
-                                  f"{CONDITION_TIME_ORDERED}-{side}", cut))
-        parts.extend(reversed(cuts))
-    return _merge(CONDITION_TIME_ORDERED, parts, t.den), grid
+            cuts.append((side, subset, _answer(t, side, subset, grid),
+                         f"{CONDITION_TIME_ORDERED}-{side}", cut))
+        answered += reversed(cuts)
+    return _report(t, CONDITION_TIME_ORDERED, answered), grid
 
 
 def check_time_ordered(system: "SystemEvaluator", *,
                        table: JointTable | None = None) -> NsReport:
     """Future inputs may not influence past outputs, on either side: one
     chain of sums per side (see ``_time_ordered``)."""
-    return _time_ordered(table if table is not None else materialize(system))[0]
+    return _time_ordered(_table(system, table))[0]
 
 
 def check_part(table: JointTable) -> tuple[bool, bool, NsReport]:
@@ -800,9 +804,9 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
     if len(sub) < len(positions):
         repeated = next(p for i, p in enumerate(positions) if p in positions[:i])
         raise ValueError(f"subset names position {repeated} more than once, got {positions}")
-    t = table if table is not None else materialize(system)
-    part = _labelled(t, side, sub, _answer(t, side, sub), CONDITION_SUBSET, None)
-    return _merge(CONDITION_SUBSET, [part], t.den)
+    t = _table(system, table)
+    return _report(t, CONDITION_SUBSET,
+                   [(side, sub, _answer(t, side, sub), CONDITION_SUBSET, None)])
 
 
 def _widened(values: array, start: int, size: int, width: int) -> int:

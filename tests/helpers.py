@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
@@ -28,7 +29,8 @@ from chainbell import (
     random_function,
 )
 from chainbell.nonsignalling import CONDITION_SUBSET, MAX_WITNESSES, NsViolation
-from chainbell.systems import BoxProductSystem, Partition, SystemEvaluator, bits_to_int
+from chainbell.systems import (BoxProductSystem, Partition, SystemEvaluator, bits_to_int,
+                               built_from_boxes)
 
 
 def pivotal_threshold(n: int) -> Fraction:
@@ -235,6 +237,35 @@ class PerPointSystem(SystemEvaluator):
 
     def evaluate(self, x, y, u, v):
         return self.inner.evaluate(x, y, u, v)
+
+
+#: Per-point tables built this session, by ``_table_key``.
+_ORACLE_TABLES: dict = {}
+
+
+def _table_key(system: BoxProductSystem) -> tuple:
+    """What determines a box product's table: its type, n, N and, for
+    every string x, the cells of the boxes behind x, with their types,
+    so a float cell never stands in for an equal Fraction.  For an
+    attack part these are what f's bits, z and eps fix."""
+    return (type(system), system.n, system.n_settings,
+            tuple(tuple(repr(box.cells) for box in system.pair_boxes(x))
+                  for x in range(2**system.n)))
+
+
+def oracle_table(system: BoxProductSystem):
+    """The per-point table of a box product that keeps the shared
+    ``evaluate``: ``materialize`` of ``PerPointSystem(system)``, the
+    oracle for the builder's tables.  Each table is built once per
+    session and handed out as a ``dataclasses.replace`` copy, which
+    starts with no answers, so no test reads another test's answers.
+    Its ``values`` are shared: a test that changes them copies them
+    first.  Tests of the per-point path itself call ``materialize``."""
+    assert built_from_boxes(system), system
+    key = _table_key(system)
+    if key not in _ORACLE_TABLES:
+        _ORACLE_TABLES[key] = materialize(PerPointSystem(system))
+    return replace(_ORACLE_TABLES[key])
 
 
 class IntZeroSystem(PerPointSystem):

@@ -44,10 +44,10 @@ from chainbell.systems import BoxProductSystem
 
 from helpers import (
     NegatedPointSystem,
-    PerPointSystem,
     acceptance_corpus,
     brute_force_violations,
     independent_table_checks,
+    oracle_table,
     seeded_almost_balanced,
     witness_key,
 )
@@ -124,11 +124,6 @@ def test_layouts_agree_on_the_corpus(f, eps):
     _assert_layouts_agree(partition, base, tables)
 
 
-@cache
-def _per_point_base(n, eps):
-    return materialize(PerPointSystem(_base(n, eps)))
-
-
 PER_POINT = [(f, eps) for f, eps in CORPUS if f.n <= 4]
 
 
@@ -141,8 +136,7 @@ def test_per_point_lists_report_as_builder_lanes(f, eps):
     over ten seconds."""
     partition, base = build_attack_partition(f, _rational(eps)), _base(f.n, eps)
     built = [materialize(s) for s in (base, *partition.systems)]
-    per_point = [_per_point_base(f.n, eps),
-                 *(materialize(PerPointSystem(s)) for s in partition.systems)]
+    per_point = [oracle_table(s) for s in (base, *partition.systems)]
     assert all(isinstance(t.values, list) for t in per_point)
     assert all(isinstance(t.values, array) for t in built)
     assert _results(partition, base, per_point) == _results(partition, base, built)
@@ -181,7 +175,7 @@ def test_builder_lists_match_the_per_point_oracle(name):
     partition, base = _list_cases()[name]
     systems = (base, *partition.systems)
     built = [materialize(s) for s in systems]
-    per_point = [materialize(PerPointSystem(s)) for s in systems]
+    per_point = [oracle_table(s) for s in systems]
     assert all(isinstance(t.values, list) for t in built + per_point)
     for fast, slow in zip(built, per_point):
         assert fast.den == slow.den and list(fast.values) == slow.values
@@ -353,7 +347,7 @@ def test_block_sums_above_den_take_a_wider_lane():
         oracle, checks = brute_force_violations(system, side, subset)
         assert (report.violations_total, report.checks_performed) == (len(oracle), checks)
         assert report.violations == sorted(oracle, key=witness_key)[:MAX_WITNESSES]
-    per_point = materialize(PerPointSystem(system))
+    per_point = oracle_table(system)
     assert list(per_point.values) == list(table.values)
     half = Fraction(1, 2)
     assert convex_mismatches(table, [table, per_point], [half, half]) == ([], 0)

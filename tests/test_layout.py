@@ -5,9 +5,7 @@ class defined under ``src/chainbell`` is referenced by name somewhere in
 the package outside its own definition, and every method is read as an
 attribute there, so a variable that shares a method's name does not keep
 it; or the definition is exported from ``chainbell/__init__.py``.
-Dunder methods are not checked: the one kept only for a reader outside
-the package is ``_Records.__len__``, for the benchmark's
-``len(profile.records)``.
+Dunder methods are not checked: Python calls them, not code by name.
 Oracles that only tests need live in ``tests/helpers.py`` instead.
 
 One predicate decides exactness: ``isinstance(value, (int, Fraction))``
@@ -16,7 +14,7 @@ point: only ``SinglePairBox.prob`` subscripts its point map
 ``._cell_at``, and no code subscripts a ``.cells`` attribute.  One rule
 chooses a comparison's tolerance: ``FLOAT_ATOL`` is read only by
 ``boxes.close``, ``boxes.apart`` (``close`` over many entries in one
-call) and ``boxes.at_least``, and by ``nonsignalling._merge``, which
+call) and ``boxes.at_least``, and by ``nonsignalling._report``, which
 reports it, and no code names an ``atol`` of its own.  One guard
 decides whether a run is too big: ``EVAL_CAP`` is read, and
 ``InfeasibleSizeError`` raised, only in
@@ -179,7 +177,7 @@ def names_atol(node: ast.AST) -> bool:
 
 def test_float_tolerance_is_read_only_by_the_comparisons():
     assert owners_of(PACKAGE, reads("FLOAT_ATOL")) == [
-        "boxes.py:close", "boxes.py:apart", "boxes.py:at_least", "nonsignalling.py:_merge"]
+        "boxes.py:close", "boxes.py:apart", "boxes.py:at_least", "nonsignalling.py:_report"]
 
 
 def test_no_code_chooses_its_own_tolerance():

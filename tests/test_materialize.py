@@ -2,8 +2,9 @@
 
 ``materialize`` builds a ``BoxProductSystem``'s table from its boxes.
 Wrapping the same system in ``PerPointSystem`` forces the generic path,
-which calls ``evaluate`` at every point; the two tables must be
-identical, down to the denominator and the bits of every float.
+which calls ``evaluate`` at every point (``helpers.oracle_table`` builds
+each such table once per session); the two tables must be identical,
+down to the denominator and the bits of every float.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from helpers import (
     IntZeroSystem,
     NegatedPointSystem,
     PerPointSystem,
+    oracle_table,
     seeded_almost_balanced,
 )
 
@@ -89,7 +91,7 @@ def test_attacked_parts_match_per_point_tables(case):
     n_settings, n, eps, bits = case
     partition = build_attack_partition(HashFunction(n, bits), _params(n_settings, eps))
     for part in partition.systems:
-        assert_same_table(materialize(part), materialize(PerPointSystem(part)))
+        assert_same_table(materialize(part), oracle_table(part))
 
 
 def assert_entries_are_prob_products(tables, boxes):
@@ -142,7 +144,7 @@ def test_product_systems_match_per_point_tables(shape, directions):
         for sigma in directions[:n]
     )
     fast = materialize(ProductSystem(boxes))
-    slow = materialize(PerPointSystem(ProductSystem(boxes)))
+    slow = oracle_table(ProductSystem(boxes))
     assert_same_table(fast, slow)
     assert_entries_are_prob_products((fast, slow), boxes)
 
@@ -157,13 +159,6 @@ class BoxesByX(BoxProductSystem):
 
     def pair_boxes(self, x_code):
         return self.boxes_by_x[x_code]
-
-
-class PerPointBoxesByX(BoxesByX):
-    """Overrides ``evaluate``, so ``materialize`` takes the per-point path."""
-
-    def evaluate(self, x, y, u, v):
-        return super().evaluate(x, y, u, v)
 
 
 def _mixed(n, N):
@@ -219,7 +214,7 @@ def test_box_product_build_matches_per_point_path_at_edge_cases(boxes_by_x):
     cells, a factor 2 of the gcd at a pivot that moves with x, n = 1, and
     a float cell that no string reads."""
     fast = materialize(BoxesByX(boxes_by_x))
-    assert_same_table(fast, materialize(PerPointBoxesByX(boxes_by_x)))
+    assert_same_table(fast, oracle_table(BoxesByX(boxes_by_x)))
 
 
 def test_zero_row_after_a_wide_row_zeroes_the_string():
@@ -239,7 +234,7 @@ def test_zero_row_after_a_wide_row_zeroes_the_string():
     boxes_by_x = [(flat, flat)] * 3 + [(wide, zero)]
     fast = materialize(BoxesByX(boxes_by_x))
     assert (fast.den, fast.values.typecode) == (16, "B")
-    assert_same_table(fast, materialize(PerPointBoxesByX(boxes_by_x)))
+    assert_same_table(fast, oracle_table(BoxesByX(boxes_by_x)))
     assert all(fast.values[i] == 0 for i in range(len(fast.values))
                if fast.point(i)[0] == (1, 1))
 
@@ -349,7 +344,7 @@ def test_box_with_int_cells_is_exact():
     system = build_product_system(int_box, 2)
     table = materialize(system)
     assert table.exact
-    assert_same_table(table, materialize(PerPointSystem(system)))
+    assert_same_table(table, oracle_table(system))
 
 
 def test_int_weights_keep_the_convex_check_exact():
@@ -380,9 +375,7 @@ def test_point_names_the_evaluate_point_of_every_index(spec, n, params, per_poin
     point gives the stored value, exactly or to the float bit.  Each
     settings block of 4^n values holds one input (u, v)."""
     system = build_attack_partition(parse_function_spec(spec, n), params).systems[0]
-    if per_point:
-        system = PerPointSystem(system)
-    table = materialize(system)
+    table = oracle_table(system) if per_point else materialize(system)
     points = [table.point(i) for i in range(len(table.values))]
     assert len(set(points)) == len(points)
     for start in range(0, len(points), 4**n):

@@ -36,6 +36,7 @@ from helpers import (
     acceptance_corpus,
     brute_force_violations,
     lines_run_in,
+    oracle_table,
     perturbed_alice_marginal_box,
     perturbed_bob_marginal_box,
     seeded_almost_balanced,
@@ -427,7 +428,7 @@ def _slice_tables():
     quantum = build_product_system(build_unbiased_box(BoxParams.quantum(3)), 3)
     rational = build_product_system(build_unbiased_box(_params(n_settings=3)), 3)
     tables = {"float-list": materialize(quantum),
-              "exact-list": materialize(PerPointSystem(rational)),
+              "exact-list": oracle_table(rational),
               "lanes": materialize(rational)}
     assert [type(t.values) for t in tables.values()] == [list, list, array]
     return tables
@@ -636,6 +637,27 @@ def test_a_changed_copy_of_a_checked_table_is_checked_afresh():
     assert not check_ab(system, table=mutant).passed
     assert not check_time_ordered(system, table=mutant).passed
     assert check_ab(system, table=table).passed
+
+
+@pytest.mark.parametrize("system_shape, table_shape", [((3, 2), (2, 2)), ((2, 2), (2, 3))],
+                         ids=["n", "N"])
+def test_a_table_of_another_shape_is_refused(monkeypatch, system_shape, table_shape):
+    """Each check refuses a ``table`` whose n or N is not its system's,
+    naming both (n, N), before any sum.  Read as the system's, an n = 2
+    table would pass Alice's {3} by checking Bob's position 1."""
+    def product_of(n, N):
+        return build_product_system(build_unbiased_box(_params(n_settings=N)), n)
+
+    system, table = product_of(*system_shape), materialize(product_of(*table_shape))
+    calls = []
+    monkeypatch.setattr(nonsignalling, "_sum_out", lambda values, stride: calls.append(stride))
+    message = (rf"table has \(n, N\) = \({table_shape[0]}, {table_shape[1]}\), "
+               rf"system has \({system_shape[0]}, {system_shape[1]}\)")
+    for check in (check_ab, check_time_ordered,
+                  lambda system, table: check_subset(system, "alice", (system.n,), table=table)):
+        with pytest.raises(ValueError, match=message):
+            check(system, table=table)
+    assert calls == []
 
 
 def test_ab_and_suffixes_after_time_ordered_sum_nothing(monkeypatch):
