@@ -29,12 +29,14 @@ inputs inside S.  One kernel checks it:
 - ``check_subset``: S given by the caller, on one side.
 
 So ab is each side's time-ordered cut 1, and a subset {i..n} is cut i.
-Each check is a family of (side, S) conditions, listed in witness order
-with the label and cut its report gives them.  Each (side, S) is
+A check is a list of (side, S, label, cut) conditions in witness order:
+the label and cut its report gives each (side, S).  Each (side, S) is
 answered once per table: the kernel's answer, free of any condition or
-cut label, is kept on the table (``JointTable``), and one builder,
-``_report``, decodes every check's answers under that check's labels, so
-a report does not depend on which checks ran on the table before it.  A
+cut label, is kept on the table (``JointTable``).  One builder,
+``_report``, reads each condition's answer from the table, adds up the
+counts and decodes only the witnesses the report keeps, under that
+check's labels, so a report does not depend on which checks ran on the
+table before it.  A
 table is read-only once ``materialize`` returns it; a
 ``dataclasses.replace`` copy starts with no answers.  A check given a
 ``table`` whose n or N is not its system's refuses it, before any sum.
@@ -617,8 +619,8 @@ def _independence(
     between sequences.
     Returns the answer, free of any condition or cut label: (the first
     MAX_WITNESSES witnesses as (grid index, shift, lhs, rhs), total
-    violation count, comparisons performed).  ``_labelled`` turns it into
-    report parts.
+    violation count, comparisons performed).  ``_report`` adds up its
+    counts and decodes the witnesses that a report keeps.
     """
     n, N = table.n, table.n_settings
     digits = _digits(n, side, subset)
@@ -663,52 +665,47 @@ def _independence(
     return found, total, checks
 
 
-def _labelled(table: JointTable, side: str, subset: tuple[int, ...],
-              answer: tuple[list[tuple], int, int], condition: str,
-              cut: int | None) -> tuple[list[NsViolation], int, int]:
-    """One report part from an answer of ``_independence``: its witnesses
-    decoded into points under this call's ``condition`` and ``cut``."""
-    found, total, checks = answer
-    if not found:
-        return [], total, checks
-    n, den = table.n, table.den
-    digits = _digits(n, side, subset)
-    G = 1 << 2 * n - len(digits)  # kept outcome words per settings word
-    # grid index k, a code over the kept outcome digits, as an outcome word
-    offsets = _scatter_codes([q for q in range(1, 2 * n + 1) if q not in digits], 2 * n, 2)
-    violations = []
-    for index, shift, lhs, rhs in found:
-        left, k = divmod(index, G)
-        x, y, u_left, v_left = table.point(left * 4**n + offsets[k])
-        u_right, v_right = table.point((left + shift // G) * 4**n + offsets[k])[2:]
-        xy = tuple(None if q in digits else b for q, b in enumerate(x + y, 1))
-        violations.append(NsViolation(
-            condition, side, cut, subset, xy[:n], xy[n:], u_left, v_left, u_right, v_right,
-            _scaled(lhs, den), _scaled(rhs, den)))
-    return violations, total, checks
-
-
-def _report(t: JointTable, condition: str, answered: Iterable[tuple]) -> NsReport:
-    """The report of ``condition`` on ``t`` from its (side, subset, answer,
-    label, cut) conditions, given in witness order: each answer decoded
-    under its label and cut by ``_labelled``, and the parts added up."""
+def _report(t: JointTable, condition: str, conditions: Iterable[tuple]) -> NsReport:
+    """The report of ``condition`` on ``t``, a check given as its list of
+    (side, subset, label, cut) conditions in witness order.  Each
+    condition's answer is read from ``t._answers``, and compared by
+    ``_answer`` only when no check on ``t`` gave it; the counts of all
+    answers are added up.  Only the witnesses the report keeps, the
+    first MAX_WITNESSES of all conditions in order, are decoded into
+    points, under their condition's label and cut."""
+    n, den = t.n, t.den
     violations, total, checks = [], 0, 0
-    for side, subset, answer, label, cut in answered:
-        found, violated, compared = _labelled(t, side, subset, answer, label, cut)
-        violations += found
+    for side, subset, label, cut in conditions:
+        found, violated, compared = t._answers.get((side, subset)) or _answer(t, side, subset)
         total += violated
         checks += compared
+        if kept := found[:MAX_WITNESSES - len(violations)]:
+            digits = _digits(n, side, subset)
+            G = 1 << 2 * n - len(digits)  # kept outcome words per settings word
+            # grid index k, a code over the kept outcome digits, as an outcome word
+            offsets = _scatter_codes([q for q in range(1, 2 * n + 1) if q not in digits], 2 * n, 2)
+            for index, shift, lhs, rhs in kept:
+                left, k = divmod(index, G)
+                x, y, u_left, v_left = t.point(left * 4**n + offsets[k])
+                u_right, v_right = t.point((left + shift // G) * 4**n + offsets[k])[2:]
+                xy = tuple(None if q in digits else b for q, b in enumerate(x + y, 1))
+                violations.append(NsViolation(
+                    label, side, cut, subset, xy[:n], xy[n:], u_left, v_left, u_right, v_right,
+                    _scaled(lhs, den), _scaled(rhs, den)))
     return NsReport(condition=condition, passed=total == 0, checks_performed=checks,
                     violations_total=total, tolerance=Fraction(0) if t.exact else FLOAT_ATOL,
-                    violations=violations[:MAX_WITNESSES])
+                    violations=violations)
 
 
 def _answer(t: JointTable, side: str, subset: tuple[int, ...],
             grid: array | list | None = None) -> tuple[list[tuple], int, int]:
-    """``_independence``'s answer for (side, subset) on ``t``: read from
-    ``t._answers`` when a check on ``t`` gave it, else compared now on
-    ``grid``, by default ``t`` with ``side``'s outputs at ``subset``
-    summed out, highest digit first, and kept."""
+    """``_independence``'s answer for (side, subset) on ``t``, free of any
+    condition or cut label: read from ``t._answers`` when a check on ``t``
+    gave it, else compared now on ``grid``, by default ``t`` with
+    ``side``'s outputs at ``subset`` summed out, highest digit first, and
+    kept.  ``_report`` reads the kept answers itself and calls this only
+    for one that is missing; ``_time_ordered`` calls it along its chain,
+    with each cut's grid."""
     key = side, subset
     if key not in t._answers:
         if grid is None:
@@ -734,8 +731,8 @@ def check_ab(system: "SystemEvaluator", *, table: JointTable | None = None) -> N
     the time-ordered check ran on it."""
     t = _table(system, table)
     everything = tuple(range(1, t.n + 1))
-    return _report(t, CONDITION_AB, [(side, everything, _answer(t, side, everything),
-                                      CONDITION_AB, 1) for side in ("alice", "bob")])
+    return _report(t, CONDITION_AB,
+                   [(side, everything, CONDITION_AB, 1) for side in ("alice", "bob")])
 
 
 def _time_ordered(t: JointTable) -> tuple[NsReport, array | list]:
@@ -748,20 +745,19 @@ def _time_ordered(t: JointTable) -> tuple[NsReport, array | list]:
     before, so the whole check sums about one table's worth of entries.
     Each cut is answered through ``_answer`` on its grid, so a cut that a
     check on ``t`` answered before is read, not compared again, and each
-    cut's answer is kept for ``check_ab`` and ``check_subset``.
+    cut's answer is kept for ``check_ab`` and ``check_subset``.  The check
+    is then reported from its conditions, cuts 1..n of Alice, then Bob's.
     """
     n = t.n
     everything = tuple(range(1, n + 1))
-    answered = []
     for side in ("alice", "bob"):
-        grid, cuts = t.values, []
+        grid = t.values
         for cut, stride in zip(range(n, 0, -1), _strides(n, _digits(n, side, everything))):
             grid = _sum_out(grid, stride)
-            subset = everything[cut - 1:]
-            cuts.append((side, subset, _answer(t, side, subset, grid),
-                         f"{CONDITION_TIME_ORDERED}-{side}", cut))
-        answered += reversed(cuts)
-    return _report(t, CONDITION_TIME_ORDERED, answered), grid
+            _answer(t, side, everything[cut - 1:], grid)
+    return _report(t, CONDITION_TIME_ORDERED,
+                   [(side, everything[cut - 1:], f"{CONDITION_TIME_ORDERED}-{side}", cut)
+                    for side in ("alice", "bob") for cut in range(1, n + 1)]), grid
 
 
 def check_time_ordered(system: "SystemEvaluator", *,
@@ -804,9 +800,7 @@ def check_subset(system: "SystemEvaluator", side: str, subset: Iterable[int], *,
     if len(sub) < len(positions):
         repeated = next(p for i, p in enumerate(positions) if p in positions[:i])
         raise ValueError(f"subset names position {repeated} more than once, got {positions}")
-    t = _table(system, table)
-    return _report(t, CONDITION_SUBSET,
-                   [(side, sub, _answer(t, side, sub), CONDITION_SUBSET, None)])
+    return _report(_table(system, table), CONDITION_SUBSET, [(side, sub, CONDITION_SUBSET, None)])
 
 
 def _widened(values: array, start: int, size: int, width: int) -> int:

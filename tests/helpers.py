@@ -244,11 +244,14 @@ _ORACLE_TABLES: dict = {}
 
 
 def _table_key(system: BoxProductSystem) -> tuple:
-    """What determines a box product's table: its type, n, N and, for
-    every string x, the cells of the boxes behind x, with their types,
-    so a float cell never stands in for an equal Fraction.  For an
-    attack part these are what f's bits, z and eps fix."""
-    return (type(system), system.n, system.n_settings,
+    """What determines a box product's table: n, N and, for every string
+    x, the cells of the boxes behind x, with their types, so a float cell
+    never stands in for an equal Fraction.  ``oracle_table`` admits only
+    systems that keep the shared ``evaluate``, so the system's type does
+    not enter: a ``BoxProductSystem`` of any type with the same boxes has
+    the same table.  For an attack part these are what f's bits, z and
+    eps fix."""
+    return (system.n, system.n_settings,
             tuple(tuple(repr(box.cells) for box in system.pair_boxes(x))
                   for x in range(2**system.n)))
 

@@ -181,8 +181,10 @@ def test_time_ordered_implies_ab_across_corpus(fig_parts):
               build_product_system(perturbed_bob_marginal_box(_params()), 2),
               FuturePeekingSystem(_params())]
     for system in corpus:
-        to = check_time_ordered(system)
-        ab = check_ab(system)
+        # a copy each: on one table, ab would read the time-ordered cut 1
+        table = materialize(system)
+        to = check_time_ordered(system, table=replace(table))
+        ab = check_ab(system, table=replace(table))
         assert (not to.passed) or ab.passed
 
 
@@ -367,6 +369,22 @@ def test_time_ordered_cuts_are_subsets(system):
     assert report.violations == relabeled[:MAX_WITNESSES]
 
 
+_PEEKING: dict = {}
+
+
+def _peeking(params, n=3, early=1, late=3, mirrored=False):
+    """A future-peeking system (``tests/helpers``), mirrored or not, and
+    its table, materialized once per module: tests check ``replace``
+    copies of it, which start with no answers.  Keyed by all five
+    arguments, however they are passed."""
+    key = params, n, early, late, mirrored
+    if key not in _PEEKING:
+        system = FuturePeekingSystem(params, n=n, early=early, late=late)
+        system = MirroredSystem(system) if mirrored else system
+        _PEEKING[key] = system, materialize(system)
+    return _PEEKING[key]
+
+
 class RememberingSystem(PerPointSystem):
     """Evaluates each point of the wrapped system once: the oracle below
     sums every point once per cut."""
@@ -390,20 +408,26 @@ def test_time_ordered_cuts_match_evaluate_oracle(monkeypatch, params, mirrored):
     direct summation of ``evaluate``: the first pair peeks at the third
     output bit, so Alice's (or, mirrored, Bob's) cuts 2 and 3 fail.  Each
     cut's count and checks equal the oracle's, and its witnesses are the
-    oracle's first MAX_WITNESSES by witness key."""
-    system = FuturePeekingSystem(params, n=3, early=1, late=3)
-    system = RememberingSystem(MirroredSystem(system) if mirrored else system)
+    oracle's first MAX_WITNESSES by witness key.  Each cut is decoded
+    after the check returns, as a one-condition report that reads the
+    answer the chain kept on the table."""
+    peeking, table = _peeking(params, mirrored=mirrored)
+    system = RememberingSystem(peeking)
     kernel = nonsignalling._independence
-    cuts = {}
+    answered = []
 
     def recording(table, grid, side, subset):
-        answer = kernel(table, grid, side, subset)
-        cuts[side, subset[0]] = nonsignalling._labelled(
-            table, side, subset, answer, f"time-ordered-{side}", subset[0])
-        return answer
+        answered.append((table, side, subset))
+        return kernel(table, grid, side, subset)
 
     monkeypatch.setattr(nonsignalling, "_independence", recording)
-    report = check_time_ordered(system)
+    report = check_time_ordered(system, table=replace(table))
+    cuts = {}
+    for checked, side, subset in answered:
+        label = f"time-ordered-{side}"
+        cut = nonsignalling._report(checked, label, [(side, subset, label, subset[0])])
+        cuts[side, subset[0]] = cut.violations, cut.violations_total, cut.checks_performed
+    assert len(answered) == 6
     assert sorted(cuts) == [(side, cut) for side in ("alice", "bob") for cut in (1, 2, 3)]
     failing = "bob" if mirrored else "alice"
     for (side, cut), (violations, total, checks) in cuts.items():
@@ -414,6 +438,24 @@ def test_time_ordered_cuts_match_evaluate_oracle(monkeypatch, params, mirrored):
         expected = sorted(oracle, key=witness_key)[:MAX_WITNESSES]
         assert_same_witnesses(violations, expected, exact=params.exact)
     assert report.violations_total == sum(total for _, total, _ in cuts.values())
+
+
+@pytest.mark.parametrize("params", [_params(n_settings=3), BoxParams.quantum(3)],
+                         ids=["exact", "quantum"])
+def test_a_report_decodes_only_the_witnesses_it_keeps(monkeypatch, params):
+    """At n = 3, N = 3 the first pair peeks at the third output bit:
+    Alice's cuts 2 and 3 fail with thousands of violations, each cut
+    with more than MAX_WITNESSES.  The report keeps MAX_WITNESSES in all,
+    and decodes each kept witness's two settings words and no other
+    witness: two ``JointTable.point`` calls per kept witness."""
+    system, table = _peeking(params)
+    calls = []
+    point = nonsignalling.JointTable.point
+    monkeypatch.setattr(nonsignalling.JointTable, "point",
+                        lambda self, index: calls.append(index) or point(self, index))
+    report = check_time_ordered(system, table=replace(table))
+    assert report.violations_total > MAX_WITNESSES == len(report.violations)
+    assert len(calls) == 2 * MAX_WITNESSES
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +632,20 @@ def _assert_answers_do_not_leak(system, table):
 
 
 @cache
-def _quantum_n3_systems():
-    """Honest and future-peeking (``tests/helpers``) quantum systems at
-    N = 3, n = 1..3, with each peeking system's mirror: violations on
-    both sides, at several cuts."""
+def _quantum_n3_cases():
+    """Honest and future-peeking quantum systems at N = 3, n = 1..3, with
+    each peeking system's mirror, and their tables: violations on both
+    sides, at several cuts."""
     params = BoxParams.quantum(3)
     honest = [build_product_system(build_unbiased_box(params), n) for n in (1, 2, 3)]
-    peeking = [FuturePeekingSystem(params, n=n, early=early, late=late)
-               for n, early, late in ((2, 1, 2), (3, 1, 3), (3, 2, 3))]
-    return honest + peeking + [MirroredSystem(s) for s in peeking]
+    return [(system, materialize(system)) for system in honest] + [
+        _peeking(params, n, early, late, mirrored) for mirrored in (False, True)
+        for n, early, late in ((2, 1, 2), (3, 1, 3), (3, 2, 3))]
 
 
 @pytest.mark.parametrize("index", range(9))
 def test_shared_answers_match_fresh_tables_in_floats(index):
-    system = _quantum_n3_systems()[index]
-    table = materialize(system)
+    system, table = _quantum_n3_cases()[index]
     assert not table.exact
     _assert_answers_do_not_leak(system, table)
 
@@ -663,8 +704,8 @@ def test_a_table_of_another_shape_is_refused(monkeypatch, system_shape, table_sh
 def test_ab_and_suffixes_after_time_ordered_sum_nothing(monkeypatch):
     """ab is each side's time-ordered cut 1 and a subset {i..n} is cut i:
     after the time-ordered check, neither sums a marginal again."""
-    system = FuturePeekingSystem(_params(n_settings=3), n=3, early=1, late=3)
-    table = materialize(system)
+    system, table = _peeking(_params(n_settings=3))
+    table = replace(table)
     check_time_ordered(system, table=table)
     calls = []
     sum_out = nonsignalling._sum_out
