@@ -6,6 +6,11 @@ v in {1, 3, ..., 2N-1}, and each obtains a bit.  Internally settings are
 indexed a, b in {0..N-1} with u = 2a and v = 2b + 1.  Within each (a, b)
 square, columns are Alice's outcome x and rows Bob's outcome y.
 
+A box keeps its 4N^2 cells flat, in point order (a, b, x, y), and files
+them once in nested maps, one level per digit: a, then b, then x, then
+y.  ``SinglePairBox.prob`` reads a cell through those maps, four lookups
+of a small int each, and refuses any point outside the box.
+
 Every square is parameterised by a cross probability g = P(x != y):
 cells are (1-g)/2 on the diagonal and g/2 off it.  On adjacent settings
 g equals the box parameter eps; on the (0, 2N-1) pair it equals 1 - eps.
@@ -141,8 +146,11 @@ class SinglePairBox:
     last varying fastest; the builders write cells in that order.  It
     must have N >= 1 settings and hold one cell per point, 4N^2 in all
     (ValueError otherwise).
-    ``__post_init__`` maps each point to its cell once, and ``prob`` is
-    that map's one reader: a point outside the box raises ValueError.
+    ``__post_init__`` files each cell once in nested per-digit maps,
+    ``_cell_at[a][b][x][y]``, so that a read hashes four ints and never
+    a point tuple; ``prob`` is those maps' one reader: a point outside
+    the box raises ValueError.  The maps are not a field, so equality,
+    hashing and ``repr`` see ``n_settings`` and ``cells`` alone.
     """
 
     n_settings: int
@@ -155,12 +163,15 @@ class SinglePairBox:
         if len(self.cells) != expected:
             raise ValueError(f"a box with N={self.n_settings} needs 4N^2 = {expected} "
                              f"cells, got {len(self.cells)}")
-        points = product(range(self.n_settings), range(self.n_settings), (0, 1), (0, 1))
-        object.__setattr__(self, "_cell_at", dict(zip(points, self.cells)))
+        n, cells = self.n_settings, self.cells
+        object.__setattr__(self, "_cell_at", {
+            a: {b: {x: {y: cells[4 * (a * n + b) + 2 * x + y] for y in (0, 1)} for x in (0, 1)}
+                for b in range(n)}
+            for a in range(n)})
 
     def prob(self, a: int, b: int, x: int, y: int) -> Prob:
         try:
-            return self._cell_at[a, b, x, y]
+            return self._cell_at[a][b][x][y]
         except KeyError:
             raise ValueError(f"no cell at (a={a}, b={b}, x={x}, y={y}) "
                              f"for N={self.n_settings}") from None

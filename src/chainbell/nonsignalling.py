@@ -668,15 +668,15 @@ def _independence(
 def _report(t: JointTable, condition: str, conditions: Iterable[tuple]) -> NsReport:
     """The report of ``condition`` on ``t``, a check given as its list of
     (side, subset, label, cut) conditions in witness order.  Each
-    condition's answer is read from ``t._answers``, and compared by
-    ``_answer`` only when no check on ``t`` gave it; the counts of all
-    answers are added up.  Only the witnesses the report keeps, the
-    first MAX_WITNESSES of all conditions in order, are decoded into
-    points, under their condition's label and cut."""
+    condition's answer comes from ``_answer``, which compares it only
+    when no check on ``t`` gave it; the counts of all answers are added
+    up.  Only the witnesses the report keeps, the first MAX_WITNESSES of
+    all conditions in order, are decoded into points, under their
+    condition's label and cut."""
     n, den = t.n, t.den
     violations, total, checks = [], 0, 0
     for side, subset, label, cut in conditions:
-        found, violated, compared = t._answers.get((side, subset)) or _answer(t, side, subset)
+        found, violated, compared = _answer(t, side, subset)
         total += violated
         checks += compared
         if kept := found[:MAX_WITNESSES - len(violations)]:
@@ -703,9 +703,9 @@ def _answer(t: JointTable, side: str, subset: tuple[int, ...],
     condition or cut label: read from ``t._answers`` when a check on ``t``
     gave it, else compared now on ``grid``, by default ``t`` with
     ``side``'s outputs at ``subset`` summed out, highest digit first, and
-    kept.  ``_report`` reads the kept answers itself and calls this only
-    for one that is missing; ``_time_ordered`` calls it along its chain,
-    with each cut's grid."""
+    kept.  This is the memo's one reader: ``_report`` reads every answer
+    through it, and ``_time_ordered`` calls it along its chain, with each
+    cut's grid."""
     key = side, subset
     if key not in t._answers:
         if grid is None:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -299,6 +301,77 @@ def test_prob_rejects_outcomes_that_are_not_bits(point):
 def test_prob_reads_a_bool_outcome_as_its_bit():
     box = build_unbiased_box(BoxParams.rational(2, EIGHTH))
     assert box.prob(0, 0, True, 0) == box.prob(0, 0, 1, 0) == Fraction(1, 16)
+
+
+def _distinct_cells(n, mode):
+    """4N^2 cells that all differ, Fractions or floats by ``mode``, so a
+    cell filed at the wrong point cannot pass for the right one."""
+    count = 4 * n * n
+    if mode == "rational":
+        return tuple(Fraction(k + 1, count + 1) for k in range(count))
+    return tuple((k + 1) / (count + 1) for k in range(count))
+
+
+def _boxes(n, mode):
+    """A box of distinct cells and, for N >= 2, a built biased box."""
+    boxes = [SinglePairBox(n, _distinct_cells(n, mode))]
+    if n >= 2:
+        params = BoxParams.rational(n, EIGHTH) if mode == "rational" else BoxParams.quantum(n)
+        boxes.append(bias_box(build_unbiased_box(params), 1, params.eps))
+    return boxes
+
+
+def _points(n):
+    """Every (a, b, x, y) with a, b in [-2, N+1] and x, y in [-2, 3] or a bool."""
+    indices, outcomes = range(-2, n + 2), [*range(-2, 4), True, False]
+    return itertools.product(indices, indices, outcomes, outcomes)
+
+
+@pytest.mark.parametrize("mode", ["rational", "quantum"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prob_reads_exactly_the_cells_of_a_flat_point_map(n, mode):
+    """``prob`` returns the very cell object ``cells[4(aN+b) + 2x + y]``
+    at every point of the box, bools read as their bits, and refuses
+    every other point; a flat map from point tuples to cells, the
+    oracle, accepts and refuses the same points."""
+    for box in _boxes(n, mode):
+        oracle = dict(zip(itertools.product(range(n), range(n), (0, 1), (0, 1)), box.cells))
+        inside = 0
+        for a, b, x, y in _points(n):
+            if (a, b, x, y) in oracle:
+                inside += 1
+                assert box.prob(a, b, x, y) is box.cells[4 * (a * n + b) + 2 * x + y]
+                assert box.prob(a, b, x, y) is oracle[a, b, x, y]
+            else:
+                with pytest.raises(ValueError, match="no cell at"):
+                    box.prob(a, b, x, y)
+        assert inside == (2 * n) ** 2 * 4  # each bit as an int and as a bool
+
+
+@pytest.mark.parametrize("mode", ["rational", "quantum"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_replaced_box_reads_its_own_cells(n, mode):
+    box = SinglePairBox(n, _distinct_cells(n, mode))
+    cells = tuple(reversed(box.cells))
+    copy = dataclasses.replace(box, cells=cells)
+    for a, b, x, y in itertools.product(range(n), range(n), (0, 1), (0, 1)):
+        k = 4 * (a * n + b) + 2 * x + y
+        assert copy.prob(a, b, x, y) is cells[k]
+        assert box.prob(a, b, x, y) is box.cells[k]
+
+
+@pytest.mark.parametrize("mode", ["rational", "quantum"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_box_equality_hash_and_repr_see_only_the_fields(n, mode):
+    """The cell maps are not a field: a box equals, hashes and prints as
+    its settings count and cells alone."""
+    cells = _distinct_cells(n, mode)
+    box = SinglePairBox(n, cells)
+    assert [f.name for f in dataclasses.fields(SinglePairBox)] == ["n_settings", "cells"]
+    assert box == SinglePairBox(n, tuple(cells))
+    assert box != SinglePairBox(n, tuple(reversed(cells)))
+    assert hash(box) == hash((n, cells))
+    assert repr(box) == f"SinglePairBox(n_settings={n!r}, cells={cells!r})"
 
 
 @pytest.mark.parametrize("count", [20, 3, 0])

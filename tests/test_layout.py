@@ -10,8 +10,10 @@ Oracles that only tests need live in ``tests/helpers.py`` instead.
 
 One predicate decides exactness: ``isinstance(value, (int, Fraction))``
 appears only in ``boxes.all_exact``.  One method reads a box's cell at a
-point: only ``SinglePairBox.prob`` subscripts its point map
-``._cell_at``, and no code subscripts a ``.cells`` attribute.  One rule
+point: only ``SinglePairBox.prob`` subscripts its nested per-digit maps
+``._cell_at``, and no code subscripts a ``.cells`` attribute.  One memo
+keeps a joint table's answers: ``._answers`` is read only by
+``nonsignalling._answer``, through which every report reads them.  One rule
 chooses a comparison's tolerance: ``FLOAT_ATOL`` is read only by
 ``boxes.close``, ``boxes.apart`` (``close`` over many entries in one
 call) and ``boxes.at_least``, and by ``nonsignalling._report``, which
@@ -156,6 +158,10 @@ def test_exactness_is_decided_only_by_all_exact():
 def test_box_cells_are_indexed_only_by_prob():
     assert owners_of(PACKAGE, subscripts("_cell_at")) == ["boxes.py:SinglePairBox.prob"]
     assert owners_of(PACKAGE, subscripts("cells")) == []
+
+
+def test_the_answer_memo_is_read_only_by_answer():
+    assert set(owners_of(PACKAGE, reads("_answers"))) == {"nonsignalling.py:_answer"}
 
 
 def reads(name: str):
